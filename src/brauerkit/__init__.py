@@ -6,6 +6,7 @@ The library is organised bottom-up:
     brauer         the monochrome Brauer category BD
     brauer_algebra linear enrichment Br_delta over a commutative ring
     coloured       palette-coloured Brauer diagrams and walled normal forms
+    axioms         circuit-operad laws, stated once, and the driver that checks them
     wiring         wiring-diagram operads and Set-valued circuit algebras
     graph          Joyal-Kock graphs, etale maps, gluing, isomorphism
     substitution   graphs of graphs, colimits, vertex deletion, similarity

@@ -95,19 +95,15 @@ class BrauerDiagram:
 def make_diagram(m: int, n: int, pairs, closed: int = 0) -> BrauerDiagram:
     if m < 0 or n < 0 or closed < 0:
         raise ArityMismatch(f"negative arity or closed count: {(m, n, closed)!r}")
+    pairs = list(pairs)
     carrier = [src(i) for i in range(1, m + 1)] + [tgt(j) for j in range(1, n + 1)]
-    norm = []
-    for a, b in pairs:
-        if boundary_key(a) > boundary_key(b):
-            a, b = b, a
-        norm.append((a, b))
-    norm.sort(key=lambda ab: boundary_key(ab[0]))
-    make_pairing(carrier, norm)  # validation only
-    return BrauerDiagram(m, n, tuple(norm), closed)
+    make_pairing(carrier, pairs)  # validation only
+    return _diagram(m, n, pairs, closed)
 
 
 def _diagram(m: int, n: int, pairs, closed: int) -> BrauerDiagram:
-    # internal constructor: the caller guarantees pairs partition the boundary
+    # the one pair normaliser: each pair in boundary order, pairs sorted
+    # by their first label; the caller guarantees pairs partition the boundary
     norm = []
     for a, b in pairs:
         if boundary_key(a) > boundary_key(b):
@@ -198,38 +194,40 @@ def tensor(f: BrauerDiagram, g: BrauerDiagram) -> BrauerDiagram:
 
 def _relabel_diagram(f: BrauerDiagram, m: int, n: int, move) -> BrauerDiagram:
     # move is a bijection of boundaries, so the result stays a partition
-    pairs = [(move(a), move(b)) for a, b in f.pairs]
+    pairs = [(move(a, f.m, f.n), move(b, f.m, f.n)) for a, b in f.pairs]
     return _diagram(m, n, pairs, f.closed)
 
 
+# the boundary moves of the compact closed structure: where a label of a
+# diagram m -> n lands, as in the module docstring; coloured diagrams
+# move their colours with the same functions
+
+
+def ev_move(label: str, m: int, n: int) -> str:
+    kind, i = _split(label)
+    return src(n + 1 - i) if kind == "t" else src(n + i)
+
+
+def coev_move(label: str, m: int, n: int) -> str:
+    kind, i = _split(label)
+    return tgt(i) if kind == "t" else tgt(n + (m + 1 - i))
+
+
+def dual_move(label: str, m: int, n: int) -> str:
+    kind, i = _split(label)
+    return src(n + 1 - i) if kind == "t" else tgt(m + 1 - i)
+
+
 def ev(f: BrauerDiagram) -> BrauerDiagram:
-    m, n = f.m, f.n
-
-    def move(label):
-        kind, i = _split(label)
-        return src(n + 1 - i) if kind == "t" else src(n + i)
-
-    return _relabel_diagram(f, n + m, 0, move)
+    return _relabel_diagram(f, f.n + f.m, 0, ev_move)
 
 
 def coev(f: BrauerDiagram) -> BrauerDiagram:
-    m, n = f.m, f.n
-
-    def move(label):
-        kind, i = _split(label)
-        return tgt(i) if kind == "t" else tgt(n + (m + 1 - i))
-
-    return _relabel_diagram(f, 0, n + m, move)
+    return _relabel_diagram(f, 0, f.n + f.m, coev_move)
 
 
 def dual(f: BrauerDiagram) -> BrauerDiagram:
-    m, n = f.m, f.n
-
-    def move(label):
-        kind, i = _split(label)
-        return src(n + 1 - i) if kind == "t" else tgt(m + 1 - i)
-
-    return _relabel_diagram(f, n, m, move)
+    return _relabel_diagram(f, f.n, f.m, dual_move)
 
 
 def cup_n(n: int) -> BrauerDiagram:
@@ -267,17 +265,7 @@ def open_diagrams(m: int, n: int):
     """All open diagrams m -> n, (m+n-1)!! of them when m+n is even."""
     labels = [src(i) for i in range(1, m + 1)] + [tgt(j) for j in range(1, n + 1)]
     for p in all_pairings(labels):
-        yield BrauerDiagram(m, n, _normalize_pairs(p.pairs), 0)
-
-
-def _normalize_pairs(pairs):
-    norm = []
-    for a, b in pairs:
-        if boundary_key(a) > boundary_key(b):
-            a, b = b, a
-        norm.append((a, b))
-    norm.sort(key=lambda ab: boundary_key(ab[0]))
-    return tuple(norm)
+        yield _diagram(m, n, p.pairs, 0)
 
 
 # ---------------------------------------------------------------------------

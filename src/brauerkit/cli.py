@@ -3,8 +3,11 @@
 Every data-producing subcommand prints one JSON document on stdout, so
 output pipes straight back into other subcommands.  Check subcommands
 print one line per checked item and flip the exit code: 0 all good, 1
-at least one failure, 2 malformed input (reported on stderr).  `--json`
-switches check output to a single machine-readable report.
+at least one failure, 2 malformed input (reported on stderr, also when
+the input nests too deeply to read).  Axiom reports print each
+violation as `violation [kind] detail`; `--json` switches check output
+to a single machine-readable report whose violations are [kind, detail]
+pairs.
 
 Diagram arguments accept a file path, `-` for stdin, or an inline
 generator word (`cup + id ; cap`).  Graph arguments accept a file
@@ -256,20 +259,26 @@ def _cmd_wd_gamma(args):
     return 0
 
 
-def _report_lines(report, args, label, **extra):
+def _report_lines(report, args, header, **fields):
+    """The one renderer of a check report.  Without --json it prints the
+    header and one `violation [kind] detail` line per violation.  It
+    returns the report's JSON object: passed, the given fields, checked,
+    and violations as [kind, detail]."""
+    if not args.json:
+        print(header)
+        for kind, detail in report.violations:
+            print(f"violation [{kind}] {detail}")
+    return {"passed": report.passed, **fields, "checked": report.checked,
+            "violations": [[kind, detail] for kind, detail in report.violations]}
+
+
+def _emit_check(report, args, label, **extra):
+    doc = _report_lines(report, args,
+                        f"{label}: {report.mode}, {report.checked} instances checked",
+                        mode=report.mode, seed=report.seed)
     if args.json:
-        _emit({
-            "passed": report.passed,
-            "mode": report.mode,
-            "seed": report.seed,
-            "checked": report.checked,
-            "violations": list(report.violations),
-            **extra,
-        })
+        _emit({**doc, **extra})
     else:
-        print(f"{label}: {report.mode}, {report.checked} instances checked")
-        for detail in report.violations:
-            print(f"violation: {detail}")
         print("pass" if report.passed else "FAIL")
     return 0 if report.passed else 1
 
@@ -278,7 +287,7 @@ def _cmd_ca_check(args):
     A = algebra_from_json(_read_doc(args.algebra))
     report = check_circuit_algebra(A, seed=args.seed, samples=args.samples,
                                    budget=args.budget)
-    return _report_lines(report, args, "circuit-algebra axioms")
+    return _emit_check(report, args, "circuit-algebra axioms")
 
 
 def _parse_generator(text):
@@ -302,7 +311,7 @@ def _cmd_ca_free(args):
         return 0
     report = check_circuit_algebra(A, seed=args.seed, samples=args.samples,
                                    budget=args.budget)
-    return _report_lines(report, args, "free circuit algebra", carriers=sizes)
+    return _emit_check(report, args, "free circuit algebra", carriers=sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +508,11 @@ def _cmd_species_check_co(args):
     if args.modular:
         reports.append(("modular axioms", check_modular_axioms(S, C)))
     passed = all(r.passed for _, r in reports)
+    docs = [{"name": name, **_report_lines(
+                r, args, f"{name}: {r.checked} instances, {'ok' if r.passed else 'FAIL'}")}
+            for name, r in reports]
     if args.json:
-        _emit({
-            "passed": passed,
-            "reports": [{"name": name, "passed": r.passed, "checked": r.checked,
-                         "violations": [[k, d] for k, d in r.violations]}
-                        for name, r in reports],
-        })
-    else:
-        for name, r in reports:
-            print(f"{name}: {r.checked} instances, "
-                  f"{'ok' if r.passed else 'FAIL'}")
-            for kind, detail in r.violations:
-                print(f"violation [{kind}] {detail}")
+        _emit({"passed": passed, "reports": docs})
     return 0 if passed else 1
 
 
@@ -671,7 +672,7 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, TypeError, KeyError, OSError,
+    except (ValueError, TypeError, KeyError, OSError, RecursionError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -232,38 +232,21 @@ def tensor_coloured(f: ColouredBrauerDiagram, g: ColouredBrauerDiagram) -> Colou
 
 
 def _transport(f: ColouredBrauerDiagram, new_base: BrauerDiagram, move) -> ColouredBrauerDiagram:
-    colours = {move(label): colour for label, colour in f.boundary_colour}
+    m, n = f.base.m, f.base.n
+    colours = {move(label, m, n): colour for label, colour in f.boundary_colour}
     return make_coloured(f.palette, new_base, colours, f.bubbles)
 
 
 def ev_coloured(f: ColouredBrauerDiagram) -> ColouredBrauerDiagram:
-    m, n = f.base.m, f.base.n
-
-    def move(label):
-        kind, i = label[0], int(label[1:])
-        return src(n + 1 - i) if kind == "t" else src(n + i)
-
-    return _transport(f, brauer.ev(f.base), move)
+    return _transport(f, brauer.ev(f.base), brauer.ev_move)
 
 
 def coev_coloured(f: ColouredBrauerDiagram) -> ColouredBrauerDiagram:
-    m, n = f.base.m, f.base.n
-
-    def move(label):
-        kind, i = label[0], int(label[1:])
-        return tgt(i) if kind == "t" else tgt(n + (m + 1 - i))
-
-    return _transport(f, brauer.coev(f.base), move)
+    return _transport(f, brauer.coev(f.base), brauer.coev_move)
 
 
 def dual_coloured(f: ColouredBrauerDiagram) -> ColouredBrauerDiagram:
-    m, n = f.base.m, f.base.n
-
-    def move(label):
-        kind, i = label[0], int(label[1:])
-        return src(n + 1 - i) if kind == "t" else tgt(m + 1 - i)
-
-    return _transport(f, brauer.dual(f.base), move)
+    return _transport(f, brauer.dual(f.base), brauer.dual_move)
 
 
 def reversed_omega(palette: Palette, word) -> tuple:

@@ -12,6 +12,11 @@ transport is (w . p)[i] = w[p[i]], and the presheaf is contravariant:
 S(p . q) = S(q) o S(p).  Stored action entries only ever stabilize
 their word, so composites can be looked up in a closed group table.
 
+The circuit-operad checks run the laws of the axioms module on the
+tables through apply_product, apply_contraction, the stored units and
+transport, and add the table-only laws: unit symmetry and the
+equivariance of both tables against the listed actions.
+
 Structures on a graph are pairs (edge colouring, vertex assignment),
 both as sorted tuples of pairs, so they double as labels and can sit
 inside presheaf tables or JSON documents unchanged.
@@ -22,7 +27,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
+from .axioms import (
+    CIRCUIT_LAWS,
+    MODULAR_LAWS,
+    Law,
+    Report,
+    connected_unit,
+    contractable,
+    drop,
+    external_unit,
+    run_laws,
+    shifted,
+)
 from .coloured import Palette, palette_from_json, palette_to_json
 from .graph import (
     InvalidParameter,
@@ -42,7 +60,7 @@ from .wiring import (
     ArityBoundExceeded,
     ColourMismatch,
     MissingActionEntry,
-    make_wiring,
+    perm_wiring,
     unit_epsilon,
 )
 
@@ -86,14 +104,6 @@ def _sort_perm(word):
 
 def _block(p, q):
     return p + tuple(len(p) + i for i in q)
-
-
-def _drop(word, i, j):
-    return tuple(c for k, c in enumerate(word) if k not in (i, j))
-
-
-def _shifted(pos, removed):
-    return pos - sum(1 for r in removed if r < pos)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +359,6 @@ def transport_structure(S, witness, structure):
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    checked: int
-    violations: tuple
-    notes: tuple = ()
-
-
-@dataclass(frozen=True)
 class PointedStructure:
     epsilon: tuple     # ((colour, name at the word (c, omega c)), ...)
     contracted: tuple  # ((colour, name at the empty word), ...)
@@ -460,7 +462,7 @@ def apply_contraction(S, C, w, x, y, n):
     qhat = tuple(pos_w[q[k]] for k in keep_r)
     w_rest = tuple(w[k] for k in keep_w)
     theta = _comp(_inv(qhat), _sort_perm(w_rest))
-    return S.act_name(_drop(r, i, j), theta, val)
+    return S.act_name(drop(r, i, j), theta, val)
 
 
 def apply_multiplication(S, C, w1, x, w2, y, n1, n2):
@@ -502,13 +504,8 @@ def validate_pointed(S, P):
                 ("orbit-factoring",
                  f"contracted[{c!r}] != contracted[{omega(c)!r}]")
             )
-    return ValidationReport(not violations, checked, tuple(violations))
-
-
-def _contractable(S, word):
-    omega = S.palette.omega
-    return [(i, j) for i in range(len(word)) for j in range(i + 1, len(word))
-            if word[i] == omega(word[j])]
+    violations.sort()
+    return Report(not violations, "exhaustive", 0, checked, checked, tuple(violations))
 
 
 def _typing_pass(S, C):
@@ -545,14 +542,14 @@ def _typing_pass(S, C):
         if set(rows) != set(S.table_map[w]):
             violations.append(("contraction-typing",
                                f"rows at {(w, i, j)!r} miss the table"))
-        target = _drop(w, i, j)
+        target = drop(w, i, j)
         for key, val in rows.items():
             if val not in S.table_map.get(target, ()):
                 violations.append(
                     ("contraction-typing", f"{(w, i, j)!r} at {key!r} -> {val!r}")
                 )
     for w in words:
-        for i, j in _contractable(S, w):
+        for i, j in contractable(w, S.palette.omega):
             if (w, i, j) not in C.zeta_map:
                 violations.append(("contraction-typing",
                                    f"missing contraction table {(w, i, j)!r}"))
@@ -576,294 +573,95 @@ def _listed_perms(S, word):
     return out
 
 
+def _table_ops(S, C, epsilon, unit):
+    # C's product, contractions and units on S, as the laws of the axioms
+    # module take them (0-based positions); epsilon and unit are passed
+    # in so that a candidate can stand in for C's own
+    return SimpleNamespace(
+        words=[w for w, es in S.tables if es], elements=S.elements,
+        bound=S.bound, omega=S.palette.omega, unit=unit,
+        box=lambda u, a, v, b: apply_product(S, C, u, a, v, b),
+        zeta=lambda w, i, j, a: apply_contraction(S, C, w, i, j, a),
+        eps=epsilon.__getitem__,
+        relabel=S.transport,
+    )
+
+
+def _unit_symmetry(S, ops):
+    # S(swap) ε_c = ε_{ω c}: one instance per colour
+    def sides(c):
+        return ops.relabel((c, ops.omega(c)), (1, 0), ops.eps(c)), ops.eps(ops.omega(c))
+
+    return Law("unit-symmetry", [(c, ()) for c in S.palette.colours], sides)
+
+
+def _equivariance_laws(S, C):
+    """The stored tables commute with the listed actions (table rows
+    are the element pools)."""
+    def product_sides(t, row):
+        w1, w2, sigma = t
+        (a, b), val = row
+        return (S.transport(w1 + w2, _block(sigma, _identity(len(w2))), val),
+                apply_product(S, C, w1, S.act_name(w1, sigma, a), w2, b))
+
+    def contraction_sides(t, row):
+        w, i, j, sigma = t
+        a, val = row
+        inv = _inv(sigma)
+        x, y = inv[i], inv[j]
+        sigma_hat = tuple(shifted(sigma[k], (i, j)) for k in range(len(w)) if k not in (x, y))
+        return (apply_contraction(S, C, w, x, y, S.act_name(w, sigma, a)),
+                S.transport(drop(w, i, j), sigma_hat, val))
+
+    return [
+        Law("product-equivariance",
+            [((w1, w2, sigma), (tuple(rows.items()),))
+             for (w1, w2), rows in C.box_map.items() for sigma in _listed_perms(S, w1)],
+            product_sides),
+        Law("contraction-equivariance",
+            [((w, i, j, sigma), (tuple(rows.items()),))
+             for (w, i, j), rows in C.zeta_map.items() for sigma in _listed_perms(S, w)],
+            contraction_sides),
+    ]
+
+
 def validate_circuit_operad(S, C):
-    """Exhaustive axiom check within the arity bound: typing, the
-    equivariance of both tables against the listed actions, product
-    associativity, contraction commutation and compatibility, and the
-    unit laws."""
+    """Exhaustive axiom check within the arity bound: typing first, then
+    unit symmetry, the equivariance of both tables against the listed
+    actions, and the circuit-operad laws of the axioms module."""
     violations = _typing_pass(S, C)
     if violations:
-        return ValidationReport(False, 0, tuple(violations))
-    checked = 0
-    omega = S.palette.omega
-    words = [w for w, es in S.tables if es]
-    elems = S.table_map
-
-    def record(tag, text):
-        violations.append((tag, text))
-
-    # unit symmetry
-    for c in S.palette.colours:
-        word = (c, omega(c))
-        checked += 1
-        swapped = S.transport(word, (1, 0), C.epsilon_map[c])
-        if swapped != C.epsilon_map[omega(c)]:
-            record("unit-symmetry", f"epsilon at {c!r} is not omega-compatible")
-
-    # equivariance of the stored tables against the listed actions
-    for (w1, w2), rows in C.box_map.items():
-        for sigma in _listed_perms(S, w1):
-            whole = _block(sigma, _identity(len(w2)))
-            for (a, b), val in rows.items():
-                checked += 1
-                lhs = S.transport(w1 + w2, whole, val)
-                rhs = apply_product(S, C, w1, S.act_name(w1, sigma, a), w2, b)
-                if lhs != rhs:
-                    record("product-equivariance",
-                           f"{w1!r} x {w2!r}, perm {sigma!r}, inputs {(a, b)!r}")
-    for (w, i, j), rows in C.zeta_map.items():
-        for sigma in _listed_perms(S, w):
-            inv = _inv(sigma)
-            x, y = inv[i], inv[j]
-            keep_s = [k for k in range(len(w)) if k not in (i, j)]
-            pos = {p: t for t, p in enumerate(keep_s)}
-            keep_x = [k for k in range(len(w)) if k not in (x, y)]
-            sigma_hat = tuple(pos[sigma[k]] for k in keep_x)
-            for a, val in rows.items():
-                checked += 1
-                lhs = apply_contraction(S, C, w, x, y, S.act_name(w, sigma, a))
-                rhs = S.transport(_drop(w, i, j), sigma_hat, val)
-                if lhs != rhs:
-                    record("contraction-equivariance",
-                           f"{(w, i, j)!r}, perm {sigma!r}, input {a!r}")
-
-    # (C1) associativity of the external product
-    for w1, w2, w3 in itertools.product(words, repeat=3):
-        if len(w1) + len(w2) + len(w3) > S.bound:
-            continue
-        for a, b, c in itertools.product(elems[w1], elems[w2], elems[w3]):
-            checked += 1
-            lhs = apply_product(S, C, w1 + w2, apply_product(S, C, w1, a, w2, b), w3, c)
-            rhs = apply_product(S, C, w1, a, w2 + w3, apply_product(S, C, w2, b, w3, c))
-            if lhs != rhs:
-                record("product-associativity",
-                       f"words {(w1, w2, w3)!r}, inputs {(a, b, c)!r}")
-
-    # (C2) disjoint contractions commute
-    for w in words:
-        pairs = _contractable(S, w)
-        for (a, b), (c, d) in itertools.combinations(pairs, 2):
-            if {a, b} & {c, d}:
-                continue
-            for n in elems[w]:
-                checked += 1
-                first = apply_contraction(S, C, w, a, b, n)
-                lhs = apply_contraction(S, C, _drop(w, a, b),
-                                 _shifted(c, (a, b)), _shifted(d, (a, b)), first)
-                second = apply_contraction(S, C, w, c, d, n)
-                rhs = apply_contraction(S, C, _drop(w, c, d),
-                                 _shifted(a, (c, d)), _shifted(b, (c, d)), second)
-                if lhs != rhs:
-                    record("contraction-commutation",
-                           f"word {w!r}, pairs {((a, b), (c, d))!r}, input {n!r}")
-
-    # (C3) contraction slides out of an external product
-    for (w1, w2), rows in C.box_map.items():
-        if not rows:
-            continue
-        for i, j in _contractable(S, w1):
-            for (a, b), val in rows.items():
-                checked += 1
-                lhs = apply_contraction(S, C, w1 + w2, i, j, val)
-                rhs = apply_product(S, C, _drop(w1, i, j),
-                                apply_contraction(S, C, w1, i, j, a), w2, b)
-                if lhs != rhs:
-                    record("product-contraction",
-                           f"{w1!r} x {w2!r}, pair {(i, j)!r}, inputs {(a, b)!r}")
-
-    # unit law: boxing with epsilon and contracting is a relabelling
-    for w in words:
-        m = len(w)
-        if m == 0 or m + 2 > S.bound:
-            continue
-        for x in range(m):
-            c = w[x]
-            eps_word = (c, omega(c))
-            cycle = tuple(list(range(x)) + list(range(x + 1, m)) + [x])
-            for n in elems[w]:
-                checked += 1
-                boxed = apply_product(S, C, w, n, eps_word, C.epsilon_map[c])
-                left = apply_contraction(S, C, w + eps_word, x, m + 1, boxed)
-                if left != S.transport(w, cycle, n):
-                    record("connected-unit", f"word {w!r}, slot {x}, input {n!r}")
-
-    notes = []
-    if C.external_unit is None:
-        notes.append("no external unit listed; its law was not in scope")
-    else:
-        notes.append("external unit present; absorption checked both ways")
-        u = C.external_unit
-        for w in words:
-            for n in elems[w]:
-                checked += 2
-                if apply_product(S, C, w, n, (), u) != n:
-                    record("external-unit", f"right absorption fails at {w!r}, {n!r}")
-                if apply_product(S, C, (), u, w, n) != n:
-                    record("external-unit", f"left absorption fails at {w!r}, {n!r}")
-
-    return ValidationReport(not violations, checked, tuple(violations), tuple(notes))
+        return Report(False, "exhaustive", 0, 0, 0, tuple(sorted(violations)))
+    ops = _table_ops(S, C, C.epsilon_map, C.external_unit)
+    laws = [_unit_symmetry(S, ops), *_equivariance_laws(S, C)]
+    laws += [law(ops) for law in CIRCUIT_LAWS]
+    note = ("no external unit listed; its law was not in scope" if C.external_unit is None
+            else "external unit present; absorption checked both ways")
+    return run_laws(laws, notes=(note,))
 
 
 def check_modular_axioms(S, C):
     """The multiplication derived as contraction-after-product satisfies
     the modular-operad laws, instance by instance within the bound."""
-    violations = []
-    checked = 0
-    words = [w for w, es in S.tables if es]
-    elems = S.table_map
-    omega = S.palette.omega
-
-    def dual_pairs(wa, wb):
-        return [(x, y) for x in range(len(wa)) for y in range(len(wb))
-                if wa[x] == omega(wb[y])]
-
-    # (M1) associativity across a two-step chain
-    for w1, w2, w3 in itertools.product(words, repeat=3):
-        if len(w1) + len(w2) + len(w3) > S.bound:
-            continue
-        for x1, y1 in dual_pairs(w1, w2):
-            for y2, z in dual_pairs(w2, w3):
-                if y2 == y1:
-                    continue
-                for a, b, c in itertools.product(elems[w1], elems[w2], elems[w3]):
-                    checked += 1
-                    d = apply_multiplication(S, C, w1, x1, w2, y1, a, b)
-                    mid = _drop(w1 + w2, x1, len(w1) + y1)
-                    lhs = apply_multiplication(
-                        S, C, mid,
-                        len(w1) - 1 + _shifted(y2, (y1,)), w3, z, d, c)
-                    e = apply_multiplication(S, C, w2, y2, w3, z, b, c)
-                    rhs = apply_multiplication(
-                        S, C, w1, x1, _drop(w2 + w3, y2, len(w2) + z),
-                        _shifted(y1, (y2,)), a, e)
-                    if lhs != rhs:
-                        violations.append(
-                            ("multiplication-associativity",
-                             f"words {(w1, w2, w3)!r}, slots {((x1, y1), (y2, z))!r}"))
-
-    # (M2) is the commutation of disjoint contractions, restated
-    for w in words:
-        pairs = _contractable(S, w)
-        for (a, b), (c, d) in itertools.combinations(pairs, 2):
-            if {a, b} & {c, d}:
-                continue
-            for n in elems[w]:
-                checked += 1
-                lhs = apply_contraction(S, C, _drop(w, a, b),
-                                 _shifted(c, (a, b)), _shifted(d, (a, b)),
-                                 apply_contraction(S, C, w, a, b, n))
-                rhs = apply_contraction(S, C, _drop(w, c, d),
-                                 _shifted(a, (c, d)), _shifted(b, (c, d)),
-                                 apply_contraction(S, C, w, c, d, n))
-                if lhs != rhs:
-                    violations.append(
-                        ("contraction-commutation",
-                         f"word {w!r}, pairs {((a, b), (c, d))!r}, input {n!r}"))
-
-    # (M3) a contraction inside one factor slides past the multiplication
-    for w1, w2 in itertools.product(words, repeat=2):
-        if len(w1) + len(w2) > S.bound:
-            continue
-        inner = _contractable(S, w1)
-        for i, j in inner:
-            for x3, y in dual_pairs(w1, w2):
-                if x3 in (i, j):
-                    continue
-                for a, b in itertools.product(elems[w1], elems[w2]):
-                    checked += 1
-                    za = apply_contraction(S, C, w1, i, j, a)
-                    lhs = apply_multiplication(S, C, _drop(w1, i, j),
-                                        _shifted(x3, (i, j)), w2, y, za, b)
-                    d = apply_multiplication(S, C, w1, x3, w2, y, a, b)
-                    lhs2 = apply_contraction(S, C, _drop(w1 + w2, x3, len(w1) + y),
-                                      _shifted(i, (x3,)), _shifted(j, (x3,)), d)
-                    if lhs != lhs2:
-                        violations.append(
-                            ("contraction-multiplication",
-                             f"words {(w1, w2)!r}, slots {((i, j), (x3, y))!r}"))
-
-    # (M4) two cross pairs: contracting either one first agrees
-    for w1, w2 in itertools.product(words, repeat=2):
-        if len(w1) + len(w2) > S.bound:
-            continue
-        cross = dual_pairs(w1, w2)
-        for (x1, y1), (x2, y2) in itertools.permutations(cross, 2):
-            if x1 == x2 or y1 == y2:
-                continue
-            for a, b in itertools.product(elems[w1], elems[w2]):
-                checked += 1
-                d = apply_multiplication(S, C, w1, x1, w2, y1, a, b)
-                lhs = apply_contraction(
-                    S, C, _drop(w1 + w2, x1, len(w1) + y1),
-                    _shifted(x2, (x1,)),
-                    len(w1) - 1 + _shifted(y2, (y1,)), d)
-                e = apply_multiplication(S, C, w1, x2, w2, y2, a, b)
-                rhs = apply_contraction(
-                    S, C, _drop(w1 + w2, x2, len(w1) + y2),
-                    _shifted(x1, (x2,)),
-                    len(w1) - 1 + _shifted(y1, (y2,)), e)
-                if lhs != rhs:
-                    violations.append(
-                        ("contraction-order",
-                         f"words {(w1, w2)!r}, pairs {((x1, y1), (x2, y2))!r}"))
-
-    return ValidationReport(not violations, checked, tuple(violations))
-
-
-def _unit_law_holds(S, C, eps_map):
-    omega = S.palette.omega
-    for c in S.palette.colours:
-        word = (c, omega(c))
-        if S.transport(word, (1, 0), eps_map[c]) != eps_map[omega(c)]:
-            return False
-    for w, es in S.tables:
-        m = len(w)
-        if not es or m == 0 or m + 2 > S.bound:
-            continue
-        for x in range(m):
-            c = w[x]
-            cycle = tuple(list(range(x)) + list(range(x + 1, m)) + [x])
-            for n in es:
-                boxed = apply_product(S, C, w, n, (c, omega(c)), eps_map[c])
-                if apply_contraction(S, C, w + (c, omega(c)), x, m + 1, boxed) != \
-                        S.transport(w, cycle, n):
-                    return False
-    return True
+    ops = _table_ops(S, C, C.epsilon_map, C.external_unit)
+    return run_laws([law(ops) for law in MODULAR_LAWS])
 
 
 def find_connected_units(S, C):
-    """Every epsilon table satisfying the unit law against C's product
+    """Every epsilon table satisfying the unit laws against C's product
     and contraction; a lawful structure admits exactly one."""
     colours = S.palette.colours
-    pools = []
-    for c in colours:
-        pool = S.elements((c, S.palette.omega(c)))
-        if not pool:
-            return ()
-        pools.append(pool)
     found = []
-    for combo in itertools.product(*pools):
-        eps_map = dict(zip(colours, combo))
-        if _unit_law_holds(S, C, eps_map):
-            found.append(tuple(eps_map.items()))
+    for combo in itertools.product(*(S.elements((c, S.palette.omega(c))) for c in colours)):
+        ops = _table_ops(S, C, dict(zip(colours, combo)), C.external_unit)
+        if run_laws([_unit_symmetry(S, ops), connected_unit(ops)]).passed:
+            found.append(tuple(zip(colours, combo)))
     return tuple(found)
 
 
 def find_external_units(S, C):
-    found = []
-    for u in S.elements(()):
-        ok = True
-        for w, es in S.tables:
-            for n in es:
-                if apply_product(S, C, w, n, (), u) != n or \
-                        apply_product(S, C, (), u, w, n) != n:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(u)
-    return tuple(found)
+    return tuple(u for u in S.elements(())
+                 if run_laws([external_unit(_table_ops(S, C, C.epsilon_map, u))]).passed)
 
 
 def pointed_from_operad(S, C):
@@ -877,16 +675,6 @@ def pointed_from_operad(S, C):
 
 # ---------------------------------------------------------------------------
 # the bridge from circuit algebras
-
-
-def _perm_wiring(palette, word, sigma):
-    # the block permutation realizing S(sigma): strand i exits where the
-    # target word picks letter i up again
-    from .coloured import coloured_permutation
-
-    inv = _inv(sigma)
-    images = [inv[i] + 1 for i in range(len(word))]
-    return make_wiring(coloured_permutation(palette, images, word), (len(word),))
 
 
 def species_from_circuit_algebra(A):
@@ -904,7 +692,7 @@ def species_from_circuit_algebra(A):
     def act_perm(word, sigma, elem):
         if sigma == _identity(len(sigma)):
             return elem
-        return A.act(_perm_wiring(palette, word, sigma))((elem,))
+        return A.act(perm_wiring(palette, word, sigma))((elem,))
 
     reps = []
     for n in range(bound + 1):
@@ -951,7 +739,7 @@ def species_from_circuit_algebra(A):
                     continue
                 fn = derived_contraction(A, r, i + 1, j + 1)
                 zeta[(r, i, j)] = {
-                    a: index_in(_drop(r, i, j), fn(A.elements(r)[a]))
+                    a: index_in(drop(r, i, j), fn(A.elements(r)[a]))
                     for a in tables[r]
                 }
 

@@ -24,11 +24,12 @@ Derived operations: block juxtaposition, contraction of two
 omega-dual boundary positions, their composite, and the cap unit.
 check_circuit_algebra verifies the operad-algebra axioms (identity,
 block equivariance, composition square); check_derived_axioms /
-check_downward_algebra verify the product-and-contraction axioms with
-or without the unit law.  Checks run exhaustively when the instance
-count fits the budget and fall back to seeded sampling otherwise; the
-report records mode, seed, and every violation found, in sorted
-order.
+check_downward_algebra run the circuit-operad laws of the axioms
+module on the derived operations, with or without the connected unit,
+relabelling through perm_wiring.  Checks run exhaustively when the
+instance count fits the budget and fall back to seeded sampling
+otherwise; the axioms.Report records mode, seed, and every violation
+found as a sorted (kind, detail) pair.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
+from types import SimpleNamespace
 
+from .axioms import CIRCUIT_LAWS, Report, connected_unit, run_laws
 from .brauer import BrauerDiagram, is_downward, make_diagram
 from .coloured import (
     ColouredBrauerDiagram,
@@ -505,27 +508,19 @@ def unit_epsilon(A: CircuitAlgebra, colour):
     return A.act(wd)(())
 
 
-def reinsertion_wiring(palette: Palette, word, i: int) -> WiringDiagram:
-    # route the last strand back into slot i of the target word
-    word = tuple(word)
-    m = len(word)
-    u = word[:i - 1] + word[i:] + (word[i - 1],)
-    images = list(range(1, i)) + list(range(i + 1, m + 1)) + [i]
-    return make_wiring(coloured_permutation(palette, images, u), (m,))
+def perm_wiring(palette: Palette, word, sigma) -> WiringDiagram:
+    """The one-block wiring that relabels an element at `word` by the
+    position permutation sigma (0-based), landing at the word
+    (w . sigma)[k] = w[sigma[k]]: strand i exits where sigma picks
+    letter i up again."""
+    images = [0] * len(sigma)
+    for k, i in enumerate(sigma):
+        images[i] = k + 1
+    return make_wiring(coloured_permutation(palette, images, word), (len(word),))
 
 
 # ---------------------------------------------------------------------------
 # checkers
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    passed: bool
-    mode: str  # "exhaustive" or "sampled"
-    seed: int
-    candidates: int
-    checked: int
-    violations: tuple
 
 
 def _wd_brief(wd: WiringDiagram) -> str:
@@ -534,10 +529,11 @@ def _wd_brief(wd: WiringDiagram) -> str:
 
 def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400,
                           max_blocks=2, bubble_cap=0, max_points=8,
-                          universe=None) -> CheckReport:
+                          universe=None) -> Report:
     """Operad-algebra axioms: identity action, block equivariance,
-    composition square.  Exhaustive when the instance count fits the
-    budget, seeded sampling otherwise."""
+    composition square (violation kinds "identity", "equivariance",
+    "composition").  Exhaustive when the instance count fits the budget,
+    seeded sampling otherwise."""
     words = [w for w in A.words()]
     sizes = {w: len(A.elements(w)) for w in words}
     if universe is None:
@@ -576,7 +572,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
             return
         checked += 1
         if y != x:
-            violations.append(f"identity on {word!r}: {x!r} acted to {y!r}")
+            violations.append(("identity", f"on {word!r}: {x!r} acted to {y!r}"))
 
     def check_equivariance(lhs, rhs, wd, sigma, inputs):
         nonlocal checked
@@ -584,10 +580,10 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
             return
         checked += 1
         if lhs != rhs:
-            violations.append(
-                f"equivariance: wd={_wd_brief(wd)} sigma={sigma!r} "
-                f"inputs={inputs!r}: {lhs!r} != {rhs!r}"
-            )
+            violations.append((
+                "equivariance",
+                f"wd={_wd_brief(wd)} sigma={sigma!r} inputs={inputs!r}: {lhs!r} != {rhs!r}",
+            ))
 
     def check_composition(lhs, rhs, g, fs, nested):
         nonlocal checked
@@ -595,10 +591,11 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
             return
         checked += 1
         if lhs != rhs:
-            violations.append(
-                f"composition: g={_wd_brief(g)} fs={[_wd_brief(f) for f in fs]!r} "
-                f"inputs={nested!r}: {lhs!r} != {rhs!r}"
-            )
+            violations.append((
+                "composition",
+                f"g={_wd_brief(g)} fs={[_wd_brief(f) for f in fs]!r} "
+                f"inputs={nested!r}: {lhs!r} != {rhs!r}",
+            ))
 
     def identity_act(word):
         return A.act(identity_wiring(A.palette, word))
@@ -711,172 +708,37 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
                 check_composition(lhs, rhs, g, fs, tuple(nested))
 
     violations.sort()
-    return CheckReport(not violations, mode, seed, candidates, checked, tuple(violations))
+    return Report(not violations, mode, seed, candidates, checked, tuple(violations))
 
 
-def _contraction_slots(palette, word):
-    m = len(word)
-    return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
-            if word[i - 1] == palette.omega(word[j - 1])]
-
-
-def _shift_pair(pair, removed):
-    i, j = pair
-    si = i - sum(1 for r in removed if r < i)
-    sj = j - sum(1 for r in removed if r < j)
-    return si, sj
-
-
-def _without(word, i, j):
-    return tuple(c for r, c in enumerate(word, start=1) if r not in (i, j))
-
-
-def _derived_report(A: CircuitAlgebra, with_e1: bool, seed=0, budget=100_000,
-                    samples=300) -> CheckReport:
-    words = [w for w in A.words() if A.elements(w)]
-    sizes = {w: len(A.elements(w)) for w in words}
-    unit = A.unit_element()
-
-    assoc_types = [(u, v, w) for u in words for v in words for w in words
-                   if len(u) + len(v) + len(w) <= A.bound]
-    unit_types = words if unit is not None else []
-    zeta_types = []
-    for w in words:
-        slots = _contraction_slots(A.palette, w)
-        for p, q in itertools.combinations(slots, 2):
-            if not set(p) & set(q):
-                zeta_types.append((w, p, q))
-    mix_types = []
-    for u in words:
-        for p in _contraction_slots(A.palette, u):
-            for v in words:
-                if len(u) + len(v) <= A.bound:
-                    mix_types.append((u, p, v))
-    e1_types = []
-    if with_e1:
-        for w in words:
-            if len(w) + 2 > A.bound:
-                continue
-            for i in range(1, len(w) + 1):
-                e1_types.append((w, i))
-
-    candidates = (
-        sum(sizes[u] * sizes[v] * sizes[w] for u, v, w in assoc_types)
-        + 2 * sum(sizes[w] for w in unit_types)
-        + sum(sizes[w] for w, _, _ in zeta_types)
-        + sum(sizes[u] * sizes[v] for u, _, v in mix_types)
-        + sum(sizes[w] for w, _ in e1_types)
+def _algebra_ops(A: CircuitAlgebra):
+    # the operations A derives from wiring diagrams, as the laws of the
+    # axioms module take them (0-based positions)
+    return SimpleNamespace(
+        words=[w for w in A.words() if A.elements(w)], elements=A.elements,
+        bound=A.bound, omega=A.palette.omega, unit=A.unit_element(),
+        box=lambda u, a, v, b: derived_boxtimes(A, u, v)(a, b),
+        zeta=lambda w, i, j, a: derived_contraction(A, w, i + 1, j + 1)(a),
+        eps=lambda c: unit_epsilon(A, c),
+        relabel=lambda w, sigma, a: A.act(perm_wiring(A.palette, w, sigma))((a,)),
     )
-
-    violations = []
-    checked = 0
-
-    def check_assoc(u, v, w, a, b, c):
-        nonlocal checked
-        checked += 1
-        lhs = derived_boxtimes(A, u + v, w)(derived_boxtimes(A, u, v)(a, b), c)
-        rhs = derived_boxtimes(A, u, v + w)(a, derived_boxtimes(A, v, w)(b, c))
-        if lhs != rhs:
-            violations.append(f"c1 assoc at {(u, v, w)!r} on {(a, b, c)!r}: {lhs!r} != {rhs!r}")
-
-    def check_unit(w, a):
-        nonlocal checked
-        checked += 2
-        right = derived_boxtimes(A, w, ())(a, unit)
-        left = derived_boxtimes(A, (), w)(unit, a)
-        if right != a or left != a:
-            violations.append(f"c1 unit at {w!r} on {a!r}: {left!r}, {right!r}")
-
-    def check_zeta_commute(w, p, q, a):
-        nonlocal checked
-        checked += 1
-        first_p = derived_contraction(A, _without(w, *p), *_shift_pair(q, p))(
-            derived_contraction(A, w, *p)(a))
-        first_q = derived_contraction(A, _without(w, *q), *_shift_pair(p, q))(
-            derived_contraction(A, w, *q)(a))
-        if first_p != first_q:
-            violations.append(f"c2 at {w!r} {p!r},{q!r} on {a!r}: {first_p!r} != {first_q!r}")
-
-    def check_zeta_box(u, p, v, a, b):
-        nonlocal checked
-        checked += 1
-        i, j = p
-        lhs = derived_boxtimes(A, _without(u, i, j), v)(
-            derived_contraction(A, u, i, j)(a), b)
-        rhs = derived_contraction(A, u + v, i, j)(derived_boxtimes(A, u, v)(a, b))
-        if lhs != rhs:
-            violations.append(f"c3 at {(u, p, v)!r} on {(a, b)!r}: {lhs!r} != {rhs!r}")
-
-    def check_e1(w, i, a):
-        nonlocal checked
-        checked += 1
-        c = w[i - 1]
-        eps = unit_epsilon(A, c)
-        boxed = derived_boxtimes(A, w, (c, A.palette.omega(c)))(a, eps)
-        cut = derived_contraction(A, w + (c, A.palette.omega(c)), i, len(w) + 2)(boxed)
-        back = A.act(reinsertion_wiring(A.palette, w, i))((cut,))
-        if back != a:
-            violations.append(f"e1 at {w!r} slot {i} on {a!r}: {back!r}")
-
-    if candidates <= budget:
-        mode = "exhaustive"
-        for u, v, w in assoc_types:
-            for a in A.elements(u):
-                for b in A.elements(v):
-                    for c in A.elements(w):
-                        check_assoc(u, v, w, a, b, c)
-        for w in unit_types:
-            for a in A.elements(w):
-                check_unit(w, a)
-        for w, p, q in zeta_types:
-            for a in A.elements(w):
-                check_zeta_commute(w, p, q, a)
-        for u, p, v in mix_types:
-            for a in A.elements(u):
-                for b in A.elements(v):
-                    check_zeta_box(u, p, v, a, b)
-        for w, i in e1_types:
-            for a in A.elements(w):
-                check_e1(w, i, a)
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-
-        def pick(w):
-            xs = A.elements(w)
-            return xs[rng.randrange(len(xs))]
-
-        for _ in range(samples):
-            if assoc_types:
-                u, v, w = assoc_types[rng.randrange(len(assoc_types))]
-                check_assoc(u, v, w, pick(u), pick(v), pick(w))
-            if unit_types:
-                w = unit_types[rng.randrange(len(unit_types))]
-                check_unit(w, pick(w))
-            if zeta_types:
-                w, p, q = zeta_types[rng.randrange(len(zeta_types))]
-                check_zeta_commute(w, p, q, pick(w))
-            if mix_types:
-                u, p, v = mix_types[rng.randrange(len(mix_types))]
-                check_zeta_box(u, p, v, pick(u), pick(v))
-            if e1_types:
-                w, i = e1_types[rng.randrange(len(e1_types))]
-                check_e1(w, i, pick(w))
-
-    violations.sort()
-    return CheckReport(not violations, mode, seed, candidates, checked, tuple(violations))
 
 
 def check_derived_axioms(A: CircuitAlgebra, seed=0, budget=100_000,
-                         samples=300) -> CheckReport:
-    return _derived_report(A, with_e1=True, seed=seed, budget=budget, samples=samples)
+                         samples=300) -> Report:
+    """The circuit-operad laws on the derived product, contractions and
+    units, the connected unit included."""
+    ops = _algebra_ops(A)
+    return run_laws([law(ops) for law in CIRCUIT_LAWS], seed, budget, samples)
 
 
 def check_downward_algebra(A: CircuitAlgebra, seed=0, budget=100_000,
-                           samples=300) -> CheckReport:
-    """Product and contraction axioms only; no unit probe, so it is
+                           samples=300) -> Report:
+    """Product and contraction laws only; no unit probe, so it is
     meaningful for algebras defined on downward diagrams alone."""
-    return _derived_report(A, with_e1=False, seed=seed, budget=budget, samples=samples)
+    ops = _algebra_ops(A)
+    laws = [law(ops) for law in CIRCUIT_LAWS if law is not connected_unit]
+    return run_laws(laws, seed, budget, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from brauerkit.brauer import (
     parse_word,
     sigma_2,
 )
+from brauerkit.axioms import Report
 from brauerkit.brauer_algebra import bd_to_br_t, element_from_json, element_to_json
 from brauerkit.cli import run
 from brauerkit.coloured import (
@@ -48,7 +49,6 @@ from brauerkit.species import (
 )
 from brauerkit.substitution import gog_to_json, identity_gog
 from brauerkit.wiring import (
-    CheckReport,
     TableCircuitAlgebra,
     algebra_to_json,
     enumerate_wirings,
@@ -281,14 +281,14 @@ def test_ca_free_carriers(tmp_path, capsys):
 
 def test_ca_free_check_json_reports_violation(tmp_path, capsys, monkeypatch):
     pal = write_doc(tmp_path, "mono.json", palette_to_json(MONO))
-    report = CheckReport(False, "exhaustive", 0, 1, 1, ("identity: planted",))
+    report = Report(False, "exhaustive", 0, 1, 1, (("identity", "planted"),))
     monkeypatch.setattr("brauerkit.cli.check_circuit_algebra",
                         lambda A, **kw: report)
     code, out, _ = cli(capsys, "ca", "free", "--palette", pal, "--bound", "2",
                        "--generator", "c,c=h", "--check", "--json")
     assert code == 1
     doc = json.loads(out)
-    assert not doc["passed"] and doc["violations"] == ["identity: planted"]
+    assert not doc["passed"] and doc["violations"] == [["identity", "planted"]]
     assert doc["carriers"]["c,c"] >= 1
 
 
@@ -507,6 +507,18 @@ def test_usage_error_exits_2():
     proc = subprocess.run([sys.executable, "-m", "brauerkit.cli", "bd", "nonsense"],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stderr
+
+
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    # a label nested 2,000 {"tuple": [...]} levels deep is too deep to decode
+    deep = '{"tuple": [' * 2000 + '"x"' + ']}' * 2000
+    doc = json.dumps(species_to_json(make_species(MONO, 0, {(): ("e",)})))
+    assert doc.count('"e"') == 1
+    path = tmp_path / "deep.json"
+    path.write_text(doc.replace('"e"', deep))
+    code, _, err = cli(capsys, "species", "eval", "--species", str(path),
+                       "--graph", "empty")
+    assert code == 2 and "error:" in err
 
 
 def test_unreadable_json_exits_2(tmp_path, capsys):

@@ -55,7 +55,13 @@ from brauerkit.species import (
     validate_circuit_operad,
     validate_pointed,
 )
-from brauerkit.wiring import pairing_algebra
+from brauerkit.wiring import (
+    FunctionCircuitAlgebra,
+    check_derived_axioms,
+    check_downward_algebra,
+    contraction_wiring,
+    pairing_algebra,
+)
 
 from genutil import random_graph
 
@@ -236,10 +242,14 @@ def test_operad_from_monochrome_pairing_algebra():
     S, C = species_from_circuit_algebra(pairing_algebra(MONO, 4))
     assert {w: len(es) for w, es in S.tables if es} == \
         {(): 1, ("c", "c"): 1, ("c", "c", "c", "c"): 3}
+    # instance counts of the exhaustive checks at this bound
     report = validate_circuit_operad(S, C)
     assert report.passed, report.violations
-    assert report.checked > 100
-    assert check_modular_axioms(S, C).passed
+    assert report.mode == "exhaustive" and report.checked == report.candidates == 150
+    modular = check_modular_axioms(S, C)
+    assert modular.passed and modular.checked == 13
+    pointed = validate_pointed(S, pointed_from_operad(S, C))
+    assert pointed.passed and pointed.checked == 4
 
 
 def test_operad_from_oriented_pairing_algebra():
@@ -247,8 +257,11 @@ def test_operad_from_oriented_pairing_algebra():
     assert len(S.elements(("+", "+", "-", "-"))) == 2
     report = validate_circuit_operad(S, C)
     assert report.passed, report.violations
-    assert check_modular_axioms(S, C).passed
-    assert validate_pointed(S, pointed_from_operad(S, C)).passed
+    assert report.checked == 76
+    modular = check_modular_axioms(S, C)
+    assert modular.passed and modular.checked == 6
+    pointed = validate_pointed(S, pointed_from_operad(S, C))
+    assert pointed.passed and pointed.checked == 8
 
 
 def test_algebra_action_direction():
@@ -282,6 +295,26 @@ def test_operad_product_corruption_detected():
     assert kinds & {"product-associativity", "product-contraction",
                     "product-equivariance", "external-unit"}
     assert all(isinstance(v[1], str) and v[1] for v in report.violations)
+
+
+def test_product_contraction_corruption_detected_by_every_checker():
+    # the contraction of positions 1, 2 of a six-point pairing is shifted
+    # to the next element of the three pairings of four points, so
+    # contracting before or after a product disagree
+    A = pairing_algebra(MONO, 6)
+    bad_wd = contraction_wiring(MONO, ("c",) * 6, 1, 2)
+    pool = A.elements(("c",) * 4)
+    assert len(pool) == 3
+
+    def action(wd, inputs):
+        out = A.action(wd, inputs)
+        return pool[(pool.index(out) + 1) % 3] if wd == bad_wd else out
+
+    bad = FunctionCircuitAlgebra(MONO, 6, A.carriers, action)
+    for report in (check_derived_axioms(bad), check_downward_algebra(bad),
+                   validate_circuit_operad(*species_from_circuit_algebra(bad))):
+        assert not report.passed
+        assert "product-contraction" in {kind for kind, _ in report.violations}
 
 
 def test_operad_contraction_corruption_detected():

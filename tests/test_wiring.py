@@ -43,7 +43,6 @@ from brauerkit.wiring import (
     one_point_algebra,
     operad_gamma,
     pairing_algebra,
-    reinsertion_wiring,
     sigma_action,
     tabulate,
     unit_epsilon,
@@ -204,7 +203,7 @@ def test_corrupted_identity_detected():
     universe = [identity_wiring(ORI, w) for w in A.words()]
     report = check_circuit_algebra(bad, universe=universe)
     assert not report.passed and report.mode == "exhaustive"
-    assert any(v.startswith("identity") for v in report.violations)
+    assert any(v[0] == "identity" for v in report.violations)
 
 
 def test_corrupted_table_pinpointed():
@@ -233,7 +232,7 @@ def test_corrupted_table_pinpointed():
     broken = TableCircuitAlgebra(MONO, 4, table.carriers, entries)
     report = check_circuit_algebra(broken)
     assert not report.passed
-    assert any("composition" in v for v in report.violations)
+    assert any(v[0] == "composition" for v in report.violations)
 
 
 def _other(pool, x):
@@ -259,16 +258,22 @@ def test_table_validation():
 
 
 def test_derived_axioms_pairing():
-    for palette in (MONO, ORI):
+    # exhaustive instance counts at bound 4
+    for palette, count in ((MONO, 57), (ORI, 167)):
         report = check_derived_axioms(pairing_algebra(palette, 4))
         assert report.passed, report.violations[:3]
         assert report.mode == "exhaustive"
+        assert report.checked == report.candidates == count
+    # 300 sampled rounds over five laws, the external unit weighing 2
+    report = check_derived_axioms(pairing_algebra(MONO, 6), budget=0, seed=3)
+    assert report.passed and report.mode == "sampled" and report.checked == 1800
 
 
 def test_downward_check_and_e1_probe():
+    for palette, count in ((MONO, 55), (ORI, 163)):
+        report = check_downward_algebra(pairing_algebra(palette, 4, downward_only=True))
+        assert report.passed and report.checked == report.candidates == count
     down = pairing_algebra(MONO, 4, downward_only=True)
-    report = check_downward_algebra(down)
-    assert report.passed
     with pytest.raises(NotDownward):
         check_derived_axioms(down)
     free_down = free_circuit_algebra(MONO, 2, {("c", "c"): ("g",)},
