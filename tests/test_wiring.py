@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -233,6 +234,53 @@ def test_corrupted_table_pinpointed():
     report = check_circuit_algebra(broken)
     assert not report.passed
     assert any(v[0] == "composition" for v in report.violations)
+
+
+def _indexed(T):
+    """T with every carrier element renamed to its index, so that
+    violation details print without element reprs."""
+    idx = {w: {x: i for i, x in enumerate(xs)} for w, xs in T.carriers.items()}
+    entries = [(wd, {tuple(idx[bw][x] for bw, x in zip(wd.block_types, combo)):
+                     idx[wd.output_word][out] for combo, out in rows.items()})
+               for wd, rows in T.table.items()]
+    carriers = {w: tuple(range(len(xs))) for w, xs in T.carriers.items()}
+    return TableCircuitAlgebra(T.palette, T.bound, carriers, entries)
+
+
+# (checked on the clean table, checked on the corrupted one, violation
+# digest) of the sampled check of the mono bound-4 table at seeds 0-5,
+# measured before the pools of check_circuit_algebra were hoisted; the digest is the first 12
+# hex digits of the sha256 of the violations' repr
+SAMPLED_PINS = {
+    0: (856, 856, "0535b060ef28"),
+    1: (853, 853, "973469f930c3"),
+    2: (860, 860, "b64646cb8139"),
+    3: (854, 854, "54559eb3cb8b"),
+    4: (866, 866, "193502aab777"),
+    5: (852, 852, "b07c65fd7b97"),
+}
+
+
+def test_sampled_check_draws_pinned():
+    A = pairing_algebra(MONO, 4)
+    words = list(A.words())
+    table = _indexed(tabulate(A, enumerate_wirings(MONO, words, words, max_blocks=2)))
+    # the corruption moves every two-block action onto cccc round its
+    # three elements, so the composition samples that meet one record
+    # their wirings and inputs
+    w4 = ("c",) * 4
+    bad = TableCircuitAlgebra(MONO, 4, table.carriers, [
+        (wd, {k: (v + 1) % 3 for k, v in rows.items()}
+         if wd.output_word == w4 and len(wd.block_sizes) == 2 else rows)
+        for wd, rows in table.table.items()])
+    for seed, (checked, bad_checked, digest) in SAMPLED_PINS.items():
+        clean = check_circuit_algebra(table, seed=seed)
+        assert (clean.passed, clean.mode, clean.candidates, clean.checked) == \
+            (True, "sampled", 743_973_698, checked)
+        report = check_circuit_algebra(bad, seed=seed)
+        assert not report.passed and report.checked == bad_checked
+        got = hashlib.sha256(repr(report.violations).encode()).hexdigest()[:12]
+        assert got == digest
 
 
 def _other(pool, x):
