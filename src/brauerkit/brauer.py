@@ -8,18 +8,28 @@ the categorical composite g ∘ f.  Vertical composition identifies
 t^f_i with s^g_i and traces the resulting chains; cycles trapped in
 the middle row increment the closed count.
 
-Boundary labels are the strings "s1".."sm" and "t1".."tn", ordered by
-row then by numeric index (so "s10" comes after "s2").  Two diagrams
-are equal iff their arities, sorted pair lists, and closed counts
-agree; BD(m, n) is a plain set of such data, no quotient involved.
+A diagram is stored over integer positions: s_i is position i - 1 and
+t_j is position m + j - 1, so sources come first, then targets, in
+boundary order.  `partner` is the flat tuple over positions 0..m+n-1
+whose entry p is the position joined to p.  Two diagrams are equal iff
+their arities, partner tuples and closed counts agree; BD(m, n) is a
+plain set of such data, no quotient involved.  Every operation below
+is arithmetic on positions.
 
-The compact closed structure is implemented by boundary relabelling:
+The boundary labels are the strings "s1".."sm" and "t1".."tn".  They
+appear only at the edges: make_diagram and the JSON reader parse them
+(through boundary_key), `pairs`, boundary_cospan and the JSON writer
+print them, and error messages name them.  `pairs` lists each pair
+once, in boundary order, which orders by row then by numeric index (so
+"s10" comes after "s2").
+
+The compact closed structure moves boundary points:
 
     ev(f):   new s_i = old t_{n+1-i}  (i <= n),  new s_{n+j} = old s_j
     coev(f): new t_j = old t_j        (j <= n),  new t_{n+j} = old s_{m+1-j}
     dual(f): new s_i = old t_{n+1-i},            new t_j = old s_{m+1-j}
 
-so dual reverses both boundary rows, and cup_n = ev(id_n) pairs
+so dual reverses the position order, and cup_n = ev(id_n) pairs
 s_{n+1-j} with s_{n+j} (nested arcs), cap_n = coev(id_n) pairs t_j
 with t_{2n+1-j}.
 """
@@ -30,13 +40,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .pairing import (
-    Pairing,
-    PairingError,
-    all_pairings,
-    compose_pairings_detailed,
-    make_pairing,
-)
+from .pairing import PairingError, all_pairings, make_pairing
 
 
 class ArityMismatch(ValueError):
@@ -58,63 +62,89 @@ def tgt(j: int) -> str:
     return f"t{j}"
 
 
-@lru_cache(maxsize=None)
+def label(p: int, m: int) -> str:
+    """The boundary label of position p on a diagram with m sources."""
+    return src(p + 1) if p < m else tgt(p - m + 1)
+
+
+def labels(m: int, n: int) -> list:
+    return [label(p, m) for p in range(m + n)]
+
+
+@lru_cache(maxsize=4096)
 def boundary_key(label: str):
+    """(row, index) of a boundary label: row 0 for sources, 1 for targets."""
     mo = _LABEL_RE.match(label)
     if mo is None:
         raise PairingError(f"not a boundary label: {label!r}")
     return (0 if mo.group(1) == "s" else 1, int(mo.group(2)))
 
 
-@lru_cache(maxsize=None)
-def _split(label: str):
-    mo = _LABEL_RE.match(label)
-    return mo.group(1), int(mo.group(2))
+def position(label: str, m: int, n: int) -> int:
+    """The position of a boundary label on an m -> n diagram; KeyError
+    when the label names no point of it."""
+    row, i = boundary_key(label)
+    if not 1 <= i <= (n if row else m):
+        raise KeyError(label)
+    return i - 1 + (m if row else 0)
+
+
+class cached:
+    """An attribute computed on first use and stored on the instance:
+    functools.cached_property without the lock it takes on every miss
+    before Python 3.12, which costs more than the values cached here."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
 class BrauerDiagram:
     m: int
     n: int
-    pairs: tuple  # tuple of (a, b) with boundary_key(a) < boundary_key(b)
+    partner: tuple  # partner[p] is the position joined to position p
     closed: int = 0
 
-    def partner(self) -> dict:
-        out = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
+    @cached
+    def pairs(self) -> tuple:
+        """The pairs as label tuples, each and all in boundary order."""
+        m = self.m
+        return tuple((label(p, m), label(q, m))
+                     for p, q in enumerate(self.partner) if p < q)
 
-    def pairing(self) -> Pairing:
-        carrier = [src(i) for i in range(1, self.m + 1)]
-        carrier += [tgt(j) for j in range(1, self.n + 1)]
-        return make_pairing(carrier, self.pairs)
+    @cached
+    def _hash(self) -> int:
+        return hash((self.m, self.n, self.partner, self.closed))
+
+    def __hash__(self):
+        return self._hash
 
 
 def make_diagram(m: int, n: int, pairs, closed: int = 0) -> BrauerDiagram:
     if m < 0 or n < 0 or closed < 0:
         raise ArityMismatch(f"negative arity or closed count: {(m, n, closed)!r}")
     pairs = list(pairs)
-    carrier = [src(i) for i in range(1, m + 1)] + [tgt(j) for j in range(1, n + 1)]
-    make_pairing(carrier, pairs)  # validation only
-    return _diagram(m, n, pairs, closed)
+    make_pairing(labels(m, n), pairs)  # validation only
+    return _from_pairs(m, n, pairs, closed)
 
 
-def _diagram(m: int, n: int, pairs, closed: int) -> BrauerDiagram:
-    # the one pair normaliser: each pair in boundary order, pairs sorted
-    # by their first label; the caller guarantees pairs partition the boundary
-    norm = []
+def _from_pairs(m: int, n: int, pairs, closed: int = 0) -> BrauerDiagram:
+    # label pairs known to partition the boundary of m -> n
+    partner = [0] * (m + n)
     for a, b in pairs:
-        if boundary_key(a) > boundary_key(b):
-            a, b = b, a
-        norm.append((a, b))
-    norm.sort(key=lambda ab: boundary_key(ab[0]))
-    return BrauerDiagram(m, n, tuple(norm), closed)
+        p, q = position(a, m, n), position(b, m, n)
+        partner[p], partner[q] = q, p
+    return BrauerDiagram(m, n, tuple(partner), closed)
 
 
 def identity(n: int) -> BrauerDiagram:
-    return make_diagram(n, n, [(src(i), tgt(i)) for i in range(1, n + 1)])
+    return BrauerDiagram(n, n, tuple(range(n, 2 * n)) + tuple(range(n)))
 
 
 def from_permutation(sigma) -> BrauerDiagram:
@@ -122,7 +152,10 @@ def from_permutation(sigma) -> BrauerDiagram:
     n = len(images)
     if sorted(images) != list(range(1, n + 1)):
         raise ArityMismatch(f"not a permutation of 1..{n}: {images!r}")
-    return make_diagram(n, n, [(src(i), tgt(images[i - 1])) for i in range(1, n + 1)])
+    partner = [n + j - 1 for j in images] + [0] * n
+    for i, j in enumerate(images):
+        partner[n + j - 1] = i
+    return BrauerDiagram(n, n, tuple(partner))
 
 
 def sigma_2() -> BrauerDiagram:
@@ -130,92 +163,101 @@ def sigma_2() -> BrauerDiagram:
 
 
 def cup() -> BrauerDiagram:
-    return make_diagram(2, 0, [(src(1), src(2))])
+    return BrauerDiagram(2, 0, (1, 0))
 
 
 def cap() -> BrauerDiagram:
-    return make_diagram(0, 2, [(tgt(1), tgt(2))])
+    return BrauerDiagram(0, 2, (1, 0))
 
 
 def compose_detailed(f: BrauerDiagram, g: BrauerDiagram):
     """Stack g below f.  Returns (diagram, seam cycles).
 
     Each seam cycle is reported as a tuple of middle-row indices i
-    (the identified points t^f_i = s^g_i) in traversal order.
+    (the identified points t^f_i = s^g_i, 1-based) in traversal order,
+    starting at its least index and stepping through f first; the
+    cycles are listed by their least index.
     """
-    if f.n != g.m:
-        raise ArityMismatch(f"cannot stack {f.m}->{f.n} onto {g.m}->{g.n}")
-    # transient pairings built from already-validated diagrams, so raw
-    # construction is safe; only carrier membership and partner are used
-    top = Pairing(
-        tuple([("src", i) for i in range(1, f.m + 1)]
-              + [("mid", i) for i in range(1, f.n + 1)]),
-        tuple((_relabel_top(a), _relabel_top(b)) for a, b in f.pairs),
-    )
-    bot = Pairing(
-        tuple([("mid", i) for i in range(1, g.m + 1)]
-              + [("tgt", j) for j in range(1, g.n + 1)]),
-        tuple((_relabel_bot(a), _relabel_bot(b)) for a, b in g.pairs),
-    )
-    shared = [("mid", i) for i in range(1, f.n + 1)]
-    res, cycles = compose_pairings_detailed(top, bot, shared)
-    pairs = [(_unrelabel(a), _unrelabel(b)) for a, b in res.pairs]
-    out = _diagram(f.m, g.n, pairs, f.closed + g.closed + len(cycles))
-    return out, tuple(tuple(i for _, i in cyc) for cyc in cycles)
+    m, k, n = f.m, f.n, g.n
+    if k != g.m:
+        raise ArityMismatch(f"cannot stack {m}->{k} onto {g.m}->{n}")
+    pf, pg = f.partner, g.partner
+    out = [-1] * (m + n)
+    seen = [False] * k  # seam points on the strands walked so far
+    # seam point i is f's position m + i and g's position i; the walk
+    # holds a position q of f (in_f) or of g until it leaves the seam
+    for start in range(m + n):
+        if out[start] >= 0:
+            continue
+        in_f = start < m
+        q = pf[start] if in_f else pg[k + start - m]
+        while q >= m if in_f else q < k:
+            i = q - m if in_f else q
+            seen[i] = True
+            q = pg[i] if in_f else pf[m + i]
+            in_f = not in_f
+        end = q if in_f else m + q - k
+        out[start], out[end] = end, start
+    cycles = []
+    for i in range(k):
+        if seen[i]:
+            continue
+        cyc, j, in_f = [i + 1], pf[m + i] - m, False
+        while j != i:
+            seen[j] = True
+            cyc.append(j + 1)
+            j = pf[m + j] - m if in_f else pg[j]
+            in_f = not in_f
+        cycles.append(tuple(cyc))
+    closed = f.closed + g.closed + len(cycles)
+    return BrauerDiagram(m, n, tuple(out), closed), tuple(cycles)
 
 
 def compose(f: BrauerDiagram, g: BrauerDiagram) -> BrauerDiagram:
     return compose_detailed(f, g)[0]
 
 
-def _relabel_top(label):
-    kind, i = _split(label)
-    return ("src", i) if kind == "s" else ("mid", i)
-
-
-def _relabel_bot(label):
-    kind, i = _split(label)
-    return ("mid", i) if kind == "s" else ("tgt", i)
-
-
-def _unrelabel(token):
-    side, i = token
-    return src(i) if side == "src" else tgt(i)
-
-
 def tensor(f: BrauerDiagram, g: BrauerDiagram) -> BrauerDiagram:
-    def shift(label):
-        kind, i = _split(label)
-        return src(i + f.m) if kind == "s" else tgt(i + f.n)
+    # f's sources, g's sources, f's targets, g's targets
+    fm, gm, fn = f.m, g.m, f.n
+    pf, pg = f.partner, g.partner
+    partner = ([q + gm if q >= fm else q for q in pf[:fm]]
+               + [q + fn + fm if q >= gm else q + fm for q in pg[:gm]]
+               + [q + gm if q >= fm else q for q in pf[fm:]]
+               + [q + fn + fm if q >= gm else q + fm for q in pg[gm:]])
+    return BrauerDiagram(fm + gm, fn + g.n, tuple(partner), f.closed + g.closed)
 
-    pairs = list(f.pairs) + [(shift(a), shift(b)) for a, b in g.pairs]
-    return _diagram(f.m + g.m, f.n + g.n, pairs, f.closed + g.closed)
+
+# the boundary moves of the compact closed structure: the new position
+# of position p of a diagram m -> n, as in the module docstring;
+# coloured diagrams move their colours with the same functions
+
+
+def ev_move(p: int, m: int, n: int) -> int:
+    return n + p if p < m else m + n - 1 - p
+
+
+def coev_move(p: int, m: int, n: int) -> int:
+    return p - m if p >= m else m + n - 1 - p
+
+
+def dual_move(p: int, m: int, n: int) -> int:
+    return m + n - 1 - p
+
+
+def moved(values, move, m: int, n: int) -> tuple:
+    """values over the positions of an m -> n diagram, each carried to
+    its new position by move."""
+    out = [None] * (m + n)
+    for p, v in enumerate(values):
+        out[move(p, m, n)] = v
+    return tuple(out)
 
 
 def _relabel_diagram(f: BrauerDiagram, m: int, n: int, move) -> BrauerDiagram:
-    # move is a bijection of boundaries, so the result stays a partition
-    pairs = [(move(a, f.m, f.n), move(b, f.m, f.n)) for a, b in f.pairs]
-    return _diagram(m, n, pairs, f.closed)
-
-
-# the boundary moves of the compact closed structure: where a label of a
-# diagram m -> n lands, as in the module docstring; coloured diagrams
-# move their colours with the same functions
-
-
-def ev_move(label: str, m: int, n: int) -> str:
-    kind, i = _split(label)
-    return src(n + 1 - i) if kind == "t" else src(n + i)
-
-
-def coev_move(label: str, m: int, n: int) -> str:
-    kind, i = _split(label)
-    return tgt(i) if kind == "t" else tgt(n + (m + 1 - i))
-
-
-def dual_move(label: str, m: int, n: int) -> str:
-    kind, i = _split(label)
-    return src(n + 1 - i) if kind == "t" else tgt(m + 1 - i)
+    # move is a bijection of positions, so partners move with their points
+    partner = moved([move(q, f.m, f.n) for q in f.partner], move, f.m, f.n)
+    return BrauerDiagram(m, n, partner, f.closed)
 
 
 def ev(f: BrauerDiagram) -> BrauerDiagram:
@@ -243,11 +285,8 @@ def is_open(f: BrauerDiagram) -> bool:
 
 
 def is_downward(f: BrauerDiagram) -> bool:
-    if f.closed:
-        return False
-    return all(
-        not (a.startswith("t") and b.startswith("t")) for a, b in f.pairs
-    )
+    # no pair joins two targets
+    return not f.closed and all(q < f.m for q in f.partner[f.m:])
 
 
 def is_upward(f: BrauerDiagram) -> bool:
@@ -255,17 +294,14 @@ def is_upward(f: BrauerDiagram) -> bool:
 
 
 def boundary_cospan(f: BrauerDiagram):
-    sources = [src(i) for i in range(1, f.m + 1)]
-    targets = [tgt(j) for j in range(1, f.n + 1)]
-    components = list(f.pairs)
-    return sources, targets, components, f.closed
+    return labels(f.m, 0), labels(0, f.n), list(f.pairs), f.closed
 
 
 def open_diagrams(m: int, n: int):
-    """All open diagrams m -> n, (m+n-1)!! of them when m+n is even."""
-    labels = [src(i) for i in range(1, m + 1)] + [tgt(j) for j in range(1, n + 1)]
-    for p in all_pairings(labels):
-        yield _diagram(m, n, p.pairs, 0)
+    """All open diagrams m -> n, (m+n-1)!! of them when m+n is even, in
+    the order all_pairings lists the pairings of their labels."""
+    for p in all_pairings(labels(m, n)):
+        yield _from_pairs(m, n, p.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -313,40 +349,22 @@ def evaluate_word(slices) -> BrauerDiagram:
 
 
 def parse_word(text: str):
-    """Recursive descent over  word := slice (';' slice)*,
-    slice := gen ('+' gen)*.  ';' binds looser than '+'."""
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def eat():
-        tok = peek()
-        pos[0] += 1
-        return tok
-
-    def parse_gen():
-        tok = eat()
-        if tok is None or tok in ("+", ";"):
-            raise WordSyntaxError(f"expected generator, got {tok!r}")
-        if _GEN_RE.match(tok) is None:
-            raise WordSyntaxError(f"unknown generator: {tok!r}")
-        return tok
-
-    def parse_slice():
-        gens = [parse_gen()]
-        while peek() == "+":
-            eat()
-            gens.append(parse_gen())
-        return gens
-
-    slices = [parse_slice()]
-    while peek() == ";":
-        eat()
-        slices.append(parse_slice())
-    if peek() is not None:
-        raise WordSyntaxError(f"trailing input at {peek()!r}")
+    """word := slice (';' slice)*,  slice := gen ('+' gen)*, so ';'
+    binds looser than '+'; read token by token, generators and
+    operators alternating."""
+    slices, want_gen = [[]], True
+    for tok in _tokenize(text) + [None]:
+        if want_gen:
+            if tok is None or tok in ("+", ";"):
+                raise WordSyntaxError(f"expected generator, got {tok!r}")
+            if _GEN_RE.match(tok) is None:
+                raise WordSyntaxError(f"unknown generator: {tok!r}")
+            slices[-1].append(tok)
+        elif tok == ";":
+            slices.append([])
+        elif tok not in ("+", None):
+            raise WordSyntaxError(f"trailing input at {tok!r}")
+        want_gen = not want_gen
     return slices
 
 
@@ -368,78 +386,49 @@ def factor_generators(f: BrauerDiagram):
 
     evaluate_word(factor_generators(f)) == f, closed count included.
     """
-    part = f.partner()
-    ss, tt, st = [], [], {}
-    for a, b in f.pairs:
-        ka, kb = _split(a), _split(b)
-        if ka[0] == "s" and kb[0] == "s":
-            ss.append((ka[1], kb[1]))
-        elif ka[0] == "t" and kb[0] == "t":
-            tt.append((ka[1], kb[1]))
-        else:
-            st[kb[1]] = ka[1]  # target index <- source index
-    ss.sort()
-    tt.sort()
-    a_cnt, b_cnt, k_cnt = len(ss), len(tt), f.closed
-
-    slices = []
-    tokens = [("strand", ("s", i)) for i in range(1, f.m + 1)]
-    if b_cnt + k_cnt:
-        slices.append(["id_1"] * f.m + ["cap"] * (b_cnt + k_cnt))
-        for r, (p, q) in enumerate(tt):
-            tokens.append(("strand", ("tt", r, 0)))
-            tokens.append(("strand", ("tt", r, 1)))
-        for r in range(k_cnt):
-            tokens.append(("strand", ("bub", r, 0)))
-            tokens.append(("strand", ("bub", r, 1)))
-
-    # final position of every strand: cup pairs first, bubbles, then targets
-    pos = {}
-    nxt = 0
-    for i, j in ss:
-        pos[("s", i)] = nxt
-        pos[("s", j)] = nxt + 1
-        nxt += 2
-    for r in range(k_cnt):
-        pos[("bub", r, 0)] = nxt
-        pos[("bub", r, 1)] = nxt + 1
-        nxt += 2
-    tt_leg = {}
-    for r, (p, q) in enumerate(tt):
-        tt_leg[p] = ("tt", r, 0)
-        tt_leg[q] = ("tt", r, 1)
-    for j in range(1, f.n + 1):
-        pos[("s", st[j]) if j in st else tt_leg[j]] = nxt
-        nxt += 1
-
-    order = [pos[t[1]] for t in tokens]
-    while True:
-        swaps = []
-        x = 0
-        while x + 1 < len(order):
-            if order[x] > order[x + 1]:
-                swaps.append(x)
-                order[x], order[x + 1] = order[x + 1], order[x]
-                x += 2
+    m, n = f.m, f.n
+    cups, tt, st = [], [], {}
+    for p, q in enumerate(f.partner):
+        if p < q:
+            if q < m:
+                cups += [p, q]
+            elif p >= m:
+                tt.append((p - m, q - m))
             else:
-                x += 1
-        if not swaps:
-            break
-        layer = []
-        x = 0
+                st[q - m] = p  # target index <- source position
+    caps = len(tt) + f.closed
+
+    # strands below the caps: the sources, then the legs of each
+    # target-target cap, then of each bubble; their final places: the
+    # cup legs, the bubbles, then the strand of each target in turn
+    leg = {}
+    for r, (j1, j2) in enumerate(tt):
+        leg[j1], leg[j2] = m + 2 * r, m + 2 * r + 1
+    final = cups + list(range(m + 2 * len(tt), m + 2 * caps))
+    final += [st[j] if j in st else leg[j] for j in range(n)]
+    order = [0] * len(final)
+    for x, strand in enumerate(final):
+        order[strand] = x
+
+    slices = [["id_1"] * m + ["cap"] * caps] if caps else []
+    while True:  # odd-even transposition layers
+        layer, x = [], 0
         while x < len(order):
-            if x in swaps:
+            if x + 1 < len(order) and order[x] > order[x + 1]:
+                order[x], order[x + 1] = order[x + 1], order[x]
                 layer.append("sigma_2")
                 x += 2
             else:
                 layer.append("id_1")
                 x += 1
+        if "sigma_2" not in layer:
+            break
         slices.append(layer)
 
-    if a_cnt + k_cnt:
-        slices.append(["cup"] * (a_cnt + k_cnt) + ["id_1"] * f.n)
+    if cups or f.closed:
+        slices.append(["cup"] * (len(cups) // 2 + f.closed) + ["id_1"] * n)
     if not slices:
-        slices = [["id_1"] * f.m] if f.m else [["id_0"]]
+        slices = [["id_1"] * m] if m else [["id_0"]]
     return slices
 
 

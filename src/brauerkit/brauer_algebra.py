@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .brauer import ArityMismatch, BrauerDiagram, compose_detailed, make_diagram
+from .brauer import (ArityMismatch, BrauerDiagram, compose_detailed, diagram_from_json,
+                     diagram_to_json, tensor)
 
 
 class RingMismatch(ValueError):
@@ -237,6 +238,7 @@ def ring_by_name(name: str) -> Ring:
 
 
 def _diagram_key(d: BrauerDiagram):
+    # terms are ordered by their label pairs as strings, so "s10" < "s2"
     return (d.m, d.n, d.pairs)
 
 
@@ -270,7 +272,7 @@ def make_element(ring: Ring, m: int, n: int, terms) -> BrElement:
 def element_of(ring: Ring, d: BrauerDiagram, coeff=None) -> BrElement:
     """Single open diagram as an element; coeff defaults to 1."""
     coeff = ring.one() if coeff is None else coeff
-    return make_element(ring, d.m, d.n, {make_diagram(d.m, d.n, d.pairs): coeff})
+    return make_element(ring, d.m, d.n, {BrauerDiagram(d.m, d.n, d.partner): coeff})
 
 
 def br_zero(ring: Ring, m: int, n: int) -> BrElement:
@@ -303,7 +305,7 @@ def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
     for f, cf in a.terms:
         for g, cg in b.terms:
             h, cycles = compose_detailed(f, g)
-            open_part = make_diagram(h.m, h.n, h.pairs)
+            open_part = BrauerDiagram(h.m, h.n, h.partner)
             coeff = ring.mul(ring.mul(cf, cg), ring.power(delta, len(cycles)))
             if open_part in acc:
                 acc[open_part] = ring.add(acc[open_part], coeff)
@@ -313,8 +315,6 @@ def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
 
 
 def br_tensor(a: BrElement, b: BrElement) -> BrElement:
-    from .brauer import tensor
-
     _check_rings(a, b)
     ring = a.ring
     acc = {}
@@ -333,8 +333,7 @@ def _check_rings(a: BrElement, b: BrElement):
 
 def bd_to_br_t(f: BrauerDiagram) -> BrElement:
     """(tau, k) |-> t^k tau over Z[t]; functorial for delta = t."""
-    open_part = make_diagram(f.m, f.n, f.pairs)
-    return element_of(ZPOLY, open_part, ZPOLY.power(ZPOLY.t(), f.closed))
+    return element_of(ZPOLY, f, ZPOLY.power(ZPOLY.t(), f.closed))
 
 
 def algebra_dimension(n: int) -> int:
@@ -355,18 +354,15 @@ def is_walled(f: BrauerDiagram, wall) -> bool:
     if m1 + n1 != f.m or m2 + n2 != f.n:
         raise ArityMismatch(f"wall {wall!r} does not fit {f.m}->{f.n}")
 
-    def group(label):
-        kind, i = label[0], int(label[1:])
-        if kind == "s":
-            return 0 if i <= m1 else 1
-        return 1 if i <= m2 else 0
+    def group(p):
+        if p < f.m:
+            return 0 if p < m1 else 1
+        return 1 if p - f.m < m2 else 0
 
-    return all(group(a) != group(b) for a, b in f.pairs)
+    return all(group(p) != group(q) for p, q in enumerate(f.partner))
 
 
 def element_to_json(a: BrElement) -> dict:
-    from .brauer import diagram_to_json
-
     return {
         "ring": a.ring.name,
         "m": a.m,
@@ -379,8 +375,6 @@ def element_to_json(a: BrElement) -> dict:
 
 
 def element_from_json(obj: dict) -> BrElement:
-    from .brauer import diagram_from_json
-
     ring = ring_by_name(obj["ring"])
     terms = {}
     for t in obj["terms"]:

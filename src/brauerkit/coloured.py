@@ -15,17 +15,24 @@ output_type(f) == input_type(g) as ordered lists; a cycle trapped at
 the seam becomes a bubble coloured by the omega-orbit shared by all
 its seam strands.  Bubbles are a multiset, stored as a sorted tuple
 of orbits.
+
+A coloured diagram stores its boundary colouring as one tuple over the
+base diagram's positions (sources first, then targets, as in the brauer
+module), so types are slices of it and composition and tensor splice
+it.  Boundary labels "s1".."tn" appear only at the edges:
+make_coloured and the JSON reader take a label -> colour mapping,
+`boundary_colour`, `colour(label)` and the JSON writer give one back,
+and error messages name labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations_with_replacement
 
 from . import brauer
-from .brauer import BrauerDiagram, boundary_key, compose_detailed, make_diagram, src, tgt
-from .labels import label_key
+from .brauer import BrauerDiagram, cached, compose_detailed
+from .labels import decode_label, encode_label, label_key
 
 
 class ColouringError(ValueError):
@@ -53,7 +60,7 @@ class Palette:
     colours: tuple
     swaps: tuple  # 2-cycles of omega as (a, b) pairs, a < b; fixed points omitted
 
-    @cached_property
+    @cached
     def _omega(self) -> dict:
         out = {c: c for c in self.colours}
         for a, b in self.swaps:
@@ -73,7 +80,7 @@ class Palette:
         pair = sorted((colour, image), key=label_key)
         return tuple(pair)
 
-    @cached_property
+    @cached
     def orbits(self) -> tuple:
         seen = []
         for c in self.colours:
@@ -113,20 +120,28 @@ def oriented_palette() -> Palette:
 class ColouredBrauerDiagram:
     palette: Palette
     base: BrauerDiagram
-    boundary_colour: tuple  # ((label, colour), ...) sorted by boundary position
+    colours: tuple  # the colour of every position of base
     bubbles: tuple  # sorted tuple of omega-orbits
 
-    @cached_property
-    def colour_map(self) -> dict:
-        return dict(self.boundary_colour)
+    @property
+    def boundary_colour(self) -> tuple:
+        """((label, colour), ...) in boundary order."""
+        return tuple(zip(brauer.labels(self.base.m, self.base.n), self.colours))
 
     def colour(self, label):
-        return self.colour_map[label]
+        return self.colours[brauer.position(label, self.base.m, self.base.n)]
+
+    @cached
+    def _hash(self) -> int:
+        return hash((self.base, self.colours, self.bubbles))
+
+    def __hash__(self):
+        return self._hash
 
 
 def make_coloured(palette: Palette, base: BrauerDiagram, boundary_colour, bubbles=()) -> ColouredBrauerDiagram:
     cmap = dict(boundary_colour)
-    labels = [src(i) for i in range(1, base.m + 1)] + [tgt(j) for j in range(1, base.n + 1)]
+    labels = brauer.labels(base.m, base.n)
     if set(cmap) != set(labels):
         raise ColouringError(
             f"boundary colouring covers {sorted(cmap)!r}, diagram needs {labels!r}"
@@ -144,8 +159,8 @@ def make_coloured(palette: Palette, base: BrauerDiagram, boundary_colour, bubble
         raise ColouringError(
             f"{base.closed} closed components but {len(orbs)} bubble colours"
         )
-    ordered = tuple((lbl, cmap[lbl]) for lbl in labels)
-    return ColouredBrauerDiagram(palette, base, ordered, tuple(sorted(orbs, key=label_key)))
+    return ColouredBrauerDiagram(palette, base, tuple(cmap[lbl] for lbl in labels),
+                                 tuple(sorted(orbs, key=label_key)))
 
 
 def _as_orbit(palette: Palette, entry):
@@ -161,37 +176,33 @@ def _as_orbit(palette: Palette, entry):
 
 
 def typed_boundary(d: ColouredBrauerDiagram):
-    inp = tuple(d.palette.omega(d.colour(src(i))) for i in range(1, d.base.m + 1))
-    out = tuple(d.colour(tgt(j)) for j in range(1, d.base.n + 1))
-    return inp, out
+    return input_type(d), output_type(d)
 
 
 def input_type(d: ColouredBrauerDiagram) -> tuple:
-    return typed_boundary(d)[0]
+    omega = d.palette._omega
+    return tuple([omega[c] for c in d.colours[:d.base.m]])
 
 
 def output_type(d: ColouredBrauerDiagram) -> tuple:
-    return typed_boundary(d)[1]
+    return d.colours[d.base.m:]
 
 
 def coloured_identity(palette: Palette, word) -> ColouredBrauerDiagram:
     word = tuple(word)
-    colours = {}
-    for i, c in enumerate(word, start=1):
-        colours[src(i)] = palette.omega(c)
-        colours[tgt(i)] = c
-    return make_coloured(palette, brauer.identity(len(word)), colours)
+    colours = tuple(palette.omega(c) for c in word) + word
+    return ColouredBrauerDiagram(palette, brauer.identity(len(word)), colours, ())
 
 
 def coloured_permutation(palette: Palette, sigma, word) -> ColouredBrauerDiagram:
     """Permutation diagram with input type word; strand i exits at sigma[i-1]."""
     word = tuple(word)
-    images = list(sigma)
-    colours = {}
-    for i, c in enumerate(word, start=1):
-        colours[src(i)] = palette.omega(c)
-        colours[tgt(images[i - 1])] = c
-    return make_coloured(palette, brauer.from_permutation(images), colours)
+    base = brauer.from_permutation(sigma)
+    if len(word) != base.m:
+        raise ColouringError(f"word {word!r} does not fit a permutation of {base.m}")
+    # target j carries the colour of the source joined to it
+    colours = tuple(palette.omega(c) for c in word) + tuple(word[i] for i in base.partner[base.m:])
+    return ColouredBrauerDiagram(palette, base, colours, ())
 
 
 def compose_coloured(f: ColouredBrauerDiagram, g: ColouredBrauerDiagram) -> ColouredBrauerDiagram:
@@ -201,40 +212,39 @@ def compose_coloured(f: ColouredBrauerDiagram, g: ColouredBrauerDiagram) -> Colo
     if mid_f != mid_g:
         raise TypeMismatch(f"output type {mid_f!r} does not match input type {mid_g!r}")
     base, cycles = compose_detailed(f.base, g.base)
-    fmap, gmap = f.colour_map, g.colour_map
-    ordered = tuple((lbl, fmap[lbl]) for lbl in (src(i) for i in range(1, base.m + 1)))
-    ordered += tuple((lbl, gmap[lbl]) for lbl in (tgt(j) for j in range(1, base.n + 1)))
-    bubbles = list(f.bubbles) + list(g.bubbles)
+    fm, fc = f.base.m, f.colours
+    bubbles = f.bubbles + g.bubbles
     for cyc in cycles:
-        orbs = {f.palette.orbit(fmap[tgt(i)]) for i in cyc}
+        orbs = {f.palette.orbit(fc[fm + i - 1]) for i in cyc}
         if len(orbs) != 1:
             raise IncoherentCycleColour(
                 f"seam cycle {cyc!r} crosses orbits {sorted(orbs, key=label_key)!r}"
             )
-        bubbles.append(orbs.pop())
+        bubbles += (orbs.pop(),)
     # seam matching transports the omega constraint, no revalidation needed
-    return ColouredBrauerDiagram(f.palette, base, ordered,
-                                 tuple(sorted(bubbles, key=label_key)))
+    return ColouredBrauerDiagram(f.palette, base, fc[:fm] + g.colours[g.base.m:],
+                                 _sorted_bubbles(bubbles))
+
+
+def _sorted_bubbles(bubbles: tuple) -> tuple:
+    return tuple(sorted(bubbles, key=label_key)) if len(bubbles) > 1 else bubbles
 
 
 def tensor_coloured(f: ColouredBrauerDiagram, g: ColouredBrauerDiagram) -> ColouredBrauerDiagram:
     if f.palette != g.palette:
         raise PaletteMismatch("tensoring diagrams over different palettes")
     base = brauer.tensor(f.base, g.base)
-    # boundary_colour tuples are stored in boundary order, so the juxtaposed
-    # colouring is a shift-and-splice; both factors are already valid
-    fs, ft = f.boundary_colour[:f.base.m], f.boundary_colour[f.base.m:]
-    gs, gt = g.boundary_colour[:g.base.m], g.boundary_colour[g.base.m:]
-    ordered = fs + tuple((src(i + f.base.m), c) for i, (_, c) in enumerate(gs, start=1))
-    ordered += ft + tuple((tgt(j + f.base.n), c) for j, (_, c) in enumerate(gt, start=1))
-    bubbles = tuple(sorted(f.bubbles + g.bubbles, key=label_key))
-    return ColouredBrauerDiagram(f.palette, base, ordered, bubbles)
+    # both factors are already valid: splice the colours in the order of
+    # tensor's positions, sources of f and g, then targets of f and g
+    fm, gm, fc, gc = f.base.m, g.base.m, f.colours, g.colours
+    colours = fc[:fm] + gc[:gm] + fc[fm:] + gc[gm:]
+    return ColouredBrauerDiagram(f.palette, base, colours, _sorted_bubbles(f.bubbles + g.bubbles))
 
 
 def _transport(f: ColouredBrauerDiagram, new_base: BrauerDiagram, move) -> ColouredBrauerDiagram:
-    m, n = f.base.m, f.base.n
-    colours = {move(label, m, n): colour for label, colour in f.boundary_colour}
-    return make_coloured(f.palette, new_base, colours, f.bubbles)
+    # the colours move with their points, so pairs stay omega-swapped
+    colours = brauer.moved(f.colours, move, f.base.m, f.base.n)
+    return ColouredBrauerDiagram(f.palette, new_base, colours, f.bubbles)
 
 
 def ev_coloured(f: ColouredBrauerDiagram) -> ColouredBrauerDiagram:
@@ -278,9 +288,10 @@ def pushforward(d: ColouredBrauerDiagram, target: Palette, colour_map) -> Colour
     for c in d.palette.colours:
         if phi[d.palette.omega(c)] != target.omega(phi[c]):
             raise PaletteMismatch(f"map does not intertwine the involutions at {c!r}")
-    colours = {label: phi[colour] for label, colour in d.boundary_colour}
-    bubbles = [target.orbit(phi[orb[0]]) for orb in d.bubbles]
-    return make_coloured(target, d.base, colours, bubbles)
+    # phi intertwines the involutions, so pairs stay omega-swapped
+    colours = tuple(phi[c] for c in d.colours)
+    bubbles = tuple(target.orbit(phi[orb[0]]) for orb in d.bubbles)
+    return ColouredBrauerDiagram(target, d.base, colours, _sorted_bubbles(bubbles))
 
 
 def _stable_sign_order(word):
@@ -323,23 +334,21 @@ def to_walled_normal_form(f: ColouredBrauerDiagram):
 def coloured_diagrams(palette: Palette, in_word, out_word, max_closed=0):
     """All coloured diagrams of the given type, bubbles up to max_closed."""
     in_word, out_word = tuple(in_word), tuple(out_word)
-    colours = {}
-    for i, c in enumerate(in_word, start=1):
-        colours[src(i)] = palette.omega(c)
-    for j, c in enumerate(out_word, start=1):
-        colours[tgt(j)] = c
+    for c in out_word:
+        palette.omega(c)  # PaletteMismatch for a colour outside the palette
+    colours = tuple(palette.omega(c) for c in in_word) + out_word
+    omega = palette._omega
     for open_d in brauer.open_diagrams(len(in_word), len(out_word)):
-        if any(colours[b] != palette.omega(colours[a]) for a, b in open_d.pairs):
+        if any(colours[q] != omega[colours[p]] for p, q in enumerate(open_d.partner)):
             continue
         for k in range(max_closed + 1):
-            base = make_diagram(open_d.m, open_d.n, open_d.pairs, k)
+            base = BrauerDiagram(open_d.m, open_d.n, open_d.partner, k)
+            # palette.orbits is sorted, so each combination is too
             for bubbles in combinations_with_replacement(palette.orbits, k):
-                yield make_coloured(palette, base, colours, bubbles)
+                yield ColouredBrauerDiagram(palette, base, colours, bubbles)
 
 
 def palette_to_json(p: Palette) -> dict:
-    from .labels import encode_label
-
     return {
         "colours": [encode_label(c) for c in p.colours],
         "omega": [[encode_label(a), encode_label(b)] for a, b in p.swaps],
@@ -347,8 +356,6 @@ def palette_to_json(p: Palette) -> dict:
 
 
 def palette_from_json(obj: dict) -> Palette:
-    from .labels import decode_label
-
     try:
         colours = [decode_label(c) for c in obj["colours"]]
         swaps = [(decode_label(a), decode_label(b)) for a, b in obj["omega"]]
@@ -358,8 +365,6 @@ def palette_from_json(obj: dict) -> Palette:
 
 
 def coloured_to_json(d: ColouredBrauerDiagram) -> dict:
-    from .labels import encode_label
-
     blob = brauer.diagram_to_json(d.base)
     blob["palette"] = palette_to_json(d.palette)
     blob["boundary_colour"] = {label: encode_label(c) for label, c in d.boundary_colour}
@@ -368,8 +373,6 @@ def coloured_to_json(d: ColouredBrauerDiagram) -> dict:
 
 
 def coloured_from_json(obj: dict) -> ColouredBrauerDiagram:
-    from .labels import decode_label
-
     base = brauer.diagram_from_json(obj)
     try:
         palette = palette_from_json(obj["palette"])

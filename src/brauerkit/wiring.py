@@ -39,12 +39,11 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial, prod
 from types import SimpleNamespace
 
 from .axioms import CIRCUIT_LAWS, Report, connected_unit, run_laws
-from .brauer import BrauerDiagram, is_downward, make_diagram
+from .brauer import BrauerDiagram, cached, is_downward
 from .coloured import (
     ColouredBrauerDiagram,
     ColouringError,
@@ -59,7 +58,6 @@ from .coloured import (
     coloured_to_json,
     compose_coloured,
     input_type,
-    make_coloured,
     output_type,
     palette_from_json,
     palette_to_json,
@@ -97,7 +95,7 @@ class WiringDiagram:
     def palette(self) -> Palette:
         return self.diagram.palette
 
-    @cached_property
+    @cached
     def block_types(self) -> tuple:
         word = input_type(self.diagram)
         out, at = [], 0
@@ -106,9 +104,16 @@ class WiringDiagram:
             at += size
         return tuple(out)
 
-    @cached_property
+    @cached
     def output_word(self) -> tuple:
         return output_type(self.diagram)
+
+    @cached
+    def _hash(self) -> int:
+        return hash((self.diagram, self.block_sizes))
+
+    def __hash__(self):
+        return self._hash
 
 
 def make_wiring(diagram: ColouredBrauerDiagram, block_sizes) -> WiringDiagram:
@@ -123,7 +128,7 @@ def make_wiring(diagram: ColouredBrauerDiagram, block_sizes) -> WiringDiagram:
 
 
 def empty_coloured(palette: Palette) -> ColouredBrauerDiagram:
-    return make_coloured(palette, make_diagram(0, 0, []), {})
+    return ColouredBrauerDiagram(palette, BrauerDiagram(0, 0, ()), (), ())
 
 
 def identity_wiring(palette: Palette, word) -> WiringDiagram:
@@ -144,11 +149,12 @@ def operad_gamma(g: WiringDiagram, fs) -> WiringDiagram:
             raise PaletteMismatch("substituting across palettes")
         if f.output_word != want:
             raise TypeMismatch(f"block expects {want!r}, argument yields {f.output_word!r}")
-    inner = empty_coloured(g.palette)
-    for f in fs:
+    inner = fs[0].diagram if fs else empty_coloured(g.palette)
+    for f in fs[1:]:
         inner = tensor_coloured(inner, f.diagram)
-    blocks = tuple(b for f in fs for b in f.block_sizes)
-    return make_wiring(compose_coloured(inner, g.diagram), blocks)
+    # the blocks of the fs cover the composite's sources, as make_wiring checks
+    blocks = sum((f.block_sizes for f in fs), ())
+    return WiringDiagram(compose_coloured(inner, g.diagram), blocks)
 
 
 def _concat_permutation(images, old_sizes):
@@ -424,14 +430,14 @@ def pairing_algebra(palette: Palette, bound: int,
             carriers[w] = tuple(coloured_diagrams(palette, (), w))
 
     def action(wd, inputs):
-        inner = empty_coloured(palette)
-        for x in inputs:
+        inner = inputs[0] if inputs else empty_coloured(palette)
+        for x in inputs[1:]:
             inner = tensor_coloured(inner, x)
         full = compose_coloured(inner, wd.diagram)
         # full has no sources, so zeroing the closed count discards the
         # bubbles and keeps the open part as-is; no revalidation needed
-        open_base = BrauerDiagram(0, full.base.n, full.base.pairs, 0)
-        return ColouredBrauerDiagram(palette, open_base, full.boundary_colour, ())
+        open_base = BrauerDiagram(0, full.base.n, full.base.partner)
+        return ColouredBrauerDiagram(palette, open_base, full.colours, ())
 
     return FunctionCircuitAlgebra(palette, bound, carriers, action,
                                   downward_only=downward_only)
@@ -472,17 +478,17 @@ def contraction_wiring(palette: Palette, word, i: int, j: int) -> WiringDiagram:
         raise ColourMismatch(
             f"positions {i},{j} carry {word[i - 1]!r},{word[j - 1]!r}, not omega-dual"
         )
-    colours = {}
-    pairs = [(f"s{i}", f"s{j}")]
-    for r, c in enumerate(word, start=1):
-        colours[f"s{r}"] = palette.omega(c)
-        if r in (i, j):
-            continue
-        rank = r - (r > i) - (r > j)
-        colours[f"t{rank}"] = c
-        pairs.append((f"s{r}", f"t{rank}"))
-    base = make_diagram(m, m - 2, pairs)
-    return make_wiring(make_coloured(palette, base, colours), (m,))
+    # s_i and s_j are joined; every other source runs straight down
+    partner = [0] * (2 * m - 2)
+    partner[i - 1], partner[j - 1] = j - 1, i - 1
+    outputs = []
+    for r, c in enumerate(word):
+        if r not in (i - 1, j - 1):
+            partner[r], partner[m + len(outputs)] = m + len(outputs), r
+            outputs.append(c)
+    colours = tuple(palette.omega(c) for c in word) + tuple(outputs)
+    base = BrauerDiagram(m, m - 2, tuple(partner))
+    return make_wiring(ColouredBrauerDiagram(palette, base, colours, ()), (m,))
 
 
 def derived_contraction(A: CircuitAlgebra, word, i: int, j: int):
@@ -547,6 +553,10 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     by_output = defaultdict(list)
     for wd in universe:
         by_output[wd.output_word].append(wd)
+    # the wirings that can fill a block of type w: output w, every block
+    # inhabited; built once, in universe order, for every phase below
+    pools = {w: [f for f in by_output[w] if all(sizes[b] for b in f.block_types)]
+             for w in words}
 
     id_count = sum(sizes.values())
     eq_count = sum(factorial(len(wd.block_sizes)) * prod(sizes[w] for w in wd.block_types)
@@ -639,9 +649,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
                                        wd, sigma, inputs)
         for g in universe:
             # pairs with an uninhabited inner domain contribute no instances
-            fs_pools = [[f for f in by_output[w]
-                         if all(sizes[b] for b in f.block_types)]
-                        for w in g.block_types]
+            fs_pools = [pools[w] for w in g.block_types]
             if not all(fs_pools):
                 continue
             g_map = dict(evaluated_domain(g))
@@ -680,32 +688,26 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
             lhs = apply_or_missing(A.act(sigma_action(wd, sigma)), moved)
             rhs = apply_or_missing(A.act(wd), inputs)
             check_equivariance(lhs, rhs, wd, sigma, inputs)
-        comp_ok = [g for g in universe
-                   if all(slot_total[w] for w in g.block_types)]
+        comp_ok = [g for g in universe if all(pools[w] for w in g.block_types)]
         for _ in range(samples):
             if not comp_ok:
                 break
             g = comp_ok[rng.randrange(len(comp_ok))]
             fs, nested = [], []
-            viable = True
             for w in g.block_types:
-                pool = [f for f in by_output[w] if all(sizes[b] for b in f.block_types)]
-                if not pool:
-                    viable = False
-                    break
+                pool = pools[w]
                 f = pool[rng.randrange(len(pool))]
                 fs.append(f)
                 nested.append(tuple(A.elements(b)[rng.randrange(sizes[b])]
                                     for b in f.block_types))
-            if viable:
-                fs = tuple(fs)
-                flat = tuple(x for chunk in nested for x in chunk)
-                lhs = apply_or_missing(A.act(operad_gamma(g, fs)), flat)
-                values = tuple(apply_or_missing(A.act(f), chunk)
-                               for f, chunk in zip(fs, nested))
-                rhs = (_missing if any(v is _missing for v in values)
-                       else apply_or_missing(A.act(g), values))
-                check_composition(lhs, rhs, g, fs, tuple(nested))
+            fs = tuple(fs)
+            flat = tuple(x for chunk in nested for x in chunk)
+            lhs = apply_or_missing(A.act(operad_gamma(g, fs)), flat)
+            values = tuple(apply_or_missing(A.act(f), chunk)
+                           for f, chunk in zip(fs, nested))
+            rhs = (_missing if any(v is _missing for v in values)
+                   else apply_or_missing(A.act(g), values))
+            check_composition(lhs, rhs, g, fs, tuple(nested))
 
     violations.sort()
     return Report(not violations, mode, seed, candidates, checked, tuple(violations))
@@ -713,14 +715,25 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
 
 def _algebra_ops(A: CircuitAlgebra):
     # the operations A derives from wiring diagrams, as the laws of the
-    # axioms module take them (0-based positions)
+    # axioms module take them (0-based positions); each wiring is built
+    # once per ops object: ⊠ per (u, v), ζ per (w, i, j), ε per colour,
+    # the relabelling per (w, sigma)
+    built = {}
+
+    def once(key, build):
+        if key not in built:
+            built[key] = build()
+        return built[key]
+
     return SimpleNamespace(
         words=[w for w in A.words() if A.elements(w)], elements=A.elements,
         bound=A.bound, omega=A.palette.omega, unit=A.unit_element(),
-        box=lambda u, a, v, b: derived_boxtimes(A, u, v)(a, b),
-        zeta=lambda w, i, j, a: derived_contraction(A, w, i + 1, j + 1)(a),
-        eps=lambda c: unit_epsilon(A, c),
-        relabel=lambda w, sigma, a: A.act(perm_wiring(A.palette, w, sigma))((a,)),
+        box=lambda u, a, v, b: once(("box", u, v), lambda: derived_boxtimes(A, u, v))(a, b),
+        zeta=lambda w, i, j, a: once(("zeta", w, i, j),
+                                     lambda: derived_contraction(A, w, i + 1, j + 1))(a),
+        eps=lambda c: once(("eps", c), lambda: unit_epsilon(A, c)),
+        relabel=lambda w, sigma, a: once(
+            ("perm", w, sigma), lambda: A.act(perm_wiring(A.palette, w, sigma)))((a,)),
     )
 
 

@@ -12,14 +12,18 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brauerkit.brauer import (
     ArityMismatch,
     WordSyntaxError,
     boundary_cospan,
+    boundary_key,
     cap,
     cap_n,
     compose,
+    compose_detailed,
     coev,
     cup,
     cup_n,
@@ -41,6 +45,8 @@ from brauerkit.brauer import (
     sigma_2,
     tensor,
 )
+from brauerkit.coloured import compose_coloured, make_coloured, make_palette
+from brauerkit.labels import label_key
 
 
 def _random_open(rng, m, n):
@@ -282,3 +288,149 @@ def test_json_round_trip():
         assert diagram_from_json(diagram_to_json(f)) == f
     blob = diagram_to_json(compose(cap(), cup()))
     assert blob == {"m": 0, "n": 0, "pairs": [], "closed": 1}
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: stacking on label strings
+
+
+def _reference_stack(f, g):
+    """(pair set, closed count, seam cycles) of g stacked below f, walked
+    on label strings: f's "tI" and g's "sI" both become ("mid", I).
+    Cycles start at their least middle index, step through f first and
+    are listed by least index."""
+    def node(label, top):
+        kind, i = label[0], int(label[1:])
+        if kind == ("t" if top else "s"):
+            return ("mid", i)
+        return (kind, i)
+
+    up, down = {}, {}
+    for d, links, top in ((f, up, True), (g, down, False)):
+        for a, b in d.pairs:
+            a, b = node(a, top), node(b, top)
+            links[a], links[b] = b, a
+    pairs, seen = set(), set()
+    for start in [("s", i) for i in range(1, f.m + 1)] + [("t", j) for j in range(1, g.n + 1)]:
+        if start in seen:
+            continue
+        from_up = start[0] == "s"
+        cur = up[start] if from_up else down[start]
+        while cur[0] == "mid":
+            seen.add(cur)
+            cur = down[cur] if from_up else up[cur]
+            from_up = not from_up
+        seen.update((start, cur))
+        pairs.add(frozenset(f"{kind}{i}" for kind, i in (start, cur)))
+    cycles = []
+    for i in range(1, f.n + 1):
+        if ("mid", i) in seen:
+            continue
+        cyc, cur, through_up = [i], up[("mid", i)], False
+        while cur != ("mid", i):
+            seen.add(cur)
+            cyc.append(cur[1])
+            cur = up[cur] if through_up else down[cur]
+            through_up = not through_up
+        cycles.append(tuple(cyc))
+    return pairs, f.closed + g.closed + len(cycles), tuple(cycles)
+
+
+def _involutive(d):
+    return all(d.partner[q] == p != q for p, q in enumerate(d.partner))
+
+
+def _shifted(label, m, n):
+    return f"s{int(label[1:]) + m}" if label[0] == "s" else f"t{int(label[1:]) + n}"
+
+
+@st.composite
+def _stackable(draw, max_strands=64):
+    """f: m -> k and g: k -> n with 1 to max_strands points per row and
+    up to three closed loops each."""
+    def same_parity(x):
+        return 2 * draw(st.integers(0, (max_strands - x % 2) // 2)) + x % 2
+
+    m = draw(st.integers(0, max_strands))
+    k = same_parity(m)
+    n = same_parity(k)
+    assume(m + k + n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    f = make_diagram(m, k, _random_open(rng, m, k).pairs, draw(st.integers(0, 3)))
+    g = make_diagram(k, n, _random_open(rng, k, n).pairs, draw(st.integers(0, 3)))
+    return f, g, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stackable())
+def test_compose_tensor_dual_against_label_oracle(stack):
+    f, g, _ = stack
+    h, cycles = compose_detailed(f, g)
+    pairs, closed, want_cycles = _reference_stack(f, g)
+    assert (h.m, h.n) == (f.m, g.n) and _involutive(h)
+    assert {frozenset(p) for p in h.pairs} == pairs and h.closed == closed
+    assert cycles == want_cycles
+    # pairs are listed once each, in boundary order
+    keys = [tuple(boundary_key(x) for x in p) for p in h.pairs]
+    assert all(a < b for a, b in keys) and keys == sorted(keys)
+
+    t = tensor(f, g)
+    shifted = set(f.pairs) | {tuple(_shifted(x, f.m, f.n) for x in p) for p in g.pairs}
+    assert (t.m, t.n, t.closed) == (f.m + g.m, f.n + g.n, f.closed + g.closed)
+    assert _involutive(t) and _involutive(dual(t))
+    assert {frozenset(p) for p in t.pairs} == {frozenset(p) for p in shifted}
+    assert dual(dual(f)) == f and dual(dual(t)) == t
+
+
+_PALETTE = make_palette(["a", "b", "x", "y"], [("x", "y")])
+
+
+def _colour_stack(f, g, rng):
+    """Colourings of f and g that compose: each component of the stacked
+    picture gets a random colour at one point, and omega carries it
+    along every pair and across every seam point."""
+    links = {}
+    for side, d in (("f", f), ("g", g)):
+        for a, b in d.pairs:
+            links.setdefault((side, a), []).append((side, b))
+            links.setdefault((side, b), []).append((side, a))
+    for i in range(1, f.n + 1):
+        links[("f", f"t{i}")].append(("g", f"s{i}"))
+        links[("g", f"s{i}")].append(("f", f"t{i}"))
+    colour = {}
+    for point in sorted(links):
+        if point in colour:
+            continue
+        colour[point] = rng.choice(_PALETTE.colours)
+        todo = [point]
+        while todo:
+            p = todo.pop()
+            for q in links[p]:
+                if q not in colour:
+                    colour[q] = _PALETTE.omega(colour[p])
+                    todo.append(q)
+    out = []
+    for side, d in (("f", f), ("g", g)):
+        bubbles = [rng.choice(_PALETTE.orbits) for _ in range(d.closed)]
+        out.append(make_coloured(_PALETTE, d, {lbl: c for (s, lbl), c in colour.items()
+                                               if s == side}, bubbles))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stackable(max_strands=24))
+def test_coloured_bubbles_follow_seam_cycles(stack):
+    f, g, rng = stack
+    cf, cg = _colour_stack(f, g, rng)
+    h = compose_coloured(cf, cg)
+    _, _, cycles = _reference_stack(f, g)
+    born = []
+    for cyc in cycles:
+        orbits = {_PALETTE.orbit(cf.colour(f"t{i}")) for i in cyc}
+        assert len(orbits) == 1
+        born += orbits
+    assert h.bubbles == tuple(sorted(cf.bubbles + cg.bubbles + tuple(born), key=label_key))
+    assert h.base == compose(f, g)
+    assert dict(h.boundary_colour) == {
+        **{lbl: c for lbl, c in cf.boundary_colour if lbl[0] == "s"},
+        **{lbl: c for lbl, c in cg.boundary_colour if lbl[0] == "t"}}

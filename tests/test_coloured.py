@@ -317,11 +317,10 @@ def test_pushforward():
 
 def test_incoherent_cycle_defensive():
     palette = make_palette(["a", "b", "c"], [("a", "b")])
-    raw_cap = ColouredBrauerDiagram(
-        palette, cap(), (("t1", "a"), ("t2", "c")), ())
+    # raw construction: colours by position, t1 t2 and s1 s2
+    raw_cap = ColouredBrauerDiagram(palette, cap(), ("a", "c"), ())
     raw_cup = ColouredBrauerDiagram(
-        palette, make_diagram(2, 0, [("s1", "s2")]),
-        (("s1", "b"), ("s2", "c")), ())
+        palette, make_diagram(2, 0, [("s1", "s2")]), ("b", "c"), ())
     assert output_type(raw_cap) == input_type(raw_cup)
     with pytest.raises(IncoherentCycleColour):
         compose_coloured(raw_cap, raw_cup)
