@@ -82,7 +82,7 @@ def boundary_key(label: str):
 
 def position(label: str, m: int, n: int) -> int:
     """The position of a boundary label on an m -> n diagram; KeyError
-    when the label names no point of it."""
+    when a well-formed label names no point of it."""
     row, i = boundary_key(label)
     if not 1 <= i <= (n if row else m):
         raise KeyError(label)
