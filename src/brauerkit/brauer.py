@@ -111,7 +111,7 @@ class BrauerDiagram:
     partner: tuple  # partner[p] is the position joined to position p
     closed: int = 0
 
-    @cached
+    @property
     def pairs(self) -> tuple:
         """The pairs as label tuples, each and all in boundary order."""
         m = self.m
