@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .pairing import PairingError, all_pairings, make_pairing
 
@@ -89,21 +89,6 @@ def position(label: str, m: int, n: int) -> int:
     return i - 1 + (m if row else 0)
 
 
-class cached:
-    """An attribute computed on first use and stored on the instance:
-    functools.cached_property without the lock it takes on every miss
-    before Python 3.12, which costs more than the values cached here."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class BrauerDiagram:
     m: int
@@ -118,7 +103,7 @@ class BrauerDiagram:
         return tuple((label(p, m), label(q, m))
                      for p, q in enumerate(self.partner) if p < q)
 
-    @cached
+    @cached_property
     def _hash(self) -> int:
         return hash((self.m, self.n, self.partner, self.closed))
 

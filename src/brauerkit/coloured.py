@@ -28,10 +28,11 @@ and error messages name labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from . import brauer
-from .brauer import BrauerDiagram, cached, compose_detailed
+from .brauer import BrauerDiagram, compose_detailed
 from .labels import decode_label, encode_label, label_key
 
 
@@ -60,7 +61,7 @@ class Palette:
     colours: tuple
     swaps: tuple  # 2-cycles of omega as (a, b) pairs, a < b; fixed points omitted
 
-    @cached
+    @cached_property
     def _omega(self) -> dict:
         out = {c: c for c in self.colours}
         for a, b in self.swaps:
@@ -80,7 +81,7 @@ class Palette:
         pair = sorted((colour, image), key=label_key)
         return tuple(pair)
 
-    @cached
+    @cached_property
     def orbits(self) -> tuple:
         seen = []
         for c in self.colours:
@@ -131,7 +132,7 @@ class ColouredBrauerDiagram:
     def colour(self, label):
         return self.colours[brauer.position(label, self.base.m, self.base.n)]
 
-    @cached
+    @cached_property
     def _hash(self) -> int:
         return hash((self.base, self.colours, self.bubbles))
 

@@ -39,11 +39,12 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 from types import SimpleNamespace
 
 from .axioms import CIRCUIT_LAWS, Report, connected_unit, run_laws
-from .brauer import BrauerDiagram, cached, is_downward
+from .brauer import BrauerDiagram, is_downward
 from .coloured import (
     ColouredBrauerDiagram,
     ColouringError,
@@ -95,7 +96,7 @@ class WiringDiagram:
     def palette(self) -> Palette:
         return self.diagram.palette
 
-    @cached
+    @cached_property
     def block_types(self) -> tuple:
         word = input_type(self.diagram)
         out, at = [], 0
@@ -104,11 +105,11 @@ class WiringDiagram:
             at += size
         return tuple(out)
 
-    @cached
+    @cached_property
     def output_word(self) -> tuple:
         return output_type(self.diagram)
 
-    @cached
+    @cached_property
     def _hash(self) -> int:
         return hash((self.diagram, self.block_sizes))
 
