@@ -17,8 +17,9 @@ plain set of such data, no quotient involved.  Every operation below
 is arithmetic on positions.
 
 The boundary labels are the strings "s1".."sm" and "t1".."tn".  They
-appear only at the edges: make_diagram and the JSON reader parse them
-(through boundary_key), `pairs`, boundary_cospan and the JSON writer
+appear only at the edges: make_diagram, the JSON reader and
+open_diagrams (which enumerates through pairing.all_pairings) parse
+them through boundary_key, `pairs`, boundary_cospan and the JSON writer
 print them, and error messages name them.  `pairs` lists each pair
 once, in boundary order, which orders by row then by numeric index (so
 "s10" comes after "s2").
