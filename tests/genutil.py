@@ -1,7 +1,31 @@
-"""Seeded generators shared by the graph and substitution test modules."""
+"""Helpers shared by the test modules: seeded graph generators and
+circuit-algebra tables renamed to plain labels."""
 
 from brauerkit.graph import empty, make_graph, make_xgraph
 from brauerkit.substitution import make_gog
+from brauerkit.wiring import TableCircuitAlgebra, enumerate_wirings, pairing_algebra, tabulate
+
+
+def renamed(T):
+    """T with every carrier element renamed to its index, so that the
+    table serializes and violation details print without element reprs."""
+    idx = {w: {x: i for i, x in enumerate(xs)} for w, xs in T.carriers.items()}
+    carriers = {w: tuple(range(len(xs))) for w, xs in T.carriers.items()}
+    entries = []
+    for wd, rows in T.table.items():
+        entries.append((wd, {
+            tuple(idx[bw][x] for bw, x in zip(wd.block_types, combo)):
+                idx[wd.output_word][out]
+            for combo, out in rows.items()}))
+    return TableCircuitAlgebra(T.palette, T.bound, carriers, entries)
+
+
+def renamed_pairing_table(palette, bound=2):
+    """pairing_algebra tabulated over its two-block enumerate_wirings
+    universe, renamed to indices."""
+    A = pairing_algebra(palette, bound)
+    words = list(A.words())
+    return renamed(tabulate(A, enumerate_wirings(palette, words, words, max_blocks=2)))
 
 
 def random_graph(rng, max_vertices=4, max_orbits=5):

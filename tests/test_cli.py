@@ -49,9 +49,7 @@ from brauerkit.species import (
 )
 from brauerkit.substitution import gog_to_json, identity_gog
 from brauerkit.wiring import (
-    TableCircuitAlgebra,
     algebra_to_json,
-    enumerate_wirings,
     identity_wiring,
     make_wiring,
     operad_gamma,
@@ -60,6 +58,8 @@ from brauerkit.wiring import (
     wiring_from_json,
     wiring_to_json,
 )
+
+from genutil import renamed, renamed_pairing_table
 
 MONO = monochrome_palette()
 ORI = oriented_palette()
@@ -77,14 +77,6 @@ def write_doc(tmp_path, name, doc):
     return str(path)
 
 
-def renamed_table_algebra(bound=2):
-    """pairing_algebra carriers are diagrams; serialization needs plain
-    labels, so tabulate and rename everything to indices."""
-    A = pairing_algebra(MONO, bound)
-    words = list(A.words())
-    return renamed(tabulate(A, enumerate_wirings(MONO, words, words, max_blocks=2)))
-
-
 def corruptible_table_algebra():
     """pairing_algebra(MONO, 4) on the identities, two transpositions of
     cccc and their composite.  The set is closed under gamma, so the
@@ -98,19 +90,6 @@ def corruptible_table_algebra():
     p2 = make_wiring(coloured_permutation(MONO, (1, 2, 4, 3), w4), (4,))
     wirings = [identity_wiring(MONO, w) for w in A.words()]
     return renamed(tabulate(A, wirings + [p1, p2, operad_gamma(p1, [p2])]))
-
-
-def renamed(T):
-    """T with every carrier element renamed to its index."""
-    idx = {w: {x: i for i, x in enumerate(xs)} for w, xs in T.carriers.items()}
-    carriers = {w: tuple(range(len(xs))) for w, xs in T.carriers.items()}
-    entries = []
-    for wd, rows in T.table.items():
-        entries.append((wd, {
-            tuple(idx[bw][x] for bw, x in zip(wd.block_types, combo)):
-                idx[wd.output_word][out]
-            for combo, out in rows.items()}))
-    return TableCircuitAlgebra(T.palette, T.bound, carriers, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +272,7 @@ def test_ca_free_check_json_reports_violation(tmp_path, capsys, monkeypatch):
 
 
 def test_brauerkit_seed_env(tmp_path, capsys, monkeypatch):
-    good = write_doc(tmp_path, "alg.json", algebra_to_json(renamed_table_algebra()))
+    good = write_doc(tmp_path, "alg.json", algebra_to_json(renamed_pairing_table(MONO)))
     monkeypatch.setenv("BRAUERKIT_SEED", "77")
     code, out, _ = cli(capsys, "ca", "check", "--algebra", good, "--json")
     assert code == 0 and json.loads(out)["seed"] == 77
@@ -491,7 +470,7 @@ def test_species_segal_failure_names_graph(species_docs, capsys):
 
 
 def test_species_check_co(tmp_path, capsys):
-    path = write_doc(tmp_path, "alg.json", algebra_to_json(renamed_table_algebra()))
+    path = write_doc(tmp_path, "alg.json", algebra_to_json(renamed_pairing_table(MONO)))
     code, out, _ = cli(capsys, "species", "check-co", "--algebra", path,
                        "--modular", "--json")
     assert code == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -63,7 +64,7 @@ from brauerkit.wiring import (
     pairing_algebra,
 )
 
-from genutil import random_graph
+from genutil import random_graph, renamed_pairing_table
 
 MONO = monochrome_palette()
 ORI = oriented_palette()
@@ -330,6 +331,30 @@ def test_operad_contraction_corruption_detected():
     report = validate_circuit_operad(S, bad)
     assert not report.passed
     assert any(v[0] == "contraction-typing" for v in report.violations)
+
+
+# sha256 of repr((S.tables, S.actions, C.boxtimes, C.contraction,
+# C.epsilon, C.external_unit)) of the lift, recorded before the lift
+# read its operations from wiring._algebra_ops; the bound-2 tables are
+# the renamed pairing tables that species check-co reads
+LIFT_PINS = {
+    "pairing mono 6": (lambda: pairing_algebra(MONO, 6),
+                       "3aefd7d2f428511e277232eea1857d7fa84fd7164a5eaa5ea609ce2a3df105e4"),
+    "pairing ori 4": (lambda: pairing_algebra(ORI, 4),
+                      "8a90da8f319d709da6b036ab61a178adae2aa7a2c55ee168dbd3af3335a51255"),
+    "table ori 2": (lambda: renamed_pairing_table(ORI, 2),
+                    "02e7406554bf7e58fa2915334d51183c8905c3a09b5fb2fe20f225cbe4f1d7da"),
+    "table mono 2": (lambda: renamed_pairing_table(MONO, 2),
+                     "c84a7a086b7d08abd290751037f43c5c9772f999cf28c3fd7eb44f98ff7d08c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_PINS))
+def test_lift_pinned(name):
+    build, digest = LIFT_PINS[name]
+    S, C = species_from_circuit_algebra(build())
+    data = (S.tables, S.actions, C.boxtimes, C.contraction, C.epsilon, C.external_unit)
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
 
 
 def test_unit_uniqueness():

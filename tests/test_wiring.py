@@ -51,6 +51,8 @@ from brauerkit.wiring import (
     wiring_to_json,
 )
 
+from genutil import renamed_pairing_table
+
 MONO = monochrome_palette()
 ORI = oriented_palette()
 
@@ -236,17 +238,6 @@ def test_corrupted_table_pinpointed():
     assert any(v[0] == "composition" for v in report.violations)
 
 
-def _indexed(T):
-    """T with every carrier element renamed to its index, so that
-    violation details print without element reprs."""
-    idx = {w: {x: i for i, x in enumerate(xs)} for w, xs in T.carriers.items()}
-    entries = [(wd, {tuple(idx[bw][x] for bw, x in zip(wd.block_types, combo)):
-                     idx[wd.output_word][out] for combo, out in rows.items()})
-               for wd, rows in T.table.items()]
-    carriers = {w: tuple(range(len(xs))) for w, xs in T.carriers.items()}
-    return TableCircuitAlgebra(T.palette, T.bound, carriers, entries)
-
-
 # (checked on the clean table, checked on the corrupted one, violation
 # digest) of the sampled check of the mono bound-4 table at seeds 0-5,
 # measured before the pools of check_circuit_algebra were hoisted; the digest is the first 12
@@ -262,9 +253,7 @@ SAMPLED_PINS = {
 
 
 def test_sampled_check_draws_pinned():
-    A = pairing_algebra(MONO, 4)
-    words = list(A.words())
-    table = _indexed(tabulate(A, enumerate_wirings(MONO, words, words, max_blocks=2)))
+    table = renamed_pairing_table(MONO, 4)
     # the corruption moves every two-block action onto cccc round its
     # three elements, so the composition samples that meet one record
     # their wirings and inputs
