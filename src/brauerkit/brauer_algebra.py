@@ -232,7 +232,7 @@ def ring_by_name(name: str) -> Ring:
         return QQ
     if name in ("Z[t]", "Zt"):
         return ZPOLY
-    if name.startswith("Z/"):
+    if isinstance(name, str) and name.startswith("Z/"):
         return integers_mod(int(name[2:]))
     raise ValueError(f"unknown ring: {name!r}")
 

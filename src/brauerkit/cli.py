@@ -42,6 +42,7 @@ from .coloured import (
     palette_from_json,
 )
 from .graph import (
+    InvalidParameter,
     corolla,
     elements,
     empty,
@@ -148,6 +149,8 @@ def _load_xgraph(arg):
             rho = doc.get("rho")
             if rho is None:
                 return make_xgraph(g, None)
+            if not isinstance(rho, dict):
+                raise InvalidParameter(f"rho must map ports to labels, got {rho!r}")
             decoded = {decode_label(json.loads(k)): decode_label(v)
                        for k, v in rho.items()}
             return make_xgraph(g, decoded)

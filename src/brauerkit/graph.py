@@ -111,8 +111,8 @@ def make_graph(edges, tau_pairs, half_edges, vertices):
         raise InvalidParameter("duplicate vertex labels")
     edge_set = set(edges)
 
+    tau_pairs = list(tau_pairs)
     seen = set()
-    pairs = []
     for a, b in tau_pairs:
         if a == b:
             raise InvalidParameter(f"tau fixes {a!r}")
@@ -121,9 +121,6 @@ def make_graph(edges, tau_pairs, half_edges, vertices):
         if a in seen or b in seen:
             raise InvalidParameter(f"edge repeated in tau pairs near ({a!r}, {b!r})")
         seen.update((a, b))
-        if label_key(a) > label_key(b):
-            a, b = b, a
-        pairs.append((a, b))
     if seen != edge_set:
         missing = sort_labels(edge_set - seen)
         raise InvalidParameter(f"tau undefined on {missing!r}")
@@ -140,13 +137,7 @@ def make_graph(edges, tau_pairs, half_edges, vertices):
             raise InvalidParameter(f"two half-edges on edge {e!r}")
         hit.add(e)
         halves.append((e, v))
-
-    return Graph(
-        tuple(sort_labels(edges)),
-        tuple(sorted(pairs, key=lambda p: label_key(p[0]))),
-        tuple(sorted(halves, key=lambda h: label_key(h[0]))),
-        tuple(sort_labels(vertices)),
-    )
+    return _graph(edges, tau_pairs, halves, vertices)
 
 
 def _graph(edges, tau_pairs, half_edges, vertices):
@@ -254,18 +245,6 @@ class GraphMorphism:
     @cached_property
     def vertex_map(self):
         return dict(self.vertex_pairs)
-
-    @cached_property
-    def half_map(self):
-        # s injective on both sides, so the half-edge component is forced
-        out = {}
-        em = self.edge_map
-        tv = self.target.edge_vertex
-        for e, v in self.source.half_edges:
-            img = em[e]
-            if img in tv:
-                out[(e, v)] = (img, tv[img])
-        return out
 
 
 def make_morphism(source, target, edge_map, vertex_map):

@@ -56,13 +56,7 @@ from .graph import (
     x_iso,
 )
 from .labels import decode_label, encode_label, label_key, sort_labels
-from .wiring import (
-    ArityBoundExceeded,
-    ColourMismatch,
-    MissingActionEntry,
-    perm_wiring,
-    unit_epsilon,
-)
+from .wiring import ArityBoundExceeded, ColourMismatch, MissingActionEntry, _algebra_ops
 
 
 class BoundTooLarge(ValueError):
@@ -104,6 +98,14 @@ def _sort_perm(word):
 
 def _block(p, q):
     return p + tuple(len(p) + i for i in q)
+
+
+def _adjacent_swaps(word):
+    # the transpositions of equal neighbouring letters; at a sorted word
+    # they generate the stabilizer
+    for k in range(len(word) - 1):
+        if word[k] == word[k + 1]:
+            yield _identity(k) + (k + 1, k) + tuple(range(k + 2, len(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +405,13 @@ class CircuitOperadStructure:
 
 
 def make_operad_structure(boxtimes, contraction, epsilon, external_unit=None):
-    box = []
-    for w1, w2, rows in (
-            ((w1, w2, rows) for (w1, w2), rows in boxtimes.items())
-            if isinstance(boxtimes, dict) else boxtimes):
-        if isinstance(rows, dict):
-            rows = tuple((a, b, v) for (a, b), v in rows.items())
-        box.append((tuple(w1), tuple(w2), tuple(rows)))
-    zeta = []
-    for w, i, j, rows in (
-            ((w, i, j, rows) for (w, i, j), rows in contraction.items())
-            if isinstance(contraction, dict) else contraction):
-        if isinstance(rows, dict):
-            rows = tuple(rows.items())
-        zeta.append((tuple(w), int(i), int(j), tuple(rows)))
-    eps = tuple(epsilon.items() if isinstance(epsilon, dict) else epsilon)
-    return CircuitOperadStructure(tuple(box), tuple(zeta), eps, external_unit)
+    """The structure from dicts: boxtimes {(w1, w2): {(a, b): value}},
+    contraction {(w, i, j): {a: value}}, epsilon {colour: name}."""
+    box = tuple((tuple(w1), tuple(w2), tuple((a, b, v) for (a, b), v in rows.items()))
+                for (w1, w2), rows in boxtimes.items())
+    zeta = tuple((tuple(w), int(i), int(j), tuple(rows.items()))
+                 for (w, i, j), rows in contraction.items())
+    return CircuitOperadStructure(box, zeta, tuple(epsilon.items()), external_unit)
 
 
 def apply_product(S, C, w1, n1, w2, n2):
@@ -679,79 +672,54 @@ def pointed_from_operad(S, C):
 
 def species_from_circuit_algebra(A):
     """Rebuild a circuit algebra's carriers as a species with the operad
-    structure its wiring action induces.  Elements are renamed to their
-    carrier indices so the result is plain label data."""
-    from .wiring import derived_boxtimes, derived_contraction
-
+    structure its wiring action induces: the tables of the operations
+    that check_derived_axioms checks, at sorted words.  Elements are
+    renamed to their carrier indices so the result is plain label data."""
+    ops = _algebra_ops(A)
     palette, bound = A.palette, A.bound
-    omega = palette.omega
-
-    def index_in(word, elem):
-        return A.elements(word).index(elem)
-
-    def act_perm(word, sigma, elem):
-        if sigma == _identity(len(sigma)):
-            return elem
-        return A.act(perm_wiring(palette, word, sigma))((elem,))
-
     reps = []
     for n in range(bound + 1):
         reps.extend(itertools.combinations_with_replacement(palette.colours, n))
     tables = {r: tuple(range(len(A.elements(r)))) for r in reps}
+    # per sorted word, the carrier index of each element's first occurrence
+    index = {r: {x: i for i, x in reversed(list(enumerate(A.elements(r))))} for r in reps}
 
-    actions = []
-    for r in reps:
-        if len(tables[r]) <= 1:
-            continue
-        carrier = A.elements(r)
-        for k in range(len(r) - 1):
-            if r[k] != r[k + 1]:
-                continue
-            perm = list(_identity(len(r)))
-            perm[k], perm[k + 1] = perm[k + 1], perm[k]
-            perm = tuple(perm)
-            mapping = {i: index_in(r, act_perm(r, perm, carrier[i]))
-                       for i in tables[r]}
-            actions.append((r, perm, mapping))
+    def name(word, x):
+        if x not in index[word]:
+            raise ValueError(f"{x!r} is not in the carrier at {word!r}")
+        return index[word][x]
 
+    def sorted_name(word, x):
+        # the name of x, at an unsorted word, in the sorted table
+        sort = _sort_perm(word)
+        if sort != _identity(len(word)):
+            x = ops.relabel(word, sort, x)
+        return name(_apply(word, sort), x)
+
+    actions = [(r, perm, {i: name(r, ops.relabel(r, perm, x))
+                          for i, x in enumerate(A.elements(r))})
+               for r in reps if len(tables[r]) > 1 for perm in _adjacent_swaps(r)]
     S = make_species(palette, bound, tables, actions)
 
     box = {}
     for r1, r2 in itertools.product(reps, repeat=2):
         if len(r1) + len(r2) > bound or not tables[r1] or not tables[r2]:
             continue
-        whole = r1 + r2
-        sort = _sort_perm(whole)
-        fn = derived_boxtimes(A, r1, r2)
-        rows = {}
-        for a, b in itertools.product(tables[r1], tables[r2]):
-            val = fn(A.elements(r1)[a], A.elements(r2)[b])
-            rows[(a, b)] = index_in(_apply(whole, sort), act_perm(whole, sort, val))
-        box[(r1, r2)] = rows
+        xs, ys = A.elements(r1), A.elements(r2)
+        box[(r1, r2)] = {(a, b): sorted_name(r1 + r2, ops.box(r1, xs[a], r2, ys[b]))
+                         for a, b in itertools.product(tables[r1], tables[r2])}
 
     zeta = {}
     for r in reps:
-        if not tables[r]:
+        xs = A.elements(r)
+        if not xs:
             continue
-        for i in range(len(r)):
-            for j in range(i + 1, len(r)):
-                if r[i] != omega(r[j]):
-                    continue
-                fn = derived_contraction(A, r, i + 1, j + 1)
-                zeta[(r, i, j)] = {
-                    a: index_in(drop(r, i, j), fn(A.elements(r)[a]))
-                    for a in tables[r]
-                }
+        for i, j in contractable(r, ops.omega):
+            zeta[(r, i, j)] = {a: name(drop(r, i, j), ops.zeta(r, i, j, xs[a]))
+                               for a in tables[r]}
 
-    epsilon = {}
-    for c in palette.colours:
-        val = unit_epsilon(A, c)
-        word = (c, omega(c))
-        sort = _sort_perm(word)
-        epsilon[c] = index_in(_apply(word, sort), act_perm(word, sort, val))
-
-    unit = A.unit_element()
-    external = None if unit is None else index_in((), unit)
+    epsilon = {c: sorted_name((c, ops.omega(c)), ops.eps(c)) for c in palette.colours}
+    external = None if ops.unit is None else name((), ops.unit)
     return S, make_operad_structure(box, zeta, epsilon, external)
 
 
@@ -968,12 +936,7 @@ def build_free_species(gen, v_max, e_max, bound):
             if word != tuple(sort_labels(word)):
                 continue  # unsorted words are reached through the actions
             tables[word] = tuple(els)
-            for k in range(n - 1):
-                if word[k] != word[k + 1]:
-                    continue
-                perm = list(_identity(n))
-                perm[k], perm[k + 1] = perm[k + 1], perm[k]
-                perm = tuple(perm)
+            for perm in _adjacent_swaps(word):
                 inv = _inv(perm)
                 mapping = {}
                 for idx, st in els:
@@ -1213,14 +1176,6 @@ def species_from_json(obj):
     return make_species(palette, bound, tables, actions)
 
 
-def _encode_structure(st):
-    return encode_label(st)
-
-
-def _decode_structure(obj):
-    return decode_label(obj)
-
-
 def presheaf_to_json(P):
     return {
         "graphs": [
@@ -1229,13 +1184,13 @@ def presheaf_to_json(P):
         ],
         "values": [
             {"id": encode_label(gid),
-             "elements": [_encode_structure(e) for e in es]}
+             "elements": [encode_label(e) for e in es]}
             for gid, es in P.values
         ],
         "restrictions": [
             {"graph": encode_label(gid), "kind": kind,
              "anchor": encode_label(anchor), "shape": encode_label(sid),
-             "map": [[_encode_structure(a), _encode_structure(b)]
+             "map": [[encode_label(a), encode_label(b)]
                      for a, b in mapping]}
             for gid, kind, anchor, sid, mapping in P.restrictions
         ],
@@ -1243,7 +1198,7 @@ def presheaf_to_json(P):
             {"graph": encode_label(gid),
              "edge": encode_label(he[0]), "vertex": encode_label(he[1]),
              "source": encode_label(src), "target": encode_label(tgt),
-             "map": [[_encode_structure(a), _encode_structure(b)]
+             "map": [[encode_label(a), encode_label(b)]
                      for a, b in mapping]}
             for gid, he, src, tgt, mapping in P.arrows
         ],
@@ -1258,13 +1213,13 @@ def presheaf_from_json(obj):
         )
         values = tuple(
             (decode_label(row["id"]),
-             tuple(_decode_structure(e) for e in row["elements"]))
+             tuple(decode_label(e) for e in row["elements"]))
             for row in obj["values"]
         )
         restrictions = tuple(
             (decode_label(row["graph"]), row["kind"], decode_label(row["anchor"]),
              decode_label(row["shape"]),
-             tuple((_decode_structure(a), _decode_structure(b))
+             tuple((decode_label(a), decode_label(b))
                    for a, b in row["map"]))
             for row in obj["restrictions"]
         )
@@ -1272,7 +1227,7 @@ def presheaf_from_json(obj):
             (decode_label(row["graph"]),
              (decode_label(row["edge"]), decode_label(row["vertex"])),
              decode_label(row["source"]), decode_label(row["target"]),
-             tuple((_decode_structure(a), _decode_structure(b))
+             tuple((decode_label(a), decode_label(b))
                    for a, b in row["map"]))
             for row in obj.get("arrows", [])
         )

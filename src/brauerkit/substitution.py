@@ -474,7 +474,7 @@ def gog_from_json(data):
             rho = {decode_label(json.loads(p)): decode_label(lab)
                    for p, lab in entry["rho"].items()}
             assign[v] = make_xgraph(graph_from_json(entry["graph"]), rho)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise InvalidParameter(f"malformed graph-of-graphs document: {exc}") from exc
     return make_gog(base, assign)
 

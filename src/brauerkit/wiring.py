@@ -9,16 +9,19 @@ on the nose.
 
 Circuit algebras here are Set-valued: finite carriers per colour word
 up to an arity bound, plus an action of every wiring diagram within
-the bound.  Three flavours: function-backed (action is a callable),
-table-backed (extensional tables, validated complete at load time),
-and free on a typed generating set (elements are shape/generator
-pairs, the action rewires shapes and concatenates generators, so it
-never needs the carriers enumerated).  Free elements are stored in a
-canonical form that reorders blocks and generator entries together;
-without that identification the block-symmetry law could not hold.
-Carrier enumeration for the free algebra is a truncation: block
-count, source arity, and bubble count are capped, while the action
-itself stays exact.
+the bound.  CircuitAlgebra is that pair, with the action a callable;
+its act is the one place that checks the palette, the bound and, for
+algebras on downward diagrams only, downwardness.  Two subclasses
+supply their own action: TableCircuitAlgebra looks it up in
+extensional tables, validated complete at load time, and the free
+algebra on a typed generating set acts symbolically (elements are
+shape/generator pairs, the action rewires shapes and concatenates
+generators), so it enumerates a carrier only when asked for it.  Free
+elements are stored in a canonical form that reorders blocks and
+generator entries together; without that identification the
+block-symmetry law could not hold.  Carrier enumeration for the free
+algebra is a truncation: block count, source arity, and bubble count
+are capped, while the action itself stays exact.
 
 Derived operations: block juxtaposition, contraction of two
 omega-dual boundary positions, their composite, and the cap unit.
@@ -26,7 +29,8 @@ check_circuit_algebra verifies the operad-algebra axioms (identity,
 block equivariance, composition square); check_derived_axioms /
 check_downward_algebra run the circuit-operad laws of the axioms
 module on the derived operations, with or without the connected unit,
-relabelling through perm_wiring.  Checks run exhaustively when the
+relabelling through perm_wiring; species.species_from_circuit_algebra
+tabulates the same operations.  Checks run exhaustively when the
 instance count fits the budget and fall back to seeded sampling
 otherwise; the axioms.Report records mode, seed, and every violation
 found as a sorted (kind, detail) pair.
@@ -150,12 +154,19 @@ def operad_gamma(g: WiringDiagram, fs) -> WiringDiagram:
             raise PaletteMismatch("substituting across palettes")
         if f.output_word != want:
             raise TypeMismatch(f"block expects {want!r}, argument yields {f.output_word!r}")
-    inner = fs[0].diagram if fs else empty_coloured(g.palette)
-    for f in fs[1:]:
-        inner = tensor_coloured(inner, f.diagram)
     # the blocks of the fs cover the composite's sources, as make_wiring checks
     blocks = sum((f.block_sizes for f in fs), ())
-    return WiringDiagram(compose_coloured(inner, g.diagram), blocks)
+    return WiringDiagram(_plug(g, [f.diagram for f in fs]), blocks)
+
+
+def _plug(g: WiringDiagram, diagrams) -> ColouredBrauerDiagram:
+    # tensor one diagram per block side by side and compose into g
+    if len(diagrams) != len(g.block_sizes):
+        raise BlockMismatch(f"{len(g.block_sizes)} blocks, {len(diagrams)} inputs")
+    inner = diagrams[0] if diagrams else empty_coloured(g.palette)
+    for d in diagrams[1:]:
+        inner = tensor_coloured(inner, d)
+    return compose_coloured(inner, g.diagram)
 
 
 def _concat_permutation(images, old_sizes):
@@ -210,41 +221,11 @@ def _word_sort_key(word):
 
 
 class CircuitAlgebra:
-    """Shared interface: carriers per colour word, action per wiring
-    diagram.  Subclasses fill in elements() and _apply()."""
+    """Carriers per colour word up to the arity bound, and an action
+    action(wd, inputs) of every wiring diagram within the bound, with one
+    input per block.  With downward_only the algebra acts on downward
+    wiring diagrams alone."""
 
-    palette: Palette
-    bound: int
-
-    def words(self) -> tuple:
-        raise NotImplementedError
-
-    def elements(self, word) -> tuple:
-        raise NotImplementedError
-
-    def unit_element(self):
-        # canonical inhabitant of the empty word, when there is one
-        elems = self.elements(())
-        return elems[0] if len(elems) == 1 else None
-
-    def _check_bounds(self, wd: WiringDiagram):
-        if wd.palette != self.palette:
-            raise PaletteMismatch("wiring diagram over the wrong palette")
-        if len(wd.output_word) > self.bound:
-            raise ArityBoundExceeded(f"output word longer than bound {self.bound}")
-        for w in wd.block_types:
-            if len(w) > self.bound:
-                raise ArityBoundExceeded(f"block word longer than bound {self.bound}")
-
-    def act(self, wd: WiringDiagram):
-        self._check_bounds(wd)
-        return lambda inputs: self._apply(wd, tuple(inputs))
-
-    def _apply(self, wd, inputs):
-        raise NotImplementedError
-
-
-class FunctionCircuitAlgebra(CircuitAlgebra):
     def __init__(self, palette, bound, carriers, action, downward_only=False):
         self.palette = palette
         self.bound = int(bound)
@@ -255,27 +236,40 @@ class FunctionCircuitAlgebra(CircuitAlgebra):
         self.action = action
         self.downward_only = downward_only
 
-    def words(self):
+    def words(self) -> tuple:
         return tuple(sorted(self.carriers, key=_word_sort_key))
 
-    def elements(self, word):
+    def elements(self, word) -> tuple:
         return self.carriers.get(tuple(word), ())
 
-    def _apply(self, wd, inputs):
+    def unit_element(self):
+        # canonical inhabitant of the empty word, when there is one
+        elems = self.elements(())
+        return elems[0] if len(elems) == 1 else None
+
+    def act(self, wd: WiringDiagram):
+        if wd.palette != self.palette:
+            raise PaletteMismatch("wiring diagram over the wrong palette")
+        if len(wd.output_word) > self.bound:
+            raise ArityBoundExceeded(f"output word longer than bound {self.bound}")
+        for w in wd.block_types:
+            if len(w) > self.bound:
+                raise ArityBoundExceeded(f"block word longer than bound {self.bound}")
         if self.downward_only and not is_downward_wiring(wd):
             raise NotDownward("algebra only acts on downward wiring diagrams")
-        if len(inputs) != len(wd.block_sizes):
-            raise BlockMismatch(f"{len(wd.block_sizes)} blocks, {len(inputs)} inputs")
-        return self.action(wd, inputs)
+        action = self.action
+        return lambda inputs: action(wd, tuple(inputs))
+
+
+# CircuitAlgebra under the name that says its action is a callable
+FunctionCircuitAlgebra = CircuitAlgebra
 
 
 class TableCircuitAlgebra(CircuitAlgebra):
     """Extensional action tables; completeness is checked at load."""
 
     def __init__(self, palette, bound, carriers, entries):
-        self.palette = palette
-        self.bound = int(bound)
-        self.carriers = {tuple(w): tuple(xs) for w, xs in carriers.items()}
+        super().__init__(palette, bound, carriers, self._lookup)
         self.table = {}
         for wd, rows in entries:
             rows = dict(rows)
@@ -294,16 +288,10 @@ class TableCircuitAlgebra(CircuitAlgebra):
                 raise MissingActionEntry(f"table for {wd} has spurious rows")
             self.table[wd] = rows
 
-    def words(self):
-        return tuple(sorted(self.carriers, key=_word_sort_key))
-
-    def elements(self, word):
-        return self.carriers.get(tuple(word), ())
-
     def listed_wirings(self):
         return tuple(self.table)
 
-    def _apply(self, wd, inputs):
+    def _lookup(self, wd, inputs):
         if wd not in self.table:
             raise MissingActionEntry(f"no table entry for {wd}")
         return self.table[wd][inputs]
@@ -313,10 +301,6 @@ class TableCircuitAlgebra(CircuitAlgebra):
 class FreeCAElement:
     shape: WiringDiagram
     generators: tuple
-
-    @property
-    def word(self) -> tuple:
-        return self.shape.output_word
 
 
 def _free_key(shape: WiringDiagram, gens: tuple):
@@ -347,31 +331,26 @@ def free_element(shape: WiringDiagram, generators) -> FreeCAElement:
 class FreeCircuitAlgebra(CircuitAlgebra):
     """Free algebra on typed generators.  The action is symbolic, so
     carriers only matter for enumeration and are truncated by block
-    count, source arity (the bound), and bubble cap."""
+    count, source arity (the bound), and bubble cap; each word's carrier
+    is enumerated when first asked for."""
 
     def __init__(self, palette, bound, generators, max_blocks=None,
                  bubble_cap=1, downward_only=False):
-        self.palette = palette
-        self.bound = int(bound)
+        super().__init__(palette, bound, {}, self._substitute, downward_only)
         self.generators = {tuple(w): tuple(g) for w, g in generators.items()}
         for w in self.generators:
             if len(w) > self.bound:
                 raise ArityBoundExceeded(f"generator word {w!r} longer than bound")
         self.max_blocks = self.bound if max_blocks is None else int(max_blocks)
         self.bubble_cap = int(bubble_cap)
-        self.downward_only = downward_only
-        self._cache = {}
 
     def words(self):
-        out = []
-        for k in range(self.bound + 1):
-            out.extend(itertools.product(self.palette.colours, repeat=k))
-        return tuple(sorted(out, key=_word_sort_key))
+        return tuple(sorted(_words_up_to(self.palette, self.bound), key=_word_sort_key))
 
     def elements(self, word):
         word = tuple(word)
-        if word in self._cache:
-            return self._cache[word]
+        if word in self.carriers:
+            return self.carriers[word]
         if len(word) > self.bound:
             raise ArityBoundExceeded(f"word {word!r} longer than bound {self.bound}")
         gen_words = sorted(self.generators, key=_word_sort_key)
@@ -390,15 +369,13 @@ class FreeCircuitAlgebra(CircuitAlgebra):
                         if e not in seen:
                             seen.add(e)
                             out.append(e)
-        self._cache[word] = tuple(out)
-        return self._cache[word]
+        self.carriers[word] = tuple(out)
+        return self.carriers[word]
 
     def unit_element(self):
         return FreeCAElement(make_wiring(empty_coloured(self.palette), ()), ())
 
-    def _apply(self, wd, inputs):
-        if self.downward_only and not is_downward_wiring(wd):
-            raise NotDownward("algebra only acts on downward wiring diagrams")
+    def _substitute(self, wd, inputs):
         shape = operad_gamma(wd, [x.shape for x in inputs])
         gens = tuple(g for x in inputs for g in x.generators)
         return free_element(shape, gens)
@@ -410,38 +387,33 @@ def free_circuit_algebra(palette, bound, generators, max_blocks=None,
                               bubble_cap, downward_only)
 
 
-def one_point_algebra(palette: Palette, bound: int) -> FunctionCircuitAlgebra:
-    carriers = {}
-    for k in range(bound + 1):
-        for w in itertools.product(palette.colours, repeat=k):
-            carriers[w] = ("*",)
-    return FunctionCircuitAlgebra(palette, bound, carriers, lambda wd, inputs: "*")
+def _words_up_to(palette: Palette, bound: int):
+    # every colour word of length at most bound, shortest first
+    return [w for k in range(bound + 1) for w in itertools.product(palette.colours, repeat=k)]
 
 
-def pairing_algebra(palette: Palette, bound: int,
-                    downward_only=False) -> FunctionCircuitAlgebra:
+def one_point_algebra(palette: Palette, bound: int) -> CircuitAlgebra:
+    return CircuitAlgebra(palette, bound, {w: ("*",) for w in _words_up_to(palette, bound)},
+                          lambda wd, inputs: "*")
+
+
+def pairing_algebra(palette: Palette, bound: int, downward_only=False) -> CircuitAlgebra:
     """Carriers: colour-consistent pairings on each word (diagrams
     with no inputs and no bubbles).  A wiring diagram acts by plugging
     the pairings into its blocks, composing, and discarding whatever
     bubbles form.  Discarding is consistent: bubbles never touch the
     open part again, so the composition square holds."""
-    carriers = {}
-    for k in range(bound + 1):
-        for w in itertools.product(palette.colours, repeat=k):
-            carriers[w] = tuple(coloured_diagrams(palette, (), w))
+    carriers = {w: tuple(coloured_diagrams(palette, (), w))
+                for w in _words_up_to(palette, bound)}
 
     def action(wd, inputs):
-        inner = inputs[0] if inputs else empty_coloured(palette)
-        for x in inputs[1:]:
-            inner = tensor_coloured(inner, x)
-        full = compose_coloured(inner, wd.diagram)
+        full = _plug(wd, inputs)
         # full has no sources, so zeroing the closed count discards the
         # bubbles and keeps the open part as-is; no revalidation needed
         open_base = BrauerDiagram(0, full.base.n, full.base.partner)
         return ColouredBrauerDiagram(palette, open_base, full.colours, ())
 
-    return FunctionCircuitAlgebra(palette, bound, carriers, action,
-                                  downward_only=downward_only)
+    return CircuitAlgebra(palette, bound, carriers, action, downward_only)
 
 
 def tabulate(A: CircuitAlgebra, wirings) -> TableCircuitAlgebra:
@@ -816,7 +788,7 @@ def algebra_from_json(obj: dict) -> TableCircuitAlgebra:
                 *ins, out = row
                 rows[tuple(decode_label(x) for x in ins)] = decode_label(out)
             entries.append((wd, rows))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, (ColouringError, BlockMismatch, MissingActionEntry)):
             raise
         raise MissingActionEntry(f"not a circuit algebra object: {exc}") from exc

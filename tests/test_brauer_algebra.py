@@ -14,6 +14,7 @@ from brauerkit.brauer import (
     identity,
     make_diagram,
     open_diagrams,
+    tensor,
 )
 from brauerkit.brauer_algebra import (
     QQ,
@@ -26,6 +27,7 @@ from brauerkit.brauer_algebra import (
     br_add,
     br_compose,
     br_scale,
+    br_tensor,
     br_zero,
     element_from_json,
     element_of,
@@ -148,6 +150,43 @@ def test_bd_to_br_t_functorial():
 
 def _with_closed(d, rng):
     return d.m, d.n, d.pairs, rng.randint(0, 2)
+
+
+def _same_parity(rng, k):
+    # k arities of one parity, so that any two bound a Brauer diagram
+    first = rng.randint(0, 3)
+    return [first] + [first % 2 + 2 * rng.randint(0, 1) for _ in range(k - 1)]
+
+
+def _random_element(rng, m, n):
+    """A sum of up to three random open diagrams with Z[t] coefficients."""
+    acc = br_zero(ZPOLY, m, n)
+    for _ in range(rng.randint(0, 3)):
+        acc = br_add(acc, element_of(ZPOLY, _random_open(rng, m, n), _sample(ZPOLY, rng)))
+    return acc
+
+
+def test_br_tensor_agrees_with_tensor_on_basis():
+    rng = random.Random(89)
+    for _ in range(100):
+        m1, n1 = _same_parity(rng, 2)
+        m2, n2 = _same_parity(rng, 2)
+        f = make_diagram(*_with_closed(_random_open(rng, m1, n1), rng))
+        g = make_diagram(*_with_closed(_random_open(rng, m2, n2), rng))
+        assert br_tensor(bd_to_br_t(f), bd_to_br_t(g)) == bd_to_br_t(tensor(f, g))
+
+
+def test_br_interchange_law():
+    rng = random.Random(97)
+    for _ in range(60):
+        m1, n1, p1 = _same_parity(rng, 3)
+        m2, n2, p2 = _same_parity(rng, 3)
+        a, c = _random_element(rng, m1, n1), _random_element(rng, n1, p1)
+        b, d = _random_element(rng, m2, n2), _random_element(rng, n2, p2)
+        delta = _sample(ZPOLY, rng)
+        lhs = br_compose(br_tensor(a, b), br_tensor(c, d), delta)
+        rhs = br_tensor(br_compose(a, c, delta), br_compose(b, d, delta))
+        assert lhs == rhs
 
 
 def test_algebra_dimension_matches_enumeration():

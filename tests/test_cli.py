@@ -482,6 +482,35 @@ def test_species_check_co(tmp_path, capsys):
 # harness behaviour
 
 
+def _malformed_docs(tmp_path):
+    """Six documents whose one wrong-typed field used to escape the
+    loaders as AttributeError: command -> argv."""
+    graph = graph_to_json(corolla(2))
+    gog = write_doc(tmp_path, "gog.json", {"base": graph, "assign": []})
+    algebra = algebra_to_json(renamed_pairing_table(MONO))
+    algebra["carriers"] = []
+    alg = write_doc(tmp_path, "alg.json", algebra)
+    element = element_to_json(bd_to_br_t(sigma_2()))
+    element["ring"] = 5
+    el = write_doc(tmp_path, "el.json", element)
+    xg = write_doc(tmp_path, "xg.json", {"graph": graph, "rho": [1]})
+    return {
+        "gog colimit": ["gog", "colimit", "--gog", gog],
+        "ca check": ["ca", "check", "--algebra", alg],
+        "species check-co": ["species", "check-co", "--algebra", alg],
+        "br mul": ["br", "mul", "--lhs", el, "--rhs", el, "--ring", "Z[t]", "--delta", "t"],
+        "gog terminal": ["gog", "terminal", "--graph", xg],
+        "gog similar": ["gog", "similar", "--left", xg, "--right", xg],
+    }
+
+
+@pytest.mark.parametrize("command", ["gog colimit", "ca check", "species check-co",
+                                     "br mul", "gog terminal", "gog similar"])
+def test_wrong_typed_field_exits_2(tmp_path, capsys, command):
+    code, _, err = cli(capsys, *_malformed_docs(tmp_path)[command])
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     proc = subprocess.run([sys.executable, "-m", "brauerkit.cli", "bd", "nonsense"],
                           capture_output=True, text=True)
