@@ -61,6 +61,15 @@ class Palette:
     colours: tuple
     swaps: tuple  # 2-cycles of omega as (a, b) pairs, a < b; fixed points omitted
 
+    # composition compares palettes on every call, and one palette object
+    # is usually shared; dataclass still generates __hash__ (frozen, eq)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.colours == other.colours and self.swaps == other.swaps
+
     @cached_property
     def _omega(self) -> dict:
         out = {c: c for c in self.colours}

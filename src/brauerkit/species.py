@@ -10,7 +10,13 @@ generic relabellings) reduce to stored data through that identification.
 Permutations are tuples p acting on 0-based positions; the word
 transport is (w . p)[i] = w[p[i]], and the presheaf is contravariant:
 S(p . q) = S(q) o S(p).  Stored action entries only ever stabilize
-their word, so composites can be looked up in a closed group table.
+their word.  Where a word lists exactly its adjacent swaps, each once
+(the lift and the free species list only those), the swaps' maps are
+checked once against the Coxeter relations of the stabilizer, and a
+permutation acts by bubble-sorting it into swaps; any other listing is
+closed under composition when the species is made.  Each species keeps
+bounded caches (CACHE_CAP entries each) of the actions it has composed
+and of the sorting data of the contractions and products it has applied.
 
 The circuit-operad checks run the laws of the axioms module on the
 tables through apply_product, apply_contraction, the stored units and
@@ -108,6 +114,49 @@ def _adjacent_swaps(word):
             yield _identity(k) + (k + 1, k) + tuple(range(k + 2, len(word)))
 
 
+def _bubble_swaps(theta):
+    # k1, k2, ... with theta o s_k1 o s_k2 o ... = identity, so that
+    # theta = ... o s_k2 o s_k1; at a sorted word a stabilizing theta
+    # only ever swaps two positions that carry the same letter
+    cur = list(theta)
+    out = []
+    for end in range(len(cur) - 1, 0, -1):
+        for k in range(end):
+            if cur[k] > cur[k + 1]:
+                cur[k], cur[k + 1] = cur[k + 1], cur[k]
+                out.append(k)
+    return out
+
+
+def _check_coxeter(word, swap_maps, elems):
+    # the listed swaps extend to an action of the stabilizer exactly when
+    # their maps satisfy its Coxeter relations: (s_a s_b)^m = 1 with
+    # m = 1 for a = b, 3 for neighbours and 2 otherwise
+    for a, b in itertools.combinations_with_replacement(sorted(swap_maps), 2):
+        m = 1 if a == b else 3 if b == a + 1 else 2
+        sa, sb = swap_maps[a], swap_maps[b]
+        for e in elems:
+            x = e
+            for _ in range(m):
+                x = sb[sa[x]]
+            if x != e:
+                raise InvalidParameter(
+                    f"action entries at {word!r}: swaps {a} and {b} break (s{a} s{b})^{m} = 1"
+                )
+
+
+# entries each per-species cache holds at most; past it, results are
+# computed and not stored
+CACHE_CAP = 4096
+_UNSEEN = object()
+
+
+def _remember(cache, key, value):
+    if len(cache) < CACHE_CAP:
+        cache[key] = value
+    return value
+
+
 # ---------------------------------------------------------------------------
 # species
 
@@ -131,14 +180,37 @@ class GraphicalSpecies:
         return {w: es for w, es in self.tables}
 
     @cached_property
-    def _closures(self):
-        # close the listed bijections under composition; a subsemigroup
-        # of a finite group is a subgroup, so inverses come for free
-        listed = {}
-        for word, perm, mapping in self.actions:
-            listed.setdefault(word, []).append((perm, dict(mapping)))
+    def _listed(self):
         out = {}
-        for word, gens in listed.items():
+        for word, perm, mapping in self.actions:
+            out.setdefault(word, []).append((perm, dict(mapping)))
+        return out
+
+    @cached_property
+    def _swap_maps(self):
+        # {word: {k: map of s_k}} for the words that list exactly their
+        # adjacent swaps, each once, checked against the Coxeter relations
+        out = {}
+        for word, gens in self._listed.items():
+            perms = [perm for perm, _ in gens]
+            swaps = list(_adjacent_swaps(word))
+            if len(perms) != len(swaps) or set(perms) != set(swaps):
+                continue
+            # an adjacent swap's k is the first position it moves
+            maps = {next(i for i, v in enumerate(perm) if v != i): m for perm, m in gens}
+            _check_coxeter(word, maps, self.table_map.get(word, ()))
+            out[word] = maps
+        return out
+
+    @cached_property
+    def _closures(self):
+        # the words that _swap_maps does not cover: close the listed
+        # bijections under composition; a subsemigroup of a finite group
+        # is a subgroup, so inverses come for free
+        out = {}
+        for word, gens in self._listed.items():
+            if word in self._swap_maps:
+                continue
             elems = self.table_map.get(word, ())
             group = {_identity(len(word)): {e: e for e in elems}}
             frontier = list(group)
@@ -173,27 +245,65 @@ class GraphicalSpecies:
             )
         return self.table_map.get(self.rep(word), ())
 
+    # the caches below live as long as the species and hold at most
+    # CACHE_CAP entries each
+
+    @cached_property
+    def _acts(self):
+        # (sorted word, theta) -> the map of S(theta), None if it fixes every name
+        return {}
+
+    @cached_property
+    def _contraction_plans(self):
+        # (word, x, y) -> ((r, i, j), dropped word, theta): see apply_contraction
+        return {}
+
+    @cached_property
+    def _product_plans(self):
+        # (w1, w2) -> (r1, r2, representative, theta): see apply_product
+        return {}
+
+    @cached_property
+    def _transport_plans(self):
+        # (word, sigma) -> (sorted word, theta): see transport
+        return {}
+
     def act_name(self, rep_word, theta, name):
-        if _apply(rep_word, theta) != rep_word:
-            raise InvalidParameter(f"{theta!r} does not stabilize {rep_word!r}")
-        if theta == _identity(len(theta)):
-            return name
-        if len(self.table_map.get(rep_word, ())) <= 1:
-            return name  # the only bijection of a small set
-        group = self._closures.get(rep_word, {})
-        if theta not in group:
-            raise InvalidParameter(
-                f"no action entry reaches {theta!r} at {rep_word!r}"
-            )
-        return group[theta][name]
+        key = (rep_word, theta)
+        mapping = self._acts.get(key, _UNSEEN)
+        if mapping is _UNSEEN:
+            mapping = _remember(self._acts, key, self._action(rep_word, theta))
+        return name if mapping is None else mapping[name]
+
+    def _action(self, word, theta):
+        if _apply(word, theta) != word:
+            raise InvalidParameter(f"{theta!r} does not stabilize {word!r}")
+        if theta == _identity(len(theta)) or len(self.table_map.get(word, ())) <= 1:
+            return None  # the only bijection of a small set
+        swap_maps = self._swap_maps.get(word)
+        if swap_maps is None or sorted(theta) != list(range(len(theta))):
+            # a closure holds only permutations, and none for a swap listing
+            group = self._closures.get(word, {})
+            if theta not in group:
+                raise InvalidParameter(f"no action entry reaches {theta!r} at {word!r}")
+            return group[theta]
+        # theta = s_kL o ... o s_k1 and S is contravariant, so s_kL acts first
+        mapping = {e: e for e in self.table_map[word]}
+        for k in reversed(_bubble_swaps(theta)):
+            s = swap_maps[k]
+            mapping = {e: s[v] for e, v in mapping.items()}
+        return mapping
 
     def transport(self, word, sigma, name):
         """The name of S(sigma) applied to the element named `name` of S_word."""
-        word = tuple(word)
-        p = _sort_perm(word)
-        target = _apply(word, sigma)
-        theta = _comp(_inv(p), _comp(sigma, _sort_perm(target)))
-        return self.act_name(_apply(word, p), theta, name)
+        key = (tuple(word), tuple(sigma))
+        plan = self._transport_plans.get(key)
+        if plan is None:
+            word, sigma = key
+            p = _sort_perm(word)
+            theta = _comp(_inv(p), _comp(sigma, _sort_perm(_apply(word, sigma))))
+            plan = _remember(self._transport_plans, key, (_apply(word, p), theta))
+        return self.act_name(plan[0], plan[1], name)
 
 
 def make_species(palette, bound, tables, actions=()):
@@ -241,7 +351,9 @@ def make_species(palette, bound, tables, actions=()):
         tuple(sorted(norm_tables.items(), key=lambda kv: label_key(kv[0]))),
         tuple(norm_actions),
     )
-    sp._closures  # composing the listed actions must not conflict
+    # the listed actions must not conflict: swap listings are checked
+    # against the Coxeter relations, any other listing by its closure
+    sp._closures
     return sp
 
 
@@ -414,26 +526,31 @@ def make_operad_structure(boxtimes, contraction, epsilon, external_unit=None):
     return CircuitOperadStructure(box, zeta, tuple(epsilon.items()), external_unit)
 
 
-def apply_product(S, C, w1, n1, w2, n2):
-    """Name of the external product of elements named n1, n2 of S_w1, S_w2."""
-    w1, w2 = tuple(w1), tuple(w2)
+def _product_plan(S, w1, w2):
     if len(w1) + len(w2) > S.bound:
         raise ArityBoundExceeded(f"|{w1!r}| + |{w2!r}| exceeds bound {S.bound}")
     q1, q2 = _sort_perm(w1), _sort_perm(w2)
     r1, r2 = _apply(w1, q1), _apply(w2, q2)
-    rows = C.box_map.get((r1, r2))
-    if rows is None or (n1, n2) not in rows:
-        raise MissingActionEntry(f"no product entry for {r1!r} x {r2!r}")
-    base = rows[(n1, n2)]
     whole = w1 + w2
     theta = _comp(_inv(_sort_perm(r1 + r2)),
                   _comp(_inv(_block(q1, q2)), _sort_perm(whole)))
-    return S.act_name(S.rep(whole), theta, base)
+    return r1, r2, S.rep(whole), theta
 
 
-def apply_contraction(S, C, w, x, y, n):
-    """Name of the contraction at positions x, y of the element named n of S_w."""
-    w = tuple(w)
+def apply_product(S, C, w1, n1, w2, n2):
+    """Name of the external product of elements named n1, n2 of S_w1, S_w2."""
+    key = (tuple(w1), tuple(w2))
+    plan = S._product_plans.get(key)
+    if plan is None:
+        plan = _remember(S._product_plans, key, _product_plan(S, *key))
+    r1, r2, rep, theta = plan
+    rows = C.box_map.get((r1, r2))
+    if rows is None or (n1, n2) not in rows:
+        raise MissingActionEntry(f"no product entry for {r1!r} x {r2!r}")
+    return S.act_name(rep, theta, rows[(n1, n2)])
+
+
+def _contraction_plan(S, w, x, y):
     m = len(w)
     if not (0 <= x < m and 0 <= y < m and x != y):
         raise InvalidParameter(f"positions {(x, y)!r} out of range")
@@ -445,17 +562,27 @@ def apply_contraction(S, C, w, x, y, n):
     r = _apply(w, q)
     qinv = _inv(q)
     i, j = sorted((qinv[x], qinv[y]))
-    rows = C.zeta_map.get((r, i, j))
-    if rows is None or n not in rows:
-        raise MissingActionEntry(f"no contraction entry for {r!r} at {(i, j)!r}")
-    val = rows[n]
     keep_r = [k for k in range(m) if k not in (i, j)]
     keep_w = [k for k in range(m) if k not in (x, y)]
     pos_w = {p: t for t, p in enumerate(keep_w)}
     qhat = tuple(pos_w[q[k]] for k in keep_r)
     w_rest = tuple(w[k] for k in keep_w)
     theta = _comp(_inv(qhat), _sort_perm(w_rest))
-    return S.act_name(drop(r, i, j), theta, val)
+    return (r, i, j), drop(r, i, j), theta
+
+
+def apply_contraction(S, C, w, x, y, n):
+    """Name of the contraction at positions x, y of the element named n of S_w."""
+    key = (tuple(w), x, y)
+    plan = S._contraction_plans.get(key)
+    if plan is None:
+        plan = _remember(S._contraction_plans, key, _contraction_plan(S, *key))
+    zeta_key, dropped, theta = plan
+    rows = C.zeta_map.get(zeta_key)
+    if rows is None or n not in rows:
+        r, i, j = zeta_key
+        raise MissingActionEntry(f"no contraction entry for {r!r} at {(i, j)!r}")
+    return S.act_name(dropped, theta, rows[n])
 
 
 def apply_multiplication(S, C, w1, x, w2, y, n1, n2):
