@@ -283,10 +283,6 @@ def cap_coloured(palette: Palette, word) -> ColouredBrauerDiagram:
     return coev_coloured(coloured_identity(palette, word))
 
 
-def forget_colours(d: ColouredBrauerDiagram) -> BrauerDiagram:
-    return d.base
-
-
 def pushforward(d: ColouredBrauerDiagram, target: Palette, colour_map) -> ColouredBrauerDiagram:
     """Recolour along an involution-preserving map of palettes."""
     phi = dict(colour_map)

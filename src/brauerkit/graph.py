@@ -171,19 +171,25 @@ def isolated_vertex():
     return _graph((), (), (), ("v",))
 
 
-def _port_labels(x):
+def port_labels(x):
+    """A port set given as a count k (the labels 1..k) or as distinct labels."""
     if isinstance(x, bool):
         raise InvalidParameter("boolean is not a port set")
     if isinstance(x, int):
         if x < 0:
             raise InvalidParameter(f"negative port count {x}")
         return tuple(range(1, x + 1))
-    return tuple(x)
+    labels = tuple(x)
+    for lab in labels:
+        label_key(lab)
+    if len(set(labels)) != len(labels):
+        raise InvalidParameter("port labels repeat")
+    return labels
 
 
 def corolla(x):
     """One vertex, one port per element of x, dagger partners inside."""
-    labels = _port_labels(x)
+    labels = port_labels(x)
     edges = list(labels) + [("dag", p) for p in labels]
     tau = [(p, ("dag", p)) for p in labels]
     halves = [(("dag", p), "v") for p in labels]

@@ -9,14 +9,15 @@ generic relabellings) reduce to stored data through that identification.
 
 Permutations are tuples p acting on 0-based positions; the word
 transport is (w . p)[i] = w[p[i]], and the presheaf is contravariant:
-S(p . q) = S(q) o S(p).  Stored action entries only ever stabilize
-their word.  Where a word lists exactly its adjacent swaps, each once
-(the lift and the free species list only those), the swaps' maps are
-checked once against the Coxeter relations of the stabilizer, and a
-permutation acts by bubble-sorting it into swaps; any other listing is
-closed under composition when the species is made.  Each species keeps
-bounded caches (CACHE_CAP entries each) of the actions it has composed
-and of the sorting data of the contractions and products it has applied.
+S(p . q) = S(q) o S(p).  The stabilizer of a sorted word is presented
+by its adjacent swaps, so an action entry is either the identity with
+the identity map or a swap s_k of two equal neighbouring letters, each
+s_k with one map; make_species refuses any other entry and checks the
+listed maps against the Coxeter relations.  A permutation acts by
+bubble-sorting it into swaps, and one that needs an unlisted swap is
+refused.  Each species keeps bounded caches (CACHE_CAP entries each) of
+the actions it has composed and of the sorting data of the contractions
+and products it has applied.
 
 The circuit-operad checks run the laws of the axioms module on the
 tables through apply_product, apply_contraction, the stored units and
@@ -49,6 +50,7 @@ from .axioms import (
 )
 from .coloured import Palette, palette_from_json, palette_to_json
 from .graph import (
+    GraphMorphism,
     InvalidParameter,
     XGraph,
     element_arrows,
@@ -58,6 +60,7 @@ from .graph import (
     graph_to_json,
     make_graph,
     make_xgraph,
+    port_labels,
     x_certificate,
     x_iso,
 )
@@ -129,9 +132,9 @@ def _bubble_swaps(theta):
 
 
 def _check_coxeter(word, swap_maps, elems):
-    # the listed swaps extend to an action of the stabilizer exactly when
-    # their maps satisfy its Coxeter relations: (s_a s_b)^m = 1 with
-    # m = 1 for a = b, 3 for neighbours and 2 otherwise
+    # the listed swaps extend to an action of the subgroup they generate
+    # exactly when their maps satisfy its Coxeter relations: (s_a s_b)^m = 1
+    # with m = 1 for a = b, 3 for neighbours and 2 otherwise
     for a, b in itertools.combinations_with_replacement(sorted(swap_maps), 2):
         m = 1 if a == b else 3 if b == a + 1 else 2
         sa, sb = swap_maps[a], swap_maps[b]
@@ -166,8 +169,9 @@ class GraphicalSpecies:
     """Arity tables at sorted colour words plus stabilizer actions.
 
     tables: ((word, elements), ...); actions: ((word, perm, mapping), ...)
-    where each perm fixes its word letterwise and mapping lists the
-    bijection as (element, image) pairs.
+    where each perm is the identity, with the identity mapping, or an
+    adjacent swap of two equal letters of its word, and mapping lists
+    the bijection as (element, image) pairs.
     """
 
     palette: Palette
@@ -180,55 +184,21 @@ class GraphicalSpecies:
         return {w: es for w, es in self.tables}
 
     @cached_property
-    def _listed(self):
+    def _swap_maps(self):
+        # {word: {k: map of s_k}} for every word that lists a swap; a
+        # listing of some of the swaps presents the parabolic subgroup
+        # they generate, so the Coxeter relations among them suffice
         out = {}
         for word, perm, mapping in self.actions:
-            out.setdefault(word, []).append((perm, dict(mapping)))
-        return out
-
-    @cached_property
-    def _swap_maps(self):
-        # {word: {k: map of s_k}} for the words that list exactly their
-        # adjacent swaps, each once, checked against the Coxeter relations
-        out = {}
-        for word, gens in self._listed.items():
-            perms = [perm for perm, _ in gens]
-            swaps = list(_adjacent_swaps(word))
-            if len(perms) != len(swaps) or set(perms) != set(swaps):
+            if perm == _identity(len(word)):
                 continue
             # an adjacent swap's k is the first position it moves
-            maps = {next(i for i, v in enumerate(perm) if v != i): m for perm, m in gens}
-            _check_coxeter(word, maps, self.table_map.get(word, ()))
-            out[word] = maps
-        return out
-
-    @cached_property
-    def _closures(self):
-        # the words that _swap_maps does not cover: close the listed
-        # bijections under composition; a subsemigroup of a finite group
-        # is a subgroup, so inverses come for free
-        out = {}
-        for word, gens in self._listed.items():
-            if word in self._swap_maps:
-                continue
-            elems = self.table_map.get(word, ())
-            group = {_identity(len(word)): {e: e for e in elems}}
-            frontier = list(group)
-            while frontier:
-                p = frontier.pop()
-                pmap = group[p]
-                for q, qmap in gens:
-                    r = _comp(p, q)
-                    rmap = {e: qmap[pmap[e]] for e in elems}
-                    if r in group:
-                        if group[r] != rmap:
-                            raise InvalidParameter(
-                                f"action entries at {word!r} are inconsistent"
-                            )
-                    else:
-                        group[r] = rmap
-                        frontier.append(r)
-            out[word] = group
+            k = next(i for i, v in enumerate(perm) if v != i)
+            m = dict(mapping)
+            if out.setdefault(word, {}).setdefault(k, m) != m:
+                raise InvalidParameter(f"action entries at {word!r} give s{k} two maps")
+        for word, maps in out.items():
+            _check_coxeter(word, maps, self.table_map[word])
         return out
 
     def rep(self, word):
@@ -276,20 +246,18 @@ class GraphicalSpecies:
         return name if mapping is None else mapping[name]
 
     def _action(self, word, theta):
-        if _apply(word, theta) != word:
-            raise InvalidParameter(f"{theta!r} does not stabilize {word!r}")
+        if sorted(theta) != list(range(len(word))) or _apply(word, theta) != word:
+            raise InvalidParameter(f"{theta!r} is not a permutation stabilizing {word!r}")
         if theta == _identity(len(theta)) or len(self.table_map.get(word, ())) <= 1:
             return None  # the only bijection of a small set
-        swap_maps = self._swap_maps.get(word)
-        if swap_maps is None or sorted(theta) != list(range(len(theta))):
-            # a closure holds only permutations, and none for a swap listing
-            group = self._closures.get(word, {})
-            if theta not in group:
-                raise InvalidParameter(f"no action entry reaches {theta!r} at {word!r}")
-            return group[theta]
-        # theta = s_kL o ... o s_k1 and S is contravariant, so s_kL acts first
+        # theta = s_kL o ... o s_k1 and S is contravariant, so s_kL acts first;
+        # bubble sort writes a reduced word, which stays inside the subgroup
+        # generated by the listed swaps whenever theta lies in it
+        swap_maps = self._swap_maps.get(word, {})
         mapping = {e: e for e in self.table_map[word]}
         for k in reversed(_bubble_swaps(theta)):
+            if k not in swap_maps:
+                raise InvalidParameter(f"no action entry reaches {theta!r} at {word!r}")
             s = swap_maps[k]
             mapping = {e: s[v] for e, v in mapping.items()}
         return mapping
@@ -334,14 +302,18 @@ def make_species(palette, bound, tables, actions=()):
         word, perm = tuple(word), tuple(perm)
         if word not in norm_tables:
             raise InvalidParameter(f"action at unlisted word {word!r}")
-        if sorted(perm) != list(range(len(word))):
-            raise InvalidParameter(f"{perm!r} is not a permutation")
-        if _apply(word, perm) != word:
-            raise InvalidParameter(f"{perm!r} moves the letters of {word!r}")
+        identity = perm == _identity(len(word))
+        # a list, so that perm is compared by == and never hashed or sorted
+        if not identity and perm not in list(_adjacent_swaps(word)):
+            raise InvalidParameter(
+                f"{perm!r} is neither the identity nor a swap of equal neighbours in {word!r}"
+            )
         mapping = dict(mapping)
         elems = norm_tables[word]
         if set(mapping) != set(elems) or set(mapping.values()) != set(elems):
             raise InvalidParameter(f"action at {word!r} is not a table bijection")
+        if identity and any(a != b for a, b in mapping.items()):
+            raise InvalidParameter(f"the identity entry at {word!r} moves an element")
         norm_actions.append((word, perm, tuple(sorted(mapping.items(),
                                                       key=lambda kv: label_key(kv[0])))))
 
@@ -351,9 +323,7 @@ def make_species(palette, bound, tables, actions=()):
         tuple(sorted(norm_tables.items(), key=lambda kv: label_key(kv[0]))),
         tuple(norm_actions),
     )
-    # the listed actions must not conflict: swap listings are checked
-    # against the Coxeter relations, any other listing by its closure
-    sp._closures
+    sp._swap_maps  # the listed swaps must satisfy the Coxeter relations
     return sp
 
 
@@ -446,26 +416,38 @@ def evaluate_by_equalizers(S, g):
     return tuple(out)
 
 
-def transport_structure(S, witness, structure):
-    """Push a structure along an isomorphism witness, reordering each
-    vertex's table name through the induced word permutation."""
-    g, h = witness.source, witness.target
+def pull_back(S, structure, f):
+    """The structure f^* gives on f's source: each edge takes the colour
+    of its image, and each vertex the name of its image's, relabelled by
+    S.transport through the order f puts on its edges.  f must map each
+    vertex's edges bijectively onto its image vertex's."""
     colour_items, vertex_items = structure
     kappa = dict(colour_items)
-    moved = {witness.edge_map[e]: c for e, c in colour_items}
-    inv_edge = {witness.edge_map[e]: e for e in g.edges}
-    new_alpha = {}
-    for v, name in vertex_items:
-        w = witness.vertex_map[v]
-        src_edges = g.vertex_edges(v)
-        word = tuple(kappa[e] for e in src_edges)
-        pos = {e: i for i, e in enumerate(src_edges)}
-        theta = tuple(pos[inv_edge[e]] for e in h.vertex_edges(w))
-        new_alpha[w] = S.transport(word, theta, name)
+    alpha = dict(vertex_items)
+    source, target = f.source, f.target
+    edge_map = f.edge_map
+    out_alpha = []
+    for u in source.vertices:
+        v = f.vertex_map[u]
+        t_edges = target.vertex_edges(v)
+        pos = {e: i for i, e in enumerate(t_edges)}
+        theta = tuple(pos[edge_map[e]] for e in source.vertex_edges(u))
+        out_alpha.append((u, S.transport(tuple(kappa[e] for e in t_edges), theta, alpha[v])))
     return (
-        tuple((e, moved[e]) for e in h.edges),
-        tuple((v, new_alpha[v]) for v in h.vertices),
+        tuple((e, kappa[edge_map[e]]) for e in source.edges),
+        tuple(out_alpha),
     )
+
+
+def transport_structure(S, witness, structure):
+    """Push a structure along an isomorphism witness: the pull-back
+    along its inverse."""
+    inverse = GraphMorphism(
+        witness.target, witness.source,
+        tuple((b, a) for a, b in witness.edge_pairs),
+        tuple((b, a) for a, b in witness.vertex_pairs),
+    )
+    return pull_back(S, structure, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -857,21 +839,6 @@ def species_from_circuit_algebra(A):
 _V_CAP, _E_CAP, _X_CAP = 3, 8, 6
 
 
-def _x_labels_arg(x):
-    if isinstance(x, bool):
-        raise InvalidParameter("boolean is not a port set")
-    if isinstance(x, int):
-        if x < 0:
-            raise InvalidParameter(f"negative port count {x}")
-        return tuple(range(1, x + 1))
-    labels = tuple(x)
-    for lab in labels:
-        label_key(lab)
-    if len(set(labels)) != len(labels):
-        raise InvalidParameter("port labels repeat")
-    return labels
-
-
 def _multigraph_key(nv, ports_at, loops, mult):
     # complete x_iso invariant for port-attached graphs: the labelled
     # multigraph data up to a permutation of the vertices
@@ -964,7 +931,7 @@ def enumerate_x_graphs(x, v_max, e_max):
 
     e_max caps the orbit count: each port contributes one orbit, so the
     inner budget is e_max minus the number of ports."""
-    labels = _x_labels_arg(x)
+    labels = port_labels(x)
     if not isinstance(v_max, int) or not isinstance(e_max, int) or \
             isinstance(v_max, bool) or isinstance(e_max, bool) or \
             v_max < 0 or e_max < 0:
@@ -993,44 +960,32 @@ def contract_free_element(S, x, v_max, e_max, element, px, py):
     """Contraction on the free component: glue the class representative
     at the two named ports and classify the result."""
     reps = enumerate_x_graphs(x, v_max, e_max)
-    idx, (colour_items, vertex_items) = element
+    idx, structure = element
     xg = reps[idx]
     rho_inv = {lab: p for p, lab in xg.rho}
     if px == py or px not in rho_inv or py not in rho_inv:
         raise InvalidParameter(f"ports {(px, py)!r} are not two distinct labels")
     p1, p2 = rho_inv[px], rho_inv[py]
     old = xg.graph
-    kappa = dict(colour_items)
+    kappa = dict(structure[0])
     if kappa[p1] != S.palette.omega(kappa[p2]):
         raise ColourMismatch(
             f"ports {(px, py)!r} carry {(kappa[p1], kappa[p2])!r}, not omega-dual"
         )
     glued = glue(old, p1, p2)
 
-    # the merge classes {p1, tau p2} and {p2, tau p1} keep their smaller
-    # label; kappa agrees on the two members of each, so it descends
-    members = {}
+    # pull back along the glue map glued -> old: the merge classes
+    # {p1, tau p2} and {p2, tau p1} keep their smaller label, which goes
+    # back to the member at its own vertex; kappa agrees on the two
+    # members of each, so it descends
+    back = {}
     for cls in ((p1, old.tau(p2)), (p2, old.tau(p1))):
-        members[min(cls, key=label_key)] = cls
-
-    def preimage_at(v, ne):
-        for e in members.get(ne, (ne,)):
-            if old.edge_vertex.get(e) == v:
-                return e
-        raise InvalidParameter(f"edge {ne!r} has no preimage at {v!r}")
-
-    alpha = dict(vertex_items)
-    new_alpha = []
-    for v in glued.vertices:
-        old_edges = old.vertex_edges(v)
-        pos = {e: i for i, e in enumerate(old_edges)}
-        theta = tuple(pos[preimage_at(v, ne)] for ne in glued.vertex_edges(v))
-        word = tuple(kappa[e] for e in old_edges)
-        new_alpha.append((v, S.transport(word, theta, alpha[v])))
-    structure = (
-        tuple((e, kappa[members.get(e, (e,))[0]]) for e in glued.edges),
-        tuple(new_alpha),
-    )
+        rep = min(cls, key=label_key)
+        at = glued.edge_vertex.get(rep)
+        back[rep] = next(e for e in cls if old.edge_vertex.get(e) == at)
+    f = GraphMorphism(glued, old, tuple((e, back.get(e, e)) for e in glued.edges),
+                      tuple((v, v) for v in glued.vertices))
+    structure = pull_back(S, structure, f)
 
     remaining = tuple(l for l in xg.x_labels if l not in (px, py))
     gx = make_xgraph(glued, {p: lab for p, lab in xg.rho if lab not in (px, py)})
@@ -1126,27 +1081,6 @@ class SegalReport:
         return tuple(gid for gid, ok, _ in self.results if not ok)
 
 
-def _restrict(S, structure, morphism):
-    """Pull a structure back along a graph morphism into a shape."""
-    colour_items, vertex_items = structure
-    kappa = dict(colour_items)
-    alpha = dict(vertex_items)
-    shape = morphism.source
-    target = morphism.target
-    out_alpha = []
-    for u in shape.vertices:
-        v = morphism.vertex_map[u]
-        t_edges = target.vertex_edges(v)
-        word = tuple(kappa[e] for e in t_edges)
-        pos = {e: i for i, e in enumerate(t_edges)}
-        theta = tuple(pos[morphism.edge_map[e]] for e in shape.vertex_edges(u))
-        out_alpha.append((u, S.transport(word, theta, alpha[v])))
-    return (
-        tuple((e, kappa[morphism.edge_map[e]]) for e in shape.edges),
-        tuple(out_alpha),
-    )
-
-
 def nerve_presheaf(S, named_graphs):
     """Evaluate S on the listed graphs and tabulate every cone leg and
     element arrow, adding shape graphs as support entries."""
@@ -1178,12 +1112,12 @@ def nerve_presheaf(S, named_graphs):
         for el in els:
             sid = ensure(el.shape)
             shape_ids.append(sid)
-            mapping = tuple((st, _restrict(S, st, el.into)) for st in values[gid])
+            mapping = tuple((st, pull_back(S, st, el.into)) for st in values[gid])
             restrictions.append((gid, el.kind, el.anchor, sid, mapping))
         for ar in element_arrows(g):
             src = shape_ids[ar.corolla_index]
             tgt = shape_ids[ar.stick_index]
-            mapping = tuple((st, _restrict(S, st, ar.map)) for st in values[src])
+            mapping = tuple((st, pull_back(S, st, ar.map)) for st in values[src])
             arrows.append((gid, ar.half_edge, src, tgt, mapping))
 
     order = {gid: i for i, gid in enumerate(table)}

@@ -511,6 +511,16 @@ def test_wrong_typed_field_exits_2(tmp_path, capsys, command):
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
+def test_species_listing_a_non_adjacent_swap_exits_2(tmp_path, capsys):
+    w = ["c", "c", "c"]
+    doc = species_to_json(make_species(MONO, 3, {tuple(w): (0, 1, 2)}))
+    doc["sigma"] = [{"word": w, "perm": [2, 1, 0], "map": [[0, 2], [1, 1], [2, 0]]}]
+    code, out, err = cli(capsys, "species", "eval", "--species",
+                         write_doc(tmp_path, "species.json", doc), "--graph", "corolla:3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     proc = subprocess.run([sys.executable, "-m", "brauerkit.cli", "bd", "nonsense"],
                           capture_output=True, text=True)

@@ -129,6 +129,13 @@ def test_constructor_errors():
         corolla(True)
 
 
+def test_corolla_refuses_bad_port_labels():
+    with pytest.raises(InvalidParameter):
+        corolla(["a", "a"])
+    with pytest.raises(TypeError):
+        corolla([True])
+
+
 def test_make_graph_validation():
     with pytest.raises(InvalidParameter):
         make_graph([1, 1], [(1, 1)], [], [])

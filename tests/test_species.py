@@ -9,6 +9,7 @@ import pytest
 from brauerkit.coloured import make_palette, monochrome_palette, oriented_palette
 from brauerkit.graph import (
     InvalidParameter,
+    compose_morphisms,
     corolla,
     disjoint_union,
     empty,
@@ -17,6 +18,7 @@ from brauerkit.graph import (
     iso,
     line,
     make_graph,
+    make_morphism,
     make_xgraph,
     stick,
     wheel,
@@ -47,6 +49,7 @@ from brauerkit.species import (
     pointed_from_operad,
     presheaf_from_json,
     presheaf_to_json,
+    pull_back,
     segal_check,
     species_from_circuit_algebra,
     species_from_json,
@@ -666,6 +669,79 @@ def test_nerve_rejects_duplicate_ids():
     T = terminal_species(MONO, 4)
     with pytest.raises(InvalidParameter):
         nerve_presheaf(T, [("g", wheel(1)), ("g", stick())])
+
+
+# ---------------------------------------------------------------------------
+# pull-backs
+
+
+def test_pull_back_is_contravariant():
+    # (h2 o h1)^* = h1^* h2^* along automorphisms of a 4-corolla; S_4 acts
+    # on the three pairings of S(cccc) through S_3, which is not abelian,
+    # so a pull-back that relabelled through the inverse order would fail
+    S, _ = species_from_circuit_algebra(pairing_algebra(MONO, 4))
+    g = corolla(4)
+
+    def aut(pi):
+        edges = {p: pi[p - 1] + 1 for p in range(1, 5)}
+        edges.update({("dag", p): ("dag", q) for p, q in list(edges.items())})
+        return make_morphism(g, g, edges, {"v": "v"})
+
+    auts = [aut(pi) for pi in itertools.permutations(range(4))]
+    for st in evaluate(S, g):
+        for h1, h2 in itertools.product(auts, repeat=2):
+            assert pull_back(S, st, compose_morphisms(h2, h1)) == \
+                pull_back(S, pull_back(S, st, h2), h1)
+    moved = {pull_back(S, st, h) for h in auts for st in evaluate(S, g)}
+    assert len(moved) == 3
+
+
+def oriented_free_species():
+    # an oriented generator whose two elements the swap s0 exchanges:
+    # 4 actions over 75 elements, so the pull-backs relabel real names
+    w = ("+", "+", "-")
+    gen = make_species(ORI, 3, {w: ("g", "h")}, [(w, (1, 0, 2), {"g": "h", "h": "g"})])
+    return build_free_species(gen, 2, 6, 4)
+
+
+def free_species_data():
+    FS = oriented_free_species()
+    return repr((FS.tables, FS.actions))
+
+
+def free_nerve():
+    P = nerve_presheaf(oriented_free_species(), [("wheel", wheel(2)), ("line", line(2))])
+    return json.dumps(presheaf_to_json(P), sort_keys=True)
+
+
+def free_contractions():
+    T = terminal_species(ORI, 4)
+    out = []
+    for element in free_component(T, 2, 1, 3):
+        try:
+            out.append(contract_free_element(T, 2, 1, 3, element, 1, 2))
+        except ColourMismatch:
+            out.append(None)
+    return repr(out)
+
+
+# sha256 of the outputs of the three callers of species.pull_back,
+# recorded before they shared it: transport_structure (through the
+# free species' actions), the nerve's restrictions and arrows, and
+# contract_free_element
+PULL_BACK_PINS = {
+    "free species": (free_species_data,
+                     "6d60c9b0b1bc1d4a0eaca07cb9fa8bf2a856e961633770fb42fdf07a4881b5fa"),
+    "nerve": (free_nerve, "5ec6f95d37db011bdedfa877762a5bb278603cc0ba91b6b207946015d1c2328d"),
+    "contractions": (free_contractions,
+                     "f19e1021d9ffd97aca0f5b579b5cc83587f26cddade5f8ba8858ba93b8091c54"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULL_BACK_PINS))
+def test_pull_back_pinned(name):
+    build, digest = PULL_BACK_PINS[name]
+    assert hashlib.sha256(build().encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

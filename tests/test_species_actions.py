@@ -6,8 +6,11 @@ the uncached sorting formulas of apply_product and apply_contraction.
 """
 
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauerkit import species
 from brauerkit.coloured import monochrome_palette, oriented_palette
@@ -22,6 +25,8 @@ from brauerkit.species import (
     check_modular_axioms,
     make_species,
     species_from_circuit_algebra,
+    species_from_json,
+    species_to_json,
     validate_circuit_operad,
 )
 from brauerkit.wiring import pairing_algebra
@@ -133,7 +138,6 @@ def test_factored_actions_equal_the_closure(name):
     S = ACTION_CASES[name]()
     listed = {w for w, _, _ in S.actions}
     assert listed and listed == set(S._swap_maps)  # every listing is factored
-    assert S._closures == {}
     for word, elems in S.tables:
         table = closure_table(S, word) if word in listed else {}
         for theta in stabilizer(word):
@@ -160,6 +164,91 @@ def test_braid_relation_conflict_refused(s1):
     w = ("c", "c", "c")
     with pytest.raises(InvalidParameter):
         make_species(MONO, 3, {w: (0, 1, 2, 3, 4)}, [(w, (1, 0, 2), s0), (w, (0, 2, 1), s1)])
+
+
+# ---------------------------------------------------------------------------
+# the accepted listings
+
+
+@pytest.mark.parametrize("perm, mapping", [
+    ((2, 1, 0), {0: 2, 1: 1, 2: 0}),  # a transposition of two letters that are not neighbours
+    ((1, 2, 0), {0: 1, 1: 2, 2: 0}),  # a 3-cycle
+    ((0, 1, 2), {0: 1, 1: 0, 2: 2}),  # the identity moving two elements
+])
+def test_only_identity_and_adjacent_swaps_are_listed(perm, mapping):
+    w = ("c", "c", "c")
+    with pytest.raises(InvalidParameter):
+        make_species(MONO, 3, {w: (0, 1, 2)}, [(w, perm, mapping)])
+
+
+def test_partial_listing_acts_on_its_parabolic_subgroup():
+    # s0 and s2 at cccc generate a Klein four-group; everything outside
+    # it needs s1, which is not listed; s0 is listed twice with one map
+    w = ("c",) * 4
+    s0 = {0: 1, 1: 0, 2: 2, 3: 3}
+    s2 = {0: 0, 1: 1, 2: 3, 3: 2}
+    S = make_species(MONO, 4, {w: (0, 1, 2, 3)},
+                     [(w, (1, 0, 2, 3), s0), (w, (0, 1, 3, 2), s2), (w, (1, 0, 2, 3), s0)])
+    table = closure_table(S, w)
+    assert len(table) == 4
+    for theta in stabilizer(w):
+        if theta in table:
+            assert [S.act_name(w, theta, e) for e in range(4)] == [table[theta][e] for e in range(4)]
+        else:
+            with pytest.raises(InvalidParameter):
+                S.act_name(w, theta, 0)
+
+
+# ---------------------------------------------------------------------------
+# the loader against arbitrary action rows
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(allow_nan=False),
+              st.sampled_from(["+", "-", "ab"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(["tuple", "x"]), inner, max_size=2)),
+    max_leaves=8,
+)
+# rows built from the table words, small permutations and bijections of
+# the three elements load or fail on their content; the others on form
+_TABLE_WORD = st.sampled_from([["+", "+"], ["+", "+", "+"], ["+", "-"]])
+_SMALL_PERM = st.integers(2, 3).flatmap(lambda n: st.permutations(range(n))).map(list)
+_BIJECTION = st.permutations(range(3)).map(lambda p: [[i, v] for i, v in enumerate(p)])
+_WELL_FORMED_ROW = st.fixed_dictionaries(
+    {"word": _TABLE_WORD, "perm": _SMALL_PERM, "map": _BIJECTION})
+_ROW = st.one_of(
+    st.fixed_dictionaries({
+        "word": st.one_of(_TABLE_WORD, st.lists(st.sampled_from(["+", "-", "c"]), max_size=4),
+                          _JSON),
+        "perm": st.one_of(_SMALL_PERM, st.lists(st.integers(-1, 4), max_size=4), _JSON),
+        "map": st.one_of(_BIJECTION, st.lists(st.lists(st.integers(-1, 3), min_size=2,
+                                                       max_size=2), max_size=4), _JSON),
+    }),
+    _JSON,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_WELL_FORMED_ROW, max_size=4), st.lists(_ROW, max_size=3), _JSON))
+def test_loader_refuses_bad_sigma_rows_with_value_error(sigma):
+    tables = {("+", "+"): (0, 1, 2), ("+", "+", "+"): (0, 1, 2), ("+", "-"): (0, 1, 2)}
+    doc = json.loads(json.dumps(species_to_json(make_species(ORI, 4, tables))))
+    doc["sigma"] = sigma
+    try:
+        S = species_from_json(doc)
+    except ValueError:
+        return
+    for word, perm, _ in S.actions:  # the identity or a swap of equal neighbours
+        moved = [i for i, v in enumerate(perm) if v != i]
+        assert moved == [] or (moved[1:] == [moved[0] + 1] and perm in stabilizer(word))
+    for word, _ in S.tables:
+        for theta in stabilizer(word):
+            try:
+                images = sorted(S.act_name(word, theta, e) for e in range(3))
+            except InvalidParameter:
+                continue
+            assert images == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +287,6 @@ def test_plans_match_the_uncached_formulas(bound):
 
 def test_lift_builds_no_group_table_and_caches_stay_bounded():
     S, C = species_from_circuit_algebra(pairing_algebra(MONO, 8))
-    assert S._closures == {}
     assert {len(w) for w in S._swap_maps} == {4, 6, 8}
     assert validate_circuit_operad(S, C).checked == 53_278
     assert check_modular_axioms(S, C).checked == 28_530
