@@ -172,12 +172,22 @@ def test_downward_wirings():
         unit_epsilon(down, "c")
 
 
+def _pin(report):
+    # (mode, candidates, checked, first 12 hex digits of the sha256 of
+    # the violations' repr); NO_VIOLATIONS is the digest of ()
+    digest = hashlib.sha256(repr(report.violations).encode()).hexdigest()[:12]
+    return (report.mode, report.candidates, report.checked, digest)
+
+
+NO_VIOLATIONS = "2e38e77b22c3"
+
+
 def test_axioms_pairing_algebra_exhaustive():
-    for palette in (MONO, ORI):
+    # the universe is enumerate_wirings' own, not a table's
+    for palette, count in ((MONO, 15_422), (ORI, 99_924)):
         report = check_circuit_algebra(pairing_algebra(palette, 2), max_points=6)
         assert report.passed, report.violations[:3]
-        assert report.mode == "exhaustive"
-        assert report.checked == report.candidates
+        assert _pin(report) == ("exhaustive", count, count, NO_VIOLATIONS)
 
 
 def test_axioms_one_point():
@@ -189,6 +199,7 @@ def test_axioms_free_algebra():
     A = free_circuit_algebra(MONO, 2, {("c", "c"): ("g",)}, max_blocks=1, bubble_cap=1)
     report = check_circuit_algebra(A, max_points=4, bubble_cap=1, budget=3000, samples=150)
     assert report.passed, report.violations[:3]
+    assert _pin(report) == ("sampled", 6_978_628, 450, NO_VIOLATIONS)
 
 
 def test_corrupted_identity_detected():
@@ -221,7 +232,8 @@ def test_corrupted_table_pinpointed():
     wirings = [identity_wiring(MONO, w) for w in A.words()] + [p1, p2, composite]
     table = tabulate(A, wirings)
     clean = check_circuit_algebra(table)
-    assert clean.passed and clean.mode == "exhaustive"
+    assert clean.passed
+    assert _pin(clean) == ("exhaustive", 69, 69, NO_VIOLATIONS)
 
     pool = A.elements(w4)
     assert len(pool) == 3
@@ -236,6 +248,18 @@ def test_corrupted_table_pinpointed():
     report = check_circuit_algebra(broken)
     assert not report.passed
     assert any(v[0] == "composition" for v in report.violations)
+    assert _pin(report) == ("exhaustive", 69, 69, "5153b9d7a577")
+
+
+def test_exhaustive_oriented_table_pinned():
+    # the table `ca check` checks exhaustively in the benchmark; every
+    # inhabited carrier has one element, so no row of it can be moved
+    # round its carrier and the table is pinned as it is
+    table = renamed_pairing_table(ORI, 2)
+    assert all(len(xs) <= 1 for xs in table.carriers.values())
+    report = check_circuit_algebra(table)
+    assert report.passed
+    assert _pin(report) == ("exhaustive", 99_924, 4_453, NO_VIOLATIONS)
 
 
 # (checked on the clean table, checked on the corrupted one, violation
