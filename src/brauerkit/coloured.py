@@ -33,7 +33,7 @@ from itertools import combinations_with_replacement
 
 from . import brauer
 from .brauer import BrauerDiagram, compose_detailed
-from .labels import decode_label, encode_label, label_key
+from .labels import decode_label, decode_pairs, encode_label, label_key
 
 
 class ColouringError(ValueError):
@@ -364,7 +364,7 @@ def palette_to_json(p: Palette) -> dict:
 def palette_from_json(obj: dict) -> Palette:
     try:
         colours = [decode_label(c) for c in obj["colours"]]
-        swaps = [(decode_label(a), decode_label(b)) for a, b in obj["omega"]]
+        swaps = decode_pairs(obj["omega"])
     except (KeyError, TypeError) as exc:
         raise PaletteMismatch(f"not a palette object: {obj!r}") from exc
     return make_palette(colours, swaps)

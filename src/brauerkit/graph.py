@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .labels import decode_label, encode_label, label_key, sort_labels
+from .labels import decode_label, decode_pairs, encode_label, label_key, sort_labels
 
 
 class InvalidParameter(ValueError):
@@ -633,7 +633,7 @@ def _search(g, colour, adj, gens):
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _canonical_data(g, port_seed):
     return _search(g, _initial_colour(g, port_seed), _adjacency(g), [])
 
@@ -762,7 +762,7 @@ def graph_to_json(g):
 def graph_from_json(data):
     try:
         edges = [decode_label(e) for e in data["edges"]]
-        tau = [(decode_label(a), decode_label(b)) for a, b in data["tau"]]
+        tau = decode_pairs(data["tau"])
         halves = [(decode_label(h["edge"]), decode_label(h["vertex"]))
                   for h in data["half_edges"]]
         vertices = [decode_label(v) for v in data["vertices"]]

@@ -47,3 +47,12 @@ def decode_label(x):
     if isinstance(x, dict) and set(x) == {"tuple"}:
         return tuple(decode_label(y) for y in x["tuple"])
     raise TypeError(f"cannot decode label: {x!r}")
+
+
+def decode_pairs(rows):
+    # [[a, b], ...] as ((a, b), ...); a row that is not a pair raises
+    # TypeError, which the document loaders report as a malformed field
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise TypeError(f"{row!r} is not an [a, b] pair")
+    return tuple((decode_label(a), decode_label(b)) for a, b in rows)

@@ -64,7 +64,7 @@ from .graph import (
     x_certificate,
     x_iso,
 )
-from .labels import decode_label, encode_label, label_key, sort_labels
+from .labels import decode_label, decode_pairs, encode_label, label_key, sort_labels
 from .wiring import ArityBoundExceeded, ColourMismatch, MissingActionEntry, _algebra_ops
 
 
@@ -1229,7 +1229,7 @@ def species_from_json(obj):
         actions = [
             (tuple(decode_label(c) for c in row["word"]),
              tuple(row["perm"]),
-             tuple((decode_label(a), decode_label(b)) for a, b in row["map"]))
+             decode_pairs(row["map"]))
             for row in obj.get("sigma", [])
         ]
     except (KeyError, TypeError) as exc:
@@ -1279,17 +1279,14 @@ def presheaf_from_json(obj):
         )
         restrictions = tuple(
             (decode_label(row["graph"]), row["kind"], decode_label(row["anchor"]),
-             decode_label(row["shape"]),
-             tuple((decode_label(a), decode_label(b))
-                   for a, b in row["map"]))
+             decode_label(row["shape"]), decode_pairs(row["map"]))
             for row in obj["restrictions"]
         )
         arrows = tuple(
             (decode_label(row["graph"]),
              (decode_label(row["edge"]), decode_label(row["vertex"])),
              decode_label(row["source"]), decode_label(row["target"]),
-             tuple((decode_label(a), decode_label(b))
-                   for a, b in row["map"]))
+             decode_pairs(row["map"]))
             for row in obj.get("arrows", [])
         )
     except (KeyError, TypeError) as exc:

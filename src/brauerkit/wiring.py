@@ -33,7 +33,10 @@ relabelling through perm_wiring; species.species_from_circuit_algebra
 tabulates the same operations.  Checks run exhaustively when the
 instance count fits the budget and fall back to seeded sampling
 otherwise; the axioms.Report records mode, seed, and every violation
-found as a sorted (kind, detail) pair.
+found as a sorted (kind, detail) pair.  The exhaustive composition
+square visits its (g, fs) pairs grouped by g's block types, so that
+each tensor of arguments is built once for all the gs that share it;
+the instances are those of the pair-by-pair loop, in another order.
 """
 
 from __future__ import annotations
@@ -156,17 +159,16 @@ def operad_gamma(g: WiringDiagram, fs) -> WiringDiagram:
             raise TypeMismatch(f"block expects {want!r}, argument yields {f.output_word!r}")
     # the blocks of the fs cover the composite's sources, as make_wiring checks
     blocks = sum((f.block_sizes for f in fs), ())
-    return WiringDiagram(_plug(g, [f.diagram for f in fs]), blocks)
+    inner = _tensor_all(g.palette, [f.diagram for f in fs])
+    return WiringDiagram(compose_coloured(inner, g.diagram), blocks)
 
 
-def _plug(g: WiringDiagram, diagrams) -> ColouredBrauerDiagram:
-    # tensor one diagram per block side by side and compose into g
-    if len(diagrams) != len(g.block_sizes):
-        raise BlockMismatch(f"{len(g.block_sizes)} blocks, {len(diagrams)} inputs")
-    inner = diagrams[0] if diagrams else empty_coloured(g.palette)
+def _tensor_all(palette: Palette, diagrams) -> ColouredBrauerDiagram:
+    # the diagrams side by side, left to right; the empty diagram for none
+    inner = diagrams[0] if diagrams else empty_coloured(palette)
     for d in diagrams[1:]:
         inner = tensor_coloured(inner, d)
-    return compose_coloured(inner, g.diagram)
+    return inner
 
 
 def _concat_permutation(images, old_sizes):
@@ -407,7 +409,9 @@ def pairing_algebra(palette: Palette, bound: int, downward_only=False) -> Circui
                 for w in _words_up_to(palette, bound)}
 
     def action(wd, inputs):
-        full = _plug(wd, inputs)
+        if len(inputs) != len(wd.block_sizes):
+            raise BlockMismatch(f"{len(wd.block_sizes)} blocks, {len(inputs)} inputs")
+        full = compose_coloured(_tensor_all(palette, inputs), wd.diagram)
         # full has no sources, so zeroing the closed count discards the
         # bubbles and keeps the open part as-is; no revalidation needed
         open_base = BrauerDiagram(0, full.base.n, full.base.partner)
@@ -502,6 +506,21 @@ def perm_wiring(palette: Palette, word, sigma) -> WiringDiagram:
 # checkers
 
 
+def _grouped_composites(universe, pools, palette):
+    """The pairs (g, fs) of the composition square, fs drawn from the
+    pools of g's block types, as (fs, [(g, gamma(g; fs)), ...]): grouped
+    by block types, fs outermost, so each tensor of an fs is built once."""
+    by_types = defaultdict(list)
+    for g in universe:
+        by_types[g.block_types].append(g)
+    for types, gs in by_types.items():
+        for fs in itertools.product(*(pools[w] for w in types)):
+            inner = _tensor_all(palette, [f.diagram for f in fs])
+            blocks = sum((f.block_sizes for f in fs), ())
+            yield fs, [(g, WiringDiagram(compose_coloured(inner, g.diagram), blocks))
+                       for g in gs]
+
+
 def _wd_brief(wd: WiringDiagram) -> str:
     return json.dumps(wiring_to_json(wd), sort_keys=True)
 
@@ -512,7 +531,14 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     """Operad-algebra axioms: identity action, block equivariance,
     composition square (violation kinds "identity", "equivariance",
     "composition").  Exhaustive when the instance count fits the budget,
-    seeded sampling otherwise."""
+    seeded sampling otherwise.
+
+    The exhaustive square takes its pairs from _grouped_composites, which
+    tensors each fs once for all the g with its block types.  pools[w]
+    holds only wirings with output w, so every f fits its block, and
+    compose_coloured still checks palettes and types; each pair is
+    checked once, as through operad_gamma, and since the violations are
+    sorted and checked is a count, the report does not see the order."""
     words = [w for w in A.words()]
     sizes = {w: len(A.elements(w)) for w in words}
     if universe is None:
@@ -620,22 +646,18 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
                     moved = tuple(inputs[b - 1] for b in sigma)
                     check_equivariance(sig_map.get(moved, _missing), rhs,
                                        wd, sigma, inputs)
-        for g in universe:
-            # pairs with an uninhabited inner domain contribute no instances
-            fs_pools = [pools[w] for w in g.block_types]
-            if not all(fs_pools):
-                continue
-            g_map = dict(evaluated_domain(g))
-            for fs in itertools.product(*fs_pools):
+        g_maps = {g: dict(evaluated_domain(g)) for g in universe}
+        for fs, composites in _grouped_composites(universe, pools, A.palette):
+            evaluated = [evaluated_domain(f) for f in fs]
+            for g, composite in composites:
                 # the composite's domain is the product of the inner domains
                 # in the same order, so the two iterations stay in step
-                comp_pairs = evaluated_domain(operad_gamma(g, fs))
-                evaluated = [evaluated_domain(f) for f in fs]
+                comp_pairs = evaluated_domain(composite)
                 for nested_pairs, (_, lhs) in zip(
                         itertools.product(*evaluated), comp_pairs):
                     values = tuple(v for _, v in nested_pairs)
                     rhs = (_missing if any(v is _missing for v in values)
-                           else g_map.get(values, _missing))
+                           else g_maps[g].get(values, _missing))
                     nested = tuple(chunk for chunk, _ in nested_pairs)
                     check_composition(lhs, rhs, g, fs, nested)
     else:

@@ -511,6 +511,32 @@ def test_wrong_typed_field_exits_2(tmp_path, capsys, command):
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad_map", ["xy", [["x"]]])
+def test_species_map_that_is_not_pairs_exits_2(species_docs, tmp_path, capsys, bad_map):
+    with open(species_docs["species"]) as fh:
+        species = json.load(fh)
+    species["sigma"] = [{"word": ["c", "c", "c"], "perm": [1, 0, 2], "map": bad_map}]
+    with open(species_docs["presheaf"]) as fh:
+        presheaf = json.load(fh)
+    presheaf["restrictions"][0]["map"] = bad_map
+    runs = {
+        "species": ["species", "eval", "--species",
+                    write_doc(tmp_path, "species.json", species), "--graph", "corolla:3"],
+        "presheaf": ["species", "segal", "--presheaf",
+                     write_doc(tmp_path, "presheaf.json", presheaf)],
+    }
+    for kind, argv in runs.items():
+        code, out, err = cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [err.strip()] and "Traceback" not in err
+        assert f"malformed {kind} document" in err
+    # a typed error from inside the document passes through as it is
+    species["palette"]["colours"] = ["c", "c"]
+    code, _, err = cli(capsys, "species", "eval", "--species",
+                       write_doc(tmp_path, "palette.json", species), "--graph", "corolla:3")
+    assert code == 2 and "duplicate colours" in err and "malformed" not in err
+
+
 def test_species_listing_a_non_adjacent_swap_exits_2(tmp_path, capsys):
     w = ["c", "c", "c"]
     doc = species_to_json(make_species(MONO, 3, {tuple(w): (0, 1, 2)}))

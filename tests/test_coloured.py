@@ -29,6 +29,8 @@ from brauerkit.coloured import (
     monochrome_palette,
     oriented_palette,
     output_type,
+    palette_from_json,
+    palette_to_json,
     pushforward,
     reversed_omega,
     tensor_coloured,
@@ -344,3 +346,6 @@ def test_json_round_trip():
         assert coloured_from_json(blob) == f
     with pytest.raises(ColouringError):
         coloured_from_json({"m": 0, "n": 0, "pairs": [], "closed": 0})
+    for omega in ("xy", [["+"]]):
+        with pytest.raises(PaletteMismatch, match="not a palette object"):
+            palette_from_json(dict(palette_to_json(ORI), omega=omega))

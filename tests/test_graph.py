@@ -46,6 +46,7 @@ from brauerkit.graph import (
     wheel,
     x_iso,
 )
+from brauerkit import graph
 
 
 def _relabel(g, edge_map, vertex_map):
@@ -400,6 +401,16 @@ def test_iso_wheel_relabelled():
         assert iso(wheel(3), h) is not None
 
 
+def test_canonical_cache_is_bounded():
+    assert graph._canonical_data.cache_info().maxsize is not None
+    rng = random.Random(5)
+    pairs = [(wheel(3), _scramble(wheel(3), rng)), (wheel(3), line(3)),
+             (line(4), _scramble(line(4), rng))]
+    before = [iso(g, h) is not None for g, h in pairs]
+    graph._canonical_data.cache_clear()
+    assert [iso(g, h) is not None for g, h in pairs] == before == [True, False, True]
+
+
 def test_x_iso_respects_labels():
     c = corolla(2)
     a = make_xgraph(c, {1: 1, 2: 2})
@@ -455,6 +466,10 @@ def test_json_round_trip():
 def test_json_rejects_garbage():
     with pytest.raises(InvalidParameter):
         graph_from_json({"edges": [1, 2]})
+    doc = graph_to_json(line(1))
+    for tau in ("xy", [["x"]]):
+        with pytest.raises(InvalidParameter, match="malformed graph document"):
+            graph_from_json(dict(doc, tau=tau))
 
 
 def test_dot_output():

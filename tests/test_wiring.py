@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import random
+from math import factorial, prod
 
 import pytest
 
+from brauerkit import wiring
 from brauerkit.brauer import make_diagram
 from brauerkit.coloured import (
     TypeMismatch,
@@ -220,16 +222,24 @@ def test_corrupted_identity_detected():
     assert any(v[0] == "identity" for v in report.violations)
 
 
-def test_corrupted_table_pinpointed():
-    A = pairing_algebra(MONO, 4)
+def _closed_mono_wirings():
+    # the identities up to bound 4, two transpositions p1, p2 of cccc and
+    # their composite; the set is closed under gamma
     w4 = ("c",) * 4
     p1 = make_wiring(coloured_permutation(MONO, (2, 1, 3, 4), w4), (4,))
     p2 = make_wiring(coloured_permutation(MONO, (1, 2, 4, 3), w4), (4,))
     composite = operad_gamma(p1, [p2])
     assert composite not in (p1, p2)
-    # {id, p1, p2, composite} is closed under gamma, so every composition
-    # instance the checker builds stays inside the table
-    wirings = [identity_wiring(MONO, w) for w in A.words()] + [p1, p2, composite]
+    words = [w for n in range(5) for w in itertools.product("c", repeat=n)]
+    return [identity_wiring(MONO, w) for w in words] + [p1, p2, composite]
+
+
+def test_corrupted_table_pinpointed():
+    A = pairing_algebra(MONO, 4)
+    w4 = ("c",) * 4
+    # every composition instance the checker builds stays inside the table
+    wirings = _closed_mono_wirings()
+    composite = wirings[-1]
     table = tabulate(A, wirings)
     clean = check_circuit_algebra(table)
     assert clean.passed
@@ -260,6 +270,43 @@ def test_exhaustive_oriented_table_pinned():
     report = check_circuit_algebra(table)
     assert report.passed
     assert _pin(report) == ("exhaustive", 99_924, 4_453, NO_VIOLATIONS)
+
+
+def test_exhaustive_check_tensors_once_per_argument_tuple(monkeypatch):
+    table = renamed_pairing_table(ORI, 2)
+    sizes = {w: len(xs) for w, xs in table.carriers.items()}
+    pools = {w: [f for f in table.table
+                 if f.output_word == w and all(sizes[b] for b in f.block_types)]
+             for w in sizes}
+    signatures = {g.block_types for g in table.table}
+    tuples = sum(prod(len(pools[w]) for w in types) for types in signatures)
+    pairs = sum(prod(len(pools[w]) for w in g.block_types) for g in table.table)
+    sigmas = sum(factorial(len(g.block_sizes)) for g in table.table
+                 if all(sizes[b] for b in g.block_types))
+    assert (tuples, pairs) == (9_121, 99_747)
+    calls = {"tensor_coloured": 0, "compose_coloured": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(wiring, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(wiring, name, counted)
+    check_circuit_algebra(table)
+    # one composite per pair and one relabelling per block permutation of
+    # an inhabited domain, as before; at most one tensor per argument tuple
+    assert calls["compose_coloured"] == pairs + sigmas == 99_921
+    assert calls["tensor_coloured"] <= tuples
+
+
+def test_grouped_composites_are_gamma():
+    table = tabulate(pairing_algebra(MONO, 4), _closed_mono_wirings())
+    universe = list(table.listed_wirings())
+    pools = {w: [f for f in universe if f.output_word == w] for w in table.words()}
+    seen = 0
+    for fs, composites in wiring._grouped_composites(universe, pools, MONO):
+        for g, composite in composites:
+            assert composite == operad_gamma(g, fs)
+            seen += 1
+    assert seen == sum(prod(len(pools[w]) for w in g.block_types) for g in universe)
 
 
 # (checked on the clean table, checked on the corrupted one, violation
