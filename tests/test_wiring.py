@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 from math import factorial, prod
 
 import pytest
@@ -15,6 +16,7 @@ from brauerkit.coloured import (
     coloured_permutation,
     compose_coloured,
     make_coloured,
+    make_palette,
     monochrome_palette,
     oriented_palette,
 )
@@ -23,6 +25,7 @@ from brauerkit.wiring import (
     BlockMismatch,
     ColourMismatch,
     FreeCAElement,
+    FreeCircuitAlgebra,
     FunctionCircuitAlgebra,
     MissingActionEntry,
     NotDownward,
@@ -465,6 +468,53 @@ def test_free_algebra_enumeration():
     assert (1, 0, ("g",)) in shapes  # generator legs tied off
     with pytest.raises(ArityBoundExceeded):
         loops.elements(("c",) * 3)
+
+
+# sha256 of repr([(w, A.elements(w)) for w in A.words()]), recorded while
+# free elements were keyed by the JSON text of their canonical shape
+FREE_CARRIER_PINS = {
+    "mono 3 ccc=g": (
+        lambda: FreeCircuitAlgebra(MONO, 3, {("c", "c", "c"): ("g",)}),
+        "2236b62fa0d5cc7668eba1794d96fb7664a25adc9ca6dbe7a13d7c5fbdb4a572"),
+    "ori 2 +-=g,h": (
+        lambda: FreeCircuitAlgebra(ORI, 2, {("+", "-"): ("g", "h")}),
+        "d9c4e43fcfc63661047e206ef7f2d014c578408397d32fb078e20c406b5a26a0"),
+    "mono 4 cc=g,h two blocks": (
+        lambda: FreeCircuitAlgebra(MONO, 4, {("c", "c"): ("g", "h")}, max_blocks=2),
+        "f23e310ffcb8d63e696b99a53667a925970d2cb4cf8f5ae26567b93c54d0cf24"),
+    "mono 2 downward": (
+        lambda: FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)}, downward_only=True),
+        "739d1c36c6d7f37fff9d5eb074901e7754c60a36a658eaf90ae22c327f0d7706"),
+    "ori 3 +=a +-=g": (
+        lambda: FreeCircuitAlgebra(ORI, 3, {("+",): ("a",), ("+", "-"): ("g",)}),
+        "714c99f5084ee3156006d8acb529b8deda6229add4e59f645a9e31901b7135ea"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_CARRIER_PINS))
+def test_free_carriers_pinned(name):
+    build, digest = FREE_CARRIER_PINS[name]
+    A = build()
+    data = repr([(w, A.elements(w)) for w in A.words()])
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
+
+
+def test_diagrams_agree_across_equal_palettes():
+    # a second palette object, equal to ORI, as every loaded document has
+    twin = make_palette(ORI.colours, ORI.swaps)
+    assert twin == ORI and twin is not ORI
+    words = [("+",), ("+", "-")]
+    wirings = enumerate_wirings(ORI, words, [("-", "+")], max_blocks=2,
+                                bubble_cap=1, max_points=6)
+    assert any(wd.diagram.bubbles for wd in wirings)
+    for wd in wirings:
+        direct = WiringDiagram(replace(wd.diagram, palette=twin), wd.block_sizes)
+        loaded = wiring_from_json(wiring_to_json(wd))
+        for copy in (direct, loaded):
+            assert copy.palette is not ORI
+            for a, b in ((wd.diagram, copy.diagram), (wd, copy)):
+                assert a == b and hash(a) == hash(b)
+                assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
 
 
 def test_freeness_desk_version():
