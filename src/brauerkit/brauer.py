@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .pairing import PairingError, all_pairings, make_pairing
 
@@ -103,13 +103,6 @@ class BrauerDiagram:
         m = self.m
         return tuple((label(p, m), label(q, m))
                      for p, q in enumerate(self.partner) if p < q)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.m, self.n, self.partner, self.closed))
-
-    def __hash__(self):
-        return self._hash
 
 
 def make_diagram(m: int, n: int, pairs, closed: int = 0) -> BrauerDiagram:

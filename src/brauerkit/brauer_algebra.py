@@ -21,9 +21,14 @@ from math import prod
 
 from .brauer import (ArityMismatch, BrauerDiagram, compose_detailed, diagram_from_json,
                      diagram_to_json, tensor)
+from .pairing import PairingError
 
 
 class RingMismatch(ValueError):
+    pass
+
+
+class MalformedElement(ValueError):
     pass
 
 
@@ -375,9 +380,14 @@ def element_to_json(a: BrElement) -> dict:
 
 
 def element_from_json(obj: dict) -> BrElement:
-    ring = ring_by_name(obj["ring"])
-    terms = {}
-    for t in obj["terms"]:
-        d = diagram_from_json(t["diagram"])
-        terms[d] = ring.from_json(t["coeff"])
-    return make_element(ring, int(obj["m"]), int(obj["n"]), terms)
+    try:
+        ring = ring_by_name(obj["ring"])
+        terms = {}
+        for t in obj["terms"]:
+            terms[diagram_from_json(t["diagram"])] = ring.from_json(t["coeff"])
+        m, n = int(obj["m"]), int(obj["n"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        if isinstance(exc, PairingError):
+            raise
+        raise MalformedElement(f"malformed element document: {exc}") from exc
+    return make_element(ring, m, n, terms)

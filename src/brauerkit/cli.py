@@ -79,9 +79,9 @@ from .substitution import (
     terminal_representative,
 )
 from .wiring import (
+    FreeCircuitAlgebra,
     algebra_from_json,
     check_circuit_algebra,
-    free_circuit_algebra,
     operad_gamma,
     wiring_from_json,
     wiring_to_json,
@@ -306,8 +306,7 @@ def _cmd_ca_free(args):
     for text in args.generator:
         word, names = _parse_generator(text)
         generators[word] = generators.get(word, ()) + names
-    A = free_circuit_algebra(palette, args.bound, generators,
-                             max_blocks=args.max_blocks)
+    A = FreeCircuitAlgebra(palette, args.bound, generators, max_blocks=args.max_blocks)
     sizes = {",".join(w): len(A.elements(w)) for w in A.words()}
     if not args.check:
         _emit({"bound": A.bound, "carriers": sizes})

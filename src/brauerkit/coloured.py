@@ -141,13 +141,6 @@ class ColouredBrauerDiagram:
     def colour(self, label):
         return self.colours[brauer.position(label, self.base.m, self.base.n)]
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.base, self.colours, self.bubbles))
-
-    def __hash__(self):
-        return self._hash
-
 
 def make_coloured(palette: Palette, base: BrauerDiagram, boundary_colour, bubbles=()) -> ColouredBrauerDiagram:
     cmap = dict(boundary_colour)

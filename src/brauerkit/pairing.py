@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .labels import decode_label, encode_label, label_key, sort_labels
+from .labels import decode_label, decode_pairs, encode_label, label_key, sort_labels
 
 
 class PairingError(ValueError):
@@ -211,6 +211,12 @@ def pairing_to_json(p: Pairing) -> dict:
 def pairing_from_json(obj: dict) -> Pairing:
     if not isinstance(obj, dict) or "carrier" not in obj or "pairs" not in obj:
         raise PairingError(f"not a pairing object: {obj!r}")
-    carrier = [decode_label(a) for a in obj["carrier"]]
-    pairs = [(decode_label(a), decode_label(b)) for a, b in obj["pairs"]]
+    try:
+        carrier = [decode_label(a) for a in obj["carrier"]]
+    except TypeError as exc:
+        raise PairingError(f"pairing carrier is not a list of labels: {exc}") from exc
+    try:
+        pairs = decode_pairs(obj["pairs"])
+    except TypeError as exc:
+        raise PairingError(f"pairing pairs are not [a, b] rows: {exc}") from exc
     return make_pairing(carrier, pairs)

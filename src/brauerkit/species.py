@@ -888,7 +888,7 @@ def _build_class(labels, assign, nv, loops, mult):
     return make_xgraph(g, {lab: lab for lab in labels})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _enumerate(labels, v_max, e_max):
     budget = e_max - len(labels)  # an orbit per port, plus inner orbits
     classes = {}

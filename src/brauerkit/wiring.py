@@ -19,9 +19,11 @@ shape/generator pairs, the action rewires shapes and concatenates
 generators), so it enumerates a carrier only when asked for it.  Free
 elements are stored in a canonical form that reorders blocks and
 generator entries together; without that identification the
-block-symmetry law could not hold.  Carrier enumeration for the free
-algebra is a truncation: block count, source arity, and bubble count
-are capped, while the action itself stays exact.
+block-symmetry law could not hold.  The form is the least block order
+by the shape's own fields (block sizes, colours, partners), then by
+the generators.  Carrier enumeration for the free algebra is a
+truncation of enumerate_wirings: block count, source arity, and bubble
+count are capped, while the action itself stays exact.
 
 Derived operations: block juxtaposition, contraction of two
 omega-dual boundary positions, their composite, and the cap unit.
@@ -115,13 +117,6 @@ class WiringDiagram:
     @cached_property
     def output_word(self) -> tuple:
         return output_type(self.diagram)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.diagram, self.block_sizes))
-
-    def __hash__(self):
-        return self._hash
 
 
 def make_wiring(diagram: ColouredBrauerDiagram, block_sizes) -> WiringDiagram:
@@ -263,10 +258,6 @@ class CircuitAlgebra:
         return lambda inputs: action(wd, tuple(inputs))
 
 
-# CircuitAlgebra under the name that says its action is a callable
-FunctionCircuitAlgebra = CircuitAlgebra
-
-
 class TableCircuitAlgebra(CircuitAlgebra):
     """Extensional action tables; completeness is checked at load."""
 
@@ -294,9 +285,10 @@ class TableCircuitAlgebra(CircuitAlgebra):
         return tuple(self.table)
 
     def _lookup(self, wd, inputs):
-        if wd not in self.table:
+        rows = self.table.get(wd)
+        if rows is None:
             raise MissingActionEntry(f"no table entry for {wd}")
-        return self.table[wd][inputs]
+        return rows[inputs]
 
 
 @dataclass(frozen=True)
@@ -306,7 +298,11 @@ class FreeCAElement:
 
 
 def _free_key(shape: WiringDiagram, gens: tuple):
-    return (json.dumps(wiring_to_json(shape), sort_keys=True), label_key(gens))
+    # the block orders of one shape differ only at the sources, so the
+    # closed count and bubbles are left out; on rows of at most nine
+    # points this order agrees with that of the shapes' JSON text
+    d = shape.diagram
+    return (shape.block_sizes, label_key(d.colours), d.base.partner, label_key(gens))
 
 
 def free_element(shape: WiringDiagram, generators) -> FreeCAElement:
@@ -355,23 +351,16 @@ class FreeCircuitAlgebra(CircuitAlgebra):
             return self.carriers[word]
         if len(word) > self.bound:
             raise ArityBoundExceeded(f"word {word!r} longer than bound {self.bound}")
-        gen_words = sorted(self.generators, key=_word_sort_key)
-        out, seen = [], set()
-        for k in range(self.max_blocks + 1):
-            for combo in itertools.product(gen_words, repeat=k):
-                flat = sum(combo, ())
-                if len(flat) > self.bound:
-                    continue
-                for d in coloured_diagrams(self.palette, flat, word, self.bubble_cap):
-                    if self.downward_only and not is_downward(d.base):
-                        continue
-                    shape = make_wiring(d, tuple(map(len, combo)))
-                    for gens in itertools.product(*(self.generators[w] for w in combo)):
-                        e = free_element(shape, gens)
-                        if e not in seen:
-                            seen.add(e)
-                            out.append(e)
-        self.carriers[word] = tuple(out)
+        # blocks of at most bound points in all: m + len(word) <= bound + len(word)
+        shapes = enumerate_wirings(self.palette, sorted(self.generators, key=_word_sort_key),
+                                   [word], self.max_blocks, self.bubble_cap,
+                                   self.bound + len(word))
+        elements = dict.fromkeys(
+            free_element(shape, gens)
+            for shape in shapes
+            if not self.downward_only or is_downward_wiring(shape)
+            for gens in itertools.product(*(self.generators[w] for w in shape.block_types)))
+        self.carriers[word] = tuple(elements)
         return self.carriers[word]
 
     def unit_element(self):
@@ -381,12 +370,6 @@ class FreeCircuitAlgebra(CircuitAlgebra):
         shape = operad_gamma(wd, [x.shape for x in inputs])
         gens = tuple(g for x in inputs for g in x.generators)
         return free_element(shape, gens)
-
-
-def free_circuit_algebra(palette, bound, generators, max_blocks=None,
-                         bubble_cap=1, downward_only=False) -> FreeCircuitAlgebra:
-    return FreeCircuitAlgebra(palette, bound, generators, max_blocks,
-                              bubble_cap, downward_only)
 
 
 def _words_up_to(palette: Palette, bound: int):
@@ -650,6 +633,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
         for fs, composites in _grouped_composites(universe, pools, A.palette):
             evaluated = [evaluated_domain(f) for f in fs]
             for g, composite in composites:
+                g_map = g_maps[g]
                 # the composite's domain is the product of the inner domains
                 # in the same order, so the two iterations stay in step
                 comp_pairs = evaluated_domain(composite)
@@ -657,7 +641,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
                         itertools.product(*evaluated), comp_pairs):
                     values = tuple(v for _, v in nested_pairs)
                     rhs = (_missing if any(v is _missing for v in values)
-                           else g_maps[g].get(values, _missing))
+                           else g_map.get(values, _missing))
                     nested = tuple(chunk for chunk, _ in nested_pairs)
                     check_composition(lhs, rhs, g, fs, nested)
     else:

@@ -21,6 +21,7 @@ from brauerkit.brauer_algebra import (
     ZPOLY,
     ZZ,
     ArityMismatch,
+    MalformedElement,
     RingMismatch,
     algebra_dimension,
     bd_to_br_t,
@@ -267,6 +268,15 @@ def test_element_json_round_trip():
         again = element_from_json(element_to_json(elem))
         assert again == elem
 
+
+
+@pytest.mark.parametrize("field, value", [("terms", [5]), ("terms", 5), ("m", "x"),
+                                          ("ring", 5), ("terms", [{"coeff": 1}])])
+def test_element_json_malformed(field, value):
+    doc = element_to_json(element_of(ZZ, identity(2)))
+    doc[field] = value
+    with pytest.raises(MalformedElement, match="malformed element document"):
+        element_from_json(doc)
 
 def _nonzero(ring, rng):
     while True:

@@ -170,6 +170,17 @@ def test_br_mul_sigma_squared(tmp_path, capsys):
     assert code == 2
 
 
+
+def test_br_mul_on_a_malformed_term_exits_2(tmp_path, capsys):
+    element = element_to_json(bd_to_br_t(sigma_2()))
+    element["terms"] = [5]
+    el = write_doc(tmp_path, "el.json", element)
+    code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
+                         "--ring", "Z[t]", "--delta", "t")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("error: malformed element document")
+
 def test_cbd_compose_traces_bubble(tmp_path, capsys):
     pal = write_doc(tmp_path, "pal.json", palette_to_json(ORI))
     lhs = write_doc(tmp_path, "ccap.json",

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from brauerkit.pairing import (
     DuplicateLabel,
+    PairingError,
     SelfPair,
     SharedSetMismatch,
     UncoveredLabel,
@@ -229,3 +230,12 @@ def test_json_round_trip():
     q = pairing_from_json(json.loads(blob))
     assert p == q
     assert json.dumps(pairing_to_json(q), sort_keys=True) == blob
+
+
+@pytest.mark.parametrize("field, value", [("pairs", "xy"), ("pairs", [["a"]]),
+                                          ("carrier", 5), ("carrier", [{"x": 1}])])
+def test_json_malformed_field_is_named(field, value):
+    doc = pairing_to_json(make_pairing(["a", "b"], [("a", "b")]))
+    doc[field] = value
+    with pytest.raises(PairingError, match=field):
+        pairing_from_json(doc)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from brauerkit import labels, species
 from brauerkit.coloured import make_palette, monochrome_palette, oriented_palette
 from brauerkit.graph import (
     InvalidParameter,
@@ -60,7 +61,7 @@ from brauerkit.species import (
     validate_pointed,
 )
 from brauerkit.wiring import (
-    FunctionCircuitAlgebra,
+    CircuitAlgebra,
     check_derived_axioms,
     check_downward_algebra,
     contraction_wiring,
@@ -314,7 +315,7 @@ def test_product_contraction_corruption_detected_by_every_checker():
         out = A.action(wd, inputs)
         return pool[(pool.index(out) + 1) % 3] if wd == bad_wd else out
 
-    bad = FunctionCircuitAlgebra(MONO, 6, A.carriers, action)
+    bad = CircuitAlgebra(MONO, 6, A.carriers, action)
     for report in (check_derived_axioms(bad), check_downward_algebra(bad),
                    validate_circuit_operad(*species_from_circuit_algebra(bad))):
         assert not report.passed
@@ -463,6 +464,19 @@ def test_enumerate_deterministic_and_guarded():
         enumerate_x_graphs((1, 1), 1, 1)
     with pytest.raises(InvalidParameter):
         enumerate_x_graphs(1, -1, 1)
+
+
+def test_label_and_enumeration_caches_are_bounded():
+    assert labels.label_key.cache_info().maxsize is not None
+    assert species._enumerate.cache_info().maxsize is not None
+    words = [("c", 2, (1, "x")), (3, "b"), ((), "a", 1)]
+    before = ([labels.sort_labels(w) for w in words],
+              [enumerate_x_graphs(x, 2, 4) for x in ((1, 2), 3)])
+    labels.label_key.cache_clear()
+    species._enumerate.cache_clear()
+    after = ([labels.sort_labels(w) for w in words],
+             [enumerate_x_graphs(x, 2, 4) for x in ((1, 2), 3)])
+    assert after == before
 
 
 def brute_classes(labels, v_max, e_max):

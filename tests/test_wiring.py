@@ -25,8 +25,8 @@ from brauerkit.wiring import (
     BlockMismatch,
     ColourMismatch,
     FreeCAElement,
+    CircuitAlgebra,
     FreeCircuitAlgebra,
-    FunctionCircuitAlgebra,
     MissingActionEntry,
     NotDownward,
     TableCircuitAlgebra,
@@ -42,7 +42,6 @@ from brauerkit.wiring import (
     derived_contraction,
     derived_diamond,
     enumerate_wirings,
-    free_circuit_algebra,
     identity_wiring,
     is_downward_wiring,
     make_wiring,
@@ -201,7 +200,7 @@ def test_axioms_one_point():
 
 
 def test_axioms_free_algebra():
-    A = free_circuit_algebra(MONO, 2, {("c", "c"): ("g",)}, max_blocks=1, bubble_cap=1)
+    A = FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)}, max_blocks=1, bubble_cap=1)
     report = check_circuit_algebra(A, max_points=4, bubble_cap=1, budget=3000, samples=150)
     assert report.passed, report.violations[:3]
     assert _pin(report) == ("sampled", 6_978_628, 450, NO_VIOLATIONS)
@@ -218,7 +217,7 @@ def test_corrupted_identity_detected():
             return x1 if out == x0 else x0
         return out
 
-    bad = FunctionCircuitAlgebra(ORI, 4, A.carriers, tweaked)
+    bad = CircuitAlgebra(ORI, 4, A.carriers, tweaked)
     universe = [identity_wiring(ORI, w) for w in A.words()]
     report = check_circuit_algebra(bad, universe=universe)
     assert not report.passed and report.mode == "exhaustive"
@@ -387,15 +386,15 @@ def test_downward_check_and_e1_probe():
     down = pairing_algebra(MONO, 4, downward_only=True)
     with pytest.raises(NotDownward):
         check_derived_axioms(down)
-    free_down = free_circuit_algebra(MONO, 2, {("c", "c"): ("g",)},
-                                     max_blocks=1, bubble_cap=0, downward_only=True)
+    free_down = FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)},
+                                   max_blocks=1, bubble_cap=0, downward_only=True)
     assert check_downward_algebra(free_down, budget=2000, samples=100).passed
 
 
 def test_contraction_frozen_coherence():
     # contracting {1,4} then {2,5} equals contracting {2,5} then {1,4}
-    A = free_circuit_algebra(MONO, 6, {("c", "c", "c"): ("g",)},
-                             max_blocks=1, bubble_cap=0)
+    A = FreeCircuitAlgebra(MONO, 6, {("c", "c", "c"): ("g",)},
+                           max_blocks=1, bubble_cap=0)
     word = ("c",) * 6
     pool = list(coloured_diagrams(MONO, (), word))[:4]
     elems = [FreeCAElement(make_wiring(d, ()), ()) for d in pool]
@@ -452,14 +451,14 @@ def test_unit_epsilon_and_one_point():
 
 
 def test_free_algebra_enumeration():
-    empty = free_circuit_algebra(MONO, 2, {}, bubble_cap=1)
+    empty = FreeCircuitAlgebra(MONO, 2, {}, bubble_cap=1)
     zero_block = empty.elements(("c", "c"))
     wanted = [make_wiring(d, ()) for d in coloured_diagrams(MONO, (), ("c", "c"), 1)]
     assert [e.shape for e in zero_block] == wanted
     assert all(e.generators == () for e in zero_block)
 
-    loops = free_circuit_algebra(MONO, 2, {("c", "c"): ("g",)},
-                                 max_blocks=1, bubble_cap=1)
+    loops = FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)},
+                               max_blocks=1, bubble_cap=1)
     closed = loops.elements(())
     shapes = {(len(e.shape.block_sizes), e.shape.diagram.base.closed, e.generators)
               for e in closed}
@@ -518,8 +517,8 @@ def test_diagrams_agree_across_equal_palettes():
 
 
 def test_freeness_desk_version():
-    A = free_circuit_algebra(MONO, 2, {("c", "c"): ("g",)},
-                             max_blocks=1, bubble_cap=0)
+    A = FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)},
+                           max_blocks=1, bubble_cap=0)
     B = pairing_algebra(MONO, 2)
     assign = {"g": B.elements(("c", "c"))[0]}
 
