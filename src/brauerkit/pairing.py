@@ -214,9 +214,9 @@ def pairing_from_json(obj: dict) -> Pairing:
     try:
         carrier = [decode_label(a) for a in obj["carrier"]]
     except TypeError as exc:
-        raise PairingError(f"pairing carrier is not a list of labels: {exc}") from exc
+        raise PairingError(f"malformed pairing field 'carrier': {exc}") from exc
     try:
         pairs = decode_pairs(obj["pairs"])
     except TypeError as exc:
-        raise PairingError(f"pairing pairs are not [a, b] rows: {exc}") from exc
+        raise PairingError(f"malformed pairing field 'pairs': {exc}") from exc
     return make_pairing(carrier, pairs)
