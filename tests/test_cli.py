@@ -480,6 +480,30 @@ def test_species_segal_failure_names_graph(species_docs, capsys):
     assert code == 0 and json.loads(out)["passed"]
 
 
+SEGAL_JSON_PINNED = {
+    "presheaf": (0, '{"passed":true,"results":['
+                    '["stick",true,"1 elements against a limit of 1"],'
+                    '["corolla2",true,"3 elements against a limit of 3"],'
+                    '["wheel1",true,"3 elements against a limit of 3"],'
+                    '["wheel2",true,"9 elements against a limit of 9"],'
+                    '["glued",true,"1 elements against a limit of 1"]]}'),
+    "broken": (1, '{"passed":false,"results":['
+                  '["stick",true,"1 elements against a limit of 1"],'
+                  '["corolla2",true,"3 elements against a limit of 3"],'
+                  '["wheel1",false,"2 elements against a limit of 3; '
+                  'the canonical map misses the limit"],'
+                  '["wheel2",true,"9 elements against a limit of 9"],'
+                  '["glued",true,"1 elements against a limit of 1"]]}'),
+}
+
+
+@pytest.mark.parametrize("doc", sorted(SEGAL_JSON_PINNED))
+def test_species_segal_json_pinned(species_docs, capsys, doc):
+    code, out, err = cli(capsys, "species", "segal", "--presheaf",
+                         species_docs[doc], "--json")
+    assert (code, out.strip()) == SEGAL_JSON_PINNED[doc] and err == ""
+
+
 def test_species_check_co(tmp_path, capsys):
     path = write_doc(tmp_path, "alg.json", algebra_to_json(renamed_pairing_table(MONO)))
     code, out, _ = cli(capsys, "species", "check-co", "--algebra", path,
