@@ -1129,24 +1129,106 @@ def nerve_presheaf(S, named_graphs):
     )
 
 
+_UNDEFINED = object()  # a cone leg's image of an element it does not map
+
+
+def _equalizer_join(value_sets, arrow_rows):
+    """The families of the product of value_sets that every arrow row
+    (stick index, corolla index, map) equalizes, as a set of tuples in
+    leg order.
+
+    The legs are placed one at a time in breadth-first order along the
+    rows.  A stick placed next to a corolla takes the value the corolla's
+    map gives it, if that is one of its values; a corolla placed next to
+    a stick meets only its values that the row's map sends to the stick's
+    value; any further row between placed legs is checked as it closes.
+    A leg with no placed neighbour takes its whole value set."""
+    n = len(value_sets)
+    rows_at = [[] for _ in range(n)]
+    for row in arrow_rows:
+        rows_at[row[0]].append(row)
+        rows_at[row[1]].append(row)
+    order = []
+    queued = [False] * n
+    for start in range(n):
+        if queued[start]:
+            continue
+        queued[start] = True
+        queue = [start]
+        for leg in queue:  # the queue grows while it is read
+            order.append(leg)
+            for si, ci, _ in rows_at[leg]:
+                other = ci if leg == si else si
+                if not queued[other]:
+                    queued[other] = True
+                    queue.append(other)
+
+    # partial families are tuples in placement order; slot[leg] is where
+    # a placed leg's value sits
+    slot = {}
+    partial = [()]
+    for leg in order:
+        values = value_sets[leg]
+        rows = [row for row in rows_at[leg] if row[0] in slot or row[1] in slot]
+        if not rows:
+            partial = [fam + (v,) for fam in partial for v in values]
+        else:
+            si, ci, mapping = rows.pop()
+            if leg == si:
+                p = slot[ci]
+                partial = [fam + (s,) for fam in partial
+                           if (s := mapping.get(fam[p])) in values]
+            else:
+                p = slot[si]
+                index = {}
+                for c in values:
+                    index.setdefault(mapping.get(c), []).append(c)
+                partial = [fam + (c,) for fam in partial for c in index.get(fam[p], ())]
+        slot[leg] = len(slot)
+        for si, ci, mapping in rows:
+            i, j = slot[si], slot[ci]
+            partial = [fam for fam in partial if mapping.get(fam[j]) == fam[i]]
+    slots = [slot[leg] for leg in range(n)]
+    return {tuple(fam[j] for j in slots) for fam in partial}
+
+
 def segal_check(P, graphs=None):
     """Per listed graph: rebuild the value set as the limit of its stick
     and corolla values and test that the cone legs are jointly bijective.
 
-    With no list given, every graph whose cone legs are all present is
-    checked; support shapes without cones are left out."""
+    The limit is computed by an equalizer join along the element arrows
+    (see _equalizer_join), leg by leg in breadth-first order; it is the
+    same set of families as the product of all leg value sets filtered
+    by the arrow maps, without listing that product.  A value list that
+    repeats an element is refused.
+
+    With no list given, every graph with at least one cone leg is
+    checked, and so is the empty graph, whose cone is empty; support
+    shapes have no cone and are left out.  A checked graph missing any
+    of its legs raises MissingRestriction."""
     if graphs is None:
+        with_legs = {row[0] for row in P.restrictions}
         ids = [gid for gid, g in P.graphs
-               if all((gid, el.kind, el.anchor) in P.cone_map
-                      for el in elements(g))]
+               if gid in with_legs or not (g.tau_pairs or g.vertices)]
     else:
         ids = list(graphs)
+    value_sets = {}
+
+    def value_set(gid):
+        if gid not in value_sets:
+            es = P.value_map[gid]
+            value_sets[gid] = set(es)
+            if len(value_sets[gid]) != len(es):
+                raise InvalidParameter(f"the value list of {gid!r} repeats an element")
+        return value_sets[gid]
+
     results = []
     for gid in ids:
         if gid not in P.graph_map:
             raise InvalidParameter(f"unknown graph id {gid!r}")
         if gid not in P.value_map:
             raise MissingRestriction(f"graph {gid!r} has no value set")
+        value_set(gid)
         g = P.graph_map[gid]
         els = elements(g)
         legs = []
@@ -1157,7 +1239,7 @@ def segal_check(P, graphs=None):
             sid, mapping = P.cone_map[key]
             if sid not in P.value_map:
                 raise MissingRestriction(f"shape {sid!r} has no value set")
-            legs.append((sid, mapping))
+            legs.append((value_set(sid), mapping))
         arrow_rows = []
         for ar in element_arrows(g):
             key = (gid, ar.half_edge)
@@ -1166,25 +1248,20 @@ def segal_check(P, graphs=None):
             _, _, mapping = P.arrow_map[key]
             arrow_rows.append((ar.stick_index, ar.corolla_index, mapping))
 
-        limit = []
-        for family in itertools.product(*(P.value_map[sid] for sid, _ in legs)):
-            if all(mapping.get(family[ci]) == family[si]
-                   for si, ci, mapping in arrow_rows):
-                limit.append(family)
+        limit = _equalizer_join([values for values, _ in legs], arrow_rows)
 
         image = []
         for alpha in P.value_map[gid]:
-            fam = []
-            for sid, mapping in legs:
-                if alpha not in mapping:
-                    raise MissingRestriction(
-                        f"cone leg at {gid!r} undefined on one element"
-                    )
-                fam.append(mapping[alpha])
-            image.append(tuple(fam))
+            fam = tuple(mapping.get(alpha, _UNDEFINED) for _, mapping in legs)
+            if _UNDEFINED in fam:
+                raise MissingRestriction(
+                    f"cone leg at {gid!r} undefined on one element"
+                )
+            image.append(fam)
 
-        injective = len(set(image)) == len(image)
-        onto = set(image) == set(limit)
+        image_set = set(image)
+        injective = len(image_set) == len(image)
+        onto = image_set == limit
         ok = injective and onto
         detail = f"{len(image)} elements against a limit of {len(limit)}"
         if not injective:

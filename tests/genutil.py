@@ -42,6 +42,29 @@ def random_graph(rng, max_vertices=4, max_orbits=5):
     return make_graph(edges, tau, halves, vertices)
 
 
+def random_connected_graph(rng, max_vertices=3, max_orbits=5):
+    """Connected involutive graph: a single stick when it has no vertices,
+    else a random spanning tree of inner orbits plus extra orbits that are
+    loops, parallel edges or ports."""
+    nv = rng.randint(0, max_vertices)
+    if nv == 0:
+        return make_graph([1, 2], [(1, 2)], [], [])
+    vertices = list(range(1, nv + 1))
+    ends = [(v, rng.randint(1, v - 1)) for v in vertices[1:]]
+    for _ in range(rng.randint(0 if ends else 1, max_orbits - len(ends))):
+        port = rng.random() < 0.4
+        ends.append((rng.choice(vertices), None if port else rng.choice(vertices)))
+    edges, tau, halves = [], [], []
+    for i, (u, w) in enumerate(ends):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [a, b]
+        tau.append((a, b))
+        halves.append((a, u))
+        if w is not None:
+            halves.append((b, w))
+    return make_graph(edges, tau, halves, vertices)
+
+
 def random_admissible(rng, x_labels, max_vertices=2, max_extra=2):
     """Admissible graph over the given port labels: one attached partner
     per port, plus some fully attached inner orbits."""

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauerkit.brauer import (
     cap,
@@ -46,6 +49,7 @@ from brauerkit.species import (
     nerve_presheaf,
     presheaf_to_json,
     species_to_json,
+    terminal_species,
 )
 from brauerkit.substitution import gog_to_json, identity_gog
 from brauerkit.wiring import (
@@ -502,6 +506,93 @@ def test_species_segal_json_pinned(species_docs, capsys, doc):
     code, out, err = cli(capsys, "species", "segal", "--presheaf",
                          species_docs[doc], "--json")
     assert (code, out.strip()) == SEGAL_JSON_PINNED[doc] and err == ""
+
+
+def test_species_segal_incomplete_cone_exits_2(tmp_path, capsys):
+    # a nerve with one restriction row gone used to pass with no results
+    doc = presheaf_to_json(nerve_presheaf(terminal_species(ORI, 2), [("w", wheel(1))]))
+    doc["restrictions"] = doc["restrictions"][1:]
+    code, out, err = cli(capsys, "species", "segal", "--json", "--presheaf",
+                         write_doc(tmp_path, "nerve.json", doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: no cone leg") and len(err.splitlines()) == 1
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_paths(value, path + (i,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_WRONG_TYPED = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False),
+    st.sampled_from(["", "w", "stick"]), st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["tuple", "id"]), st.integers(0, 2), max_size=2),
+)
+_OUTSIDE_LABEL = st.sampled_from(["outside", 10 ** 6, {"tuple": ["outside"]}])
+_ID_FIELDS = {"id", "shape", "source", "target"}
+
+
+def _mutate(data, doc):
+    """Apply one drop, retype, id swap or outside map entry to doc."""
+    paths = list(_json_paths(doc))
+    kind = data.draw(st.sampled_from(["drop", "retype", "swap ids", "outside"]))
+    if kind == "drop" and len(paths) > 1:
+        path = data.draw(st.sampled_from(paths[1:]))
+        del _at(doc, path[:-1])[path[-1]]
+    elif kind == "retype":
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(_WRONG_TYPED)
+        if not path:
+            return value
+        _at(doc, path[:-1])[path[-1]] = value
+    elif kind == "swap ids":
+        ids = [p for p in paths if len(p) == 3 and (
+            p[-1] in _ID_FIELDS or (p[0] != "graphs" and p[-1] == "graph"))]
+        if len(ids) > 1:
+            a, b = data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2,
+                                      unique=True))
+            _at(doc, a[:-1])[a[-1]], _at(doc, b[:-1])[b[-1]] = _at(doc, b), _at(doc, a)
+    else:
+        entries = [p for p in paths if len(p) == 5 and p[3] == "map"]
+        if entries:
+            path = data.draw(st.sampled_from(entries))
+            _at(doc, path)[data.draw(st.integers(0, 1))] = data.draw(_OUTSIDE_LABEL)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def small_nerve_doc():
+    P = nerve_presheaf(terminal_species(ORI, 2), [("w", wheel(1)), ("l", line(1))])
+    return json.dumps(presheaf_to_json(P))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_nerve_documents_exit_cleanly(small_nerve_doc, tmp_path_factory, data):
+    doc = json.loads(small_nerve_doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    path = write_doc(tmp_path_factory.getbasetemp(), "mutated.json", doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["species", "segal", "--json", "--presheaf", path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert json.loads(out.getvalue())["passed"] == (code == 0)
 
 
 def test_species_check_co(tmp_path, capsys):
