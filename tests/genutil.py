@@ -44,8 +44,9 @@ def random_graph(rng, max_vertices=4, max_orbits=5):
 
 def random_connected_graph(rng, max_vertices=3, max_orbits=5):
     """Connected involutive graph: a single stick when it has no vertices,
-    else a random spanning tree of inner orbits plus extra orbits that are
-    loops, parallel edges or ports."""
+    else a random spanning tree of inner orbits plus extra orbits, each
+    a port or an inner orbit between any two vertices (loops and parallel
+    edges included)."""
     nv = rng.randint(0, max_vertices)
     if nv == 0:
         return make_graph([1, 2], [(1, 2)], [], [])

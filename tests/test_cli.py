@@ -564,7 +564,8 @@ def _mutate(data, doc):
                                       unique=True))
             _at(doc, a[:-1])[a[-1]], _at(doc, b[:-1])[b[-1]] = _at(doc, b), _at(doc, a)
     else:
-        entries = [p for p in paths if len(p) == 5 and p[3] == "map"]
+        entries = [p for p in paths if len(p) == 4 and p[2] == "map"
+                   and isinstance(_at(doc, p), list) and len(_at(doc, p)) == 2]
         if entries:
             path = data.draw(st.sampled_from(entries))
             _at(doc, path)[data.draw(st.integers(0, 1))] = data.draw(_OUTSIDE_LABEL)
