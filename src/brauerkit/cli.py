@@ -452,6 +452,8 @@ def _cmd_gog_similar(args):
 def _cmd_gog_assoc_check(args):
     outer = gog_from_json(_read_doc(args.outer))
     doc = _read_doc(args.inners)
+    if not isinstance(doc, dict):
+        raise InvalidParameter(f"--inners must be a JSON object, got {type(doc).__name__}")
     inners = {decode_label(json.loads(k)): gog_from_json(v)
               for k, v in doc.items()}
     verdict = check_substitution_associativity(outer, inners)

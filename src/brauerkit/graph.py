@@ -444,11 +444,10 @@ def element_arrows(g):
     """One arrow per half-edge, from the edge's stick to the vertex's corolla."""
     orbit_index = {a: i for i, (a, _) in enumerate(g.tau_pairs)}
     vertex_index = {v: len(g.tau_pairs) + i for i, v in enumerate(g.vertices)}
-    objs = elements(g)
+    shapes = {v: corolla(g.vertex_edges(v)) for v in g.vertices}
     arrows = []
     for e, v in g.half_edges:
         rep = e if e in orbit_index else g.tau(e)
-        corolla_shape = objs[vertex_index[v]].shape
         if e == rep:
             edge_map = {1: ("dag", e), 2: e}
         else:
@@ -457,7 +456,7 @@ def element_arrows(g):
             (e, v),
             orbit_index[rep],
             vertex_index[v],
-            make_morphism(stick(), corolla_shape, edge_map, {}),
+            make_morphism(stick(), shapes[v], edge_map, {}),
         ))
     return tuple(arrows)
 

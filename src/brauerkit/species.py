@@ -41,10 +41,8 @@ from .axioms import (
     MODULAR_LAWS,
     Law,
     Report,
-    connected_unit,
     contractable,
     drop,
-    external_unit,
     run_laws,
     shifted,
 )
@@ -376,46 +374,6 @@ def evaluate(S, g):
     return tuple(out)
 
 
-def evaluate_by_equalizers(S, g):
-    """The same set computed from the resolution: a product of vertex
-    tables cut down by one letter-matching condition per inner orbit."""
-    g = _carrier(g)
-    if g.stick_components:
-        raise InvalidParameter("the resolution needs a graph without stick components")
-    for v in g.vertices:
-        if g.valency(v) > S.bound:
-            raise ArityBoundExceeded(
-                f"vertex {v!r} has valency {g.valency(v)}, bound is {S.bound}"
-            )
-    omega = S.palette.omega
-    attached = g.edge_vertex
-    per_vertex = []
-    for v in g.vertices:
-        opts = []
-        for word in itertools.product(S.palette.colours, repeat=g.valency(v)):
-            for name in S.elements(word):
-                opts.append((v, word, name))
-        per_vertex.append(opts)
-    out = []
-    for combo in itertools.product(*per_vertex):
-        letters = {}
-        for v, word, _ in combo:
-            for e, c in zip(g.vertex_edges(v), word):
-                letters[e] = c
-        ok = True
-        for a, b in g.tau_pairs:
-            if a in attached and b in attached and letters[a] != omega(letters[b]):
-                ok = False
-                break
-        if not ok:
-            continue
-        for p in g.ports:
-            letters[p] = omega(letters[g.tau(p)])
-        colour_items = tuple((e, letters[e]) for e in g.edges)
-        out.append((colour_items, tuple((v, n) for v, _, n in combo)))
-    return tuple(out)
-
-
 def pull_back(S, structure, f):
     """The structure f^* gives on f's source: each edge takes the colour
     of its image, and each vertex the name of its image's, relabelled by
@@ -451,21 +409,7 @@ def transport_structure(S, witness, structure):
 
 
 # ---------------------------------------------------------------------------
-# pointed and circuit-operad structure
-
-
-@dataclass(frozen=True)
-class PointedStructure:
-    epsilon: tuple     # ((colour, name at the word (c, omega c)), ...)
-    contracted: tuple  # ((colour, name at the empty word), ...)
-
-    @cached_property
-    def epsilon_map(self):
-        return dict(self.epsilon)
-
-    @cached_property
-    def contracted_map(self):
-        return dict(self.contracted)
+# circuit-operad structure
 
 
 @dataclass(frozen=True)
@@ -567,49 +511,6 @@ def apply_contraction(S, C, w, x, y, n):
     return S.act_name(dropped, theta, rows[n])
 
 
-def apply_multiplication(S, C, w1, x, w2, y, n1, n2):
-    # multiplication as contraction of the external product
-    return apply_contraction(S, C, tuple(w1) + tuple(w2), x, len(w1) + y,
-                      apply_product(S, C, w1, n1, w2, n2))
-
-
-def validate_pointed(S, P):
-    violations = []
-    checked = 0
-    omega = S.palette.omega
-    eps, kap = P.epsilon_map, P.contracted_map
-    if set(eps) != set(S.palette.colours):
-        violations.append(("unit-coverage", f"epsilon lists {sorted(map(str, eps))}"))
-    if set(kap) != set(S.palette.colours):
-        violations.append(("unit-coverage", f"contracted lists {sorted(map(str, kap))}"))
-    for c in S.palette.colours:
-        if c not in eps or c not in kap:
-            continue
-        word = (c, omega(c))
-        checked += 1
-        if eps[c] not in S.elements(word):
-            violations.append(("unit-typing", f"epsilon[{c!r}] outside S{word!r}"))
-            continue
-        checked += 1
-        swapped = S.transport(word, (1, 0), eps[c])
-        if swapped != eps.get(omega(c)):
-            violations.append(
-                ("unit-symmetry",
-                 f"S(swap) epsilon[{c!r}] = {swapped!r} != epsilon[{omega(c)!r}]")
-            )
-        checked += 1
-        if kap[c] not in S.elements(()):
-            violations.append(("unit-typing", f"contracted[{c!r}] outside S()"))
-        checked += 1
-        if kap[c] != kap.get(omega(c)):
-            violations.append(
-                ("orbit-factoring",
-                 f"contracted[{c!r}] != contracted[{omega(c)!r}]")
-            )
-    violations.sort()
-    return Report(not violations, "exhaustive", 0, checked, checked, tuple(violations))
-
-
 def _typing_pass(S, C):
     violations = []
     words = {w for w, es in S.tables if es}
@@ -675,16 +576,15 @@ def _listed_perms(S, word):
     return out
 
 
-def _table_ops(S, C, epsilon, unit):
+def _table_ops(S, C):
     # C's product, contractions and units on S, as the laws of the axioms
-    # module take them (0-based positions); epsilon and unit are passed
-    # in so that a candidate can stand in for C's own
+    # module take them (0-based positions)
     return SimpleNamespace(
         words=[w for w, es in S.tables if es], elements=S.elements,
-        bound=S.bound, omega=S.palette.omega, unit=unit,
+        bound=S.bound, omega=S.palette.omega, unit=C.external_unit,
         box=lambda u, a, v, b: apply_product(S, C, u, a, v, b),
         zeta=lambda w, i, j, a: apply_contraction(S, C, w, i, j, a),
-        eps=epsilon.__getitem__,
+        eps=C.epsilon_map.__getitem__,
         relabel=S.transport,
     )
 
@@ -734,7 +634,7 @@ def validate_circuit_operad(S, C):
     violations = _typing_pass(S, C)
     if violations:
         return Report(False, "exhaustive", 0, 0, 0, tuple(sorted(violations)))
-    ops = _table_ops(S, C, C.epsilon_map, C.external_unit)
+    ops = _table_ops(S, C)
     laws = [_unit_symmetry(S, ops), *_equivariance_laws(S, C)]
     laws += [law(ops) for law in CIRCUIT_LAWS]
     note = ("no external unit listed; its law was not in scope" if C.external_unit is None
@@ -745,34 +645,8 @@ def validate_circuit_operad(S, C):
 def check_modular_axioms(S, C):
     """The multiplication derived as contraction-after-product satisfies
     the modular-operad laws, instance by instance within the bound."""
-    ops = _table_ops(S, C, C.epsilon_map, C.external_unit)
+    ops = _table_ops(S, C)
     return run_laws([law(ops) for law in MODULAR_LAWS])
-
-
-def find_connected_units(S, C):
-    """Every epsilon table satisfying the unit laws against C's product
-    and contraction; a lawful structure admits exactly one."""
-    colours = S.palette.colours
-    found = []
-    for combo in itertools.product(*(S.elements((c, S.palette.omega(c))) for c in colours)):
-        ops = _table_ops(S, C, dict(zip(colours, combo)), C.external_unit)
-        if run_laws([_unit_symmetry(S, ops), connected_unit(ops)]).passed:
-            found.append(tuple(zip(colours, combo)))
-    return tuple(found)
-
-
-def find_external_units(S, C):
-    return tuple(u for u in S.elements(())
-                 if run_laws([external_unit(_table_ops(S, C, C.epsilon_map, u))]).passed)
-
-
-def pointed_from_operad(S, C):
-    """Units plus their contractions, the way the pointing is adjoined."""
-    contracted = []
-    for c in S.palette.colours:
-        word = (c, S.palette.omega(c))
-        contracted.append((c, apply_contraction(S, C, word, 0, 1, C.epsilon_map[c])))
-    return PointedStructure(tuple(C.epsilon), tuple(contracted))
 
 
 # ---------------------------------------------------------------------------

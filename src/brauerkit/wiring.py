@@ -26,13 +26,15 @@ truncation of enumerate_wirings: block count, source arity, and bubble
 count are capped, while the action itself stays exact.
 
 Derived operations: block juxtaposition, contraction of two
-omega-dual boundary positions, their composite, and the cap unit.
+omega-dual boundary positions, and the cap unit.
 check_circuit_algebra verifies the operad-algebra axioms (identity,
-block equivariance, composition square); check_derived_axioms /
-check_downward_algebra run the circuit-operad laws of the axioms
-module on the derived operations, with or without the connected unit,
-relabelling through perm_wiring; species.species_from_circuit_algebra
-tabulates the same operations.  Checks run exhaustively when the
+block equivariance, composition square); check_derived_axioms runs the
+circuit-operad laws of the axioms module on the derived operations,
+relabelling through perm_wiring.  An algebra on downward diagrams
+alone has no cap unit, so there it leaves out the connected unit and
+its report carries the note "downward only: the connected unit is not
+in scope".  species.species_from_circuit_algebra tabulates the same
+operations.  Checks run exhaustively when the
 instance count fits the budget and fall back to seeded sampling
 otherwise; the axioms.Report records mode, seed, and every violation
 found as a sorted (kind, detail) pair.  The exhaustive composition
@@ -73,6 +75,7 @@ from .coloured import (
     palette_to_json,
     tensor_coloured,
 )
+from .graph import InvalidParameter
 from .labels import decode_label, encode_label, label_key
 
 
@@ -226,6 +229,8 @@ class CircuitAlgebra:
     def __init__(self, palette, bound, carriers, action, downward_only=False):
         self.palette = palette
         self.bound = int(bound)
+        if self.bound < 0:
+            raise InvalidParameter(f"bound must be a non-negative integer, got {bound!r}")
         self.carriers = {tuple(w): tuple(xs) for w, xs in carriers.items()}
         for w in self.carriers:
             if len(w) > self.bound:
@@ -340,6 +345,9 @@ class FreeCircuitAlgebra(CircuitAlgebra):
             if len(w) > self.bound:
                 raise ArityBoundExceeded(f"generator word {w!r} longer than bound")
         self.max_blocks = self.bound if max_blocks is None else int(max_blocks)
+        if self.max_blocks < 0:
+            raise InvalidParameter(f"max_blocks must be a non-negative integer, "
+                                   f"got {max_blocks!r}")
         self.bubble_cap = int(bubble_cap)
 
     def words(self):
@@ -454,19 +462,6 @@ def contraction_wiring(palette: Palette, word, i: int, j: int) -> WiringDiagram:
 def derived_contraction(A: CircuitAlgebra, word, i: int, j: int):
     fn = A.act(contraction_wiring(A.palette, word, i, j))
     return lambda a: fn((a,))
-
-
-def derived_diamond(A: CircuitAlgebra, c_word, d_word, i: int, j: int):
-    c_word, d_word = tuple(c_word), tuple(d_word)
-    if not (1 <= i <= len(c_word) and 1 <= j <= len(d_word)):
-        raise IndexError(f"positions {(i, j)!r} out of range")
-    if c_word[i - 1] != A.palette.omega(d_word[j - 1]):
-        raise ColourMismatch(
-            f"{c_word[i - 1]!r} at {i} and {d_word[j - 1]!r} at {j} are not omega-dual"
-        )
-    box = derived_boxtimes(A, c_word, d_word)
-    zeta = derived_contraction(A, c_word + d_word, i, len(c_word) + j)
-    return lambda a, b: zeta(box(a, b))
 
 
 def unit_epsilon(A: CircuitAlgebra, colour):
@@ -719,18 +714,15 @@ def _algebra_ops(A: CircuitAlgebra):
 def check_derived_axioms(A: CircuitAlgebra, seed=0, budget=100_000,
                          samples=300) -> Report:
     """The circuit-operad laws on the derived product, contractions and
-    units, the connected unit included."""
+    units.  An algebra on downward diagrams alone has no cap to build
+    ε_c from, so there the connected unit is left out and a note says so."""
     ops = _algebra_ops(A)
-    return run_laws([law(ops) for law in CIRCUIT_LAWS], seed, budget, samples)
-
-
-def check_downward_algebra(A: CircuitAlgebra, seed=0, budget=100_000,
-                           samples=300) -> Report:
-    """Product and contraction laws only; no unit probe, so it is
-    meaningful for algebras defined on downward diagrams alone."""
-    ops = _algebra_ops(A)
-    laws = [law(ops) for law in CIRCUIT_LAWS if law is not connected_unit]
-    return run_laws(laws, seed, budget, samples)
+    laws = CIRCUIT_LAWS
+    notes = ()
+    if A.downward_only:
+        laws = [law for law in laws if law is not connected_unit]
+        notes = ("downward only: the connected unit is not in scope",)
+    return run_laws([law(ops) for law in laws], seed, budget, samples, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,18 @@ def test_ca_free_carriers(tmp_path, capsys):
     assert doc["carriers"]["c"] == 0
 
 
+@pytest.mark.parametrize("flag", ["--bound", "--max-blocks"])
+def test_ca_free_negative_bound_exits_2(tmp_path, capsys, flag):
+    pal = write_doc(tmp_path, "mono.json", palette_to_json(MONO))
+    argv = {"--bound": "2", "--max-blocks": "1", flag: "-1"}
+    code, out, err = cli(capsys, "ca", "free", "--palette", pal,
+                         *itertools.chain.from_iterable(argv.items()),
+                         "--generator", "c,c=h")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("error:") and "non-negative" in err
+
+
 def test_ca_free_check_json_reports_violation(tmp_path, capsys, monkeypatch):
     pal = write_doc(tmp_path, "mono.json", palette_to_json(MONO))
     report = Report(False, "exhaustive", 0, 1, 1, (("identity", "planted"),))
@@ -422,6 +434,17 @@ def test_gog_assoc_check(tmp_path, capsys):
     code, out, _ = cli(capsys, "gog", "assoc-check", "--outer", opath,
                        "--inners", ipath)
     assert code == 0 and out.strip() == "associative"
+
+
+@pytest.mark.parametrize("inners", [[1, 2], "x"], ids=["list", "string"])
+def test_gog_assoc_check_inners_not_an_object_exits_2(tmp_path, capsys, inners):
+    opath = write_doc(tmp_path, "outer.json", gog_to_json(identity_gog(line(2))))
+    ipath = write_doc(tmp_path, "inners.json", inners)
+    code, out, err = cli(capsys, "gog", "assoc-check", "--outer", opath,
+                         "--inners", ipath)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("error: --inners must be a JSON object")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from brauerkit import labels, species
+from brauerkit.axioms import connected_unit, external_unit, run_laws
 from brauerkit.coloured import make_palette, monochrome_palette, oriented_palette
 from brauerkit.graph import (
     InvalidParameter,
@@ -31,23 +32,17 @@ from brauerkit.species import (
     ColourMismatch,
     MissingActionEntry,
     MissingRestriction,
-    PointedStructure,
     apply_contraction,
-    apply_multiplication,
     apply_product,
     build_free_species,
     check_modular_axioms,
     contract_free_element,
     enumerate_x_graphs,
     evaluate,
-    evaluate_by_equalizers,
-    find_connected_units,
-    find_external_units,
     free_component,
     make_operad_structure,
     make_species,
     nerve_presheaf,
-    pointed_from_operad,
     presheaf_from_json,
     presheaf_to_json,
     pull_back,
@@ -58,12 +53,10 @@ from brauerkit.species import (
     terminal_species,
     transport_structure,
     validate_circuit_operad,
-    validate_pointed,
 )
 from brauerkit.wiring import (
     CircuitAlgebra,
     check_derived_axioms,
-    check_downward_algebra,
     contraction_wiring,
     pairing_algebra,
 )
@@ -197,6 +190,42 @@ def test_evaluate_disjoint_union_multiplies():
             len(evaluate(T, g)) * len(evaluate(T, h))
 
 
+def evaluate_by_equalizers(S, g):
+    """The same set as evaluate, computed from the resolution: a product
+    of vertex tables cut down by one letter-matching condition per inner
+    orbit.  An independent second evaluator, kept here as the oracle."""
+    if g.stick_components:
+        raise InvalidParameter("the resolution needs a graph without stick components")
+    for v in g.vertices:
+        if g.valency(v) > S.bound:
+            raise ArityBoundExceeded(
+                f"vertex {v!r} has valency {g.valency(v)}, bound is {S.bound}"
+            )
+    omega = S.palette.omega
+    attached = g.edge_vertex
+    per_vertex = []
+    for v in g.vertices:
+        opts = []
+        for word in itertools.product(S.palette.colours, repeat=g.valency(v)):
+            for name in S.elements(word):
+                opts.append((v, word, name))
+        per_vertex.append(opts)
+    out = []
+    for combo in itertools.product(*per_vertex):
+        letters = {}
+        for v, word, _ in combo:
+            for e, c in zip(g.vertex_edges(v), word):
+                letters[e] = c
+        if any(a in attached and b in attached and letters[a] != omega(letters[b])
+               for a, b in g.tau_pairs):
+            continue
+        for p in g.ports:
+            letters[p] = omega(letters[g.tau(p)])
+        colour_items = tuple((e, letters[e]) for e in g.edges)
+        out.append((colour_items, tuple((v, n) for v, _, n in combo)))
+    return tuple(out)
+
+
 def test_equalizer_form_matches_hand_graphs():
     T = terminal_species(ABZ, 6)
     glued = glue(disjoint_union(corolla(2), corolla(2)), ("l", 1), ("r", 2))
@@ -253,8 +282,6 @@ def test_operad_from_monochrome_pairing_algebra():
     assert report.mode == "exhaustive" and report.checked == report.candidates == 150
     modular = check_modular_axioms(S, C)
     assert modular.passed and modular.checked == 13
-    pointed = validate_pointed(S, pointed_from_operad(S, C))
-    assert pointed.passed and pointed.checked == 4
 
 
 def test_operad_from_oriented_pairing_algebra():
@@ -265,8 +292,6 @@ def test_operad_from_oriented_pairing_algebra():
     assert report.checked == 76
     modular = check_modular_axioms(S, C)
     assert modular.passed and modular.checked == 6
-    pointed = validate_pointed(S, pointed_from_operad(S, C))
-    assert pointed.passed and pointed.checked == 8
 
 
 def test_algebra_action_direction():
@@ -316,7 +341,8 @@ def test_product_contraction_corruption_detected_by_every_checker():
         return pool[(pool.index(out) + 1) % 3] if wd == bad_wd else out
 
     bad = CircuitAlgebra(MONO, 6, A.carriers, action)
-    for report in (check_derived_axioms(bad), check_downward_algebra(bad),
+    bad_down = CircuitAlgebra(MONO, 6, A.carriers, action, downward_only=True)
+    for report in (check_derived_axioms(bad), check_derived_axioms(bad_down),
                    validate_circuit_operad(*species_from_circuit_algebra(bad))):
         assert not report.passed
         assert "product-contraction" in {kind for kind, _ in report.violations}
@@ -361,7 +387,27 @@ def test_lift_pinned(name):
     assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
 
 
+def find_connected_units(S, C):
+    """Every epsilon table satisfying unit symmetry and the connected
+    unit law against C's product and contraction."""
+    colours = S.palette.colours
+    found = []
+    for combo in itertools.product(*(S.elements((c, S.palette.omega(c))) for c in colours)):
+        candidate = dataclasses.replace(C, epsilon=tuple(zip(colours, combo)))
+        ops = species._table_ops(S, candidate)
+        if run_laws([species._unit_symmetry(S, ops), connected_unit(ops)]).passed:
+            found.append(candidate.epsilon)
+    return tuple(found)
+
+
+def find_external_units(S, C):
+    """Every element of S() satisfying the external unit law against C's product."""
+    return tuple(u for u in S.elements(()) if run_laws(
+        [external_unit(species._table_ops(S, dataclasses.replace(C, external_unit=u)))]).passed)
+
+
 def test_unit_uniqueness():
+    # a lawful structure admits exactly one of each unit
     for palette in (MONO, ORI):
         S, C = species_from_circuit_algebra(pairing_algebra(palette, 4))
         assert find_connected_units(S, C) == (tuple(C.epsilon),)
@@ -378,7 +424,6 @@ def test_terminal_operad_structure_passes():
     C = make_operad_structure(box, zeta, {"c": "*"}, "*")
     assert validate_circuit_operad(T, C).passed
     assert check_modular_axioms(T, C).passed
-    assert validate_pointed(T, pointed_from_operad(T, C)).passed
 
 
 def test_missing_tables_reported():
@@ -401,35 +446,28 @@ def test_apply_ops_at_unsorted_words():
         apply_contraction(S, C, ("+", "+"), 0, 1, S.elements(("+", "+"))[0]) \
             if S.elements(("+", "+")) else (_ for _ in ()).throw(
                 ColourMismatch("empty table"))
-    got = apply_multiplication(S, C, w, 0, ("+", "-"), 0, n,
-                               S.elements(("+", "-"))[0])
+    # the multiplication: contract position 0 of each factor after the product
+    got = apply_contraction(S, C, w + ("+", "-"), 0, 2,
+                            apply_product(S, C, w, n, ("+", "-"), S.elements(("+", "-"))[0]))
     assert got in S.elements(("+", "-"))
     with pytest.raises(MissingActionEntry):
         apply_product(S, C, ("+",), 99, (), 0)
 
 
-def test_validate_pointed_violations():
-    S = make_species(ABZ, 2, {(): (0, 1), ("a", "b"): (0, 1), ("z", "z"): (0,)})
-    good = PointedStructure(
-        (("a", 0), ("b", 0), ("z", 0)),
-        (("a", 1), ("b", 1), ("z", 0)),
-    )
-    assert validate_pointed(S, good).passed
-    asym = PointedStructure(
-        (("a", 0), ("b", 1), ("z", 0)),
-        (("a", 1), ("b", 1), ("z", 0)),
-    )
-    report = validate_pointed(S, asym)
-    assert any(v[0] == "unit-symmetry" for v in report.violations)
-    unfactored = PointedStructure(
-        (("a", 0), ("b", 0), ("z", 0)),
-        (("a", 0), ("b", 1), ("z", 0)),
-    )
-    report = validate_pointed(S, unfactored)
-    assert any(v[0] == "orbit-factoring" for v in report.violations)
-    partial = PointedStructure((("a", 0),), (("a", 0),))
-    assert any(v[0] == "unit-coverage"
-               for v in validate_pointed(S, partial).violations)
+def test_unit_violations_reported():
+    # the swap exchanges the two elements of S(c, c), so no epsilon is
+    # fixed by it; the tables are complete and typed
+    S = make_species(MONO, 2, {(): (0,), ("c", "c"): (0, 1)},
+                     [(("c", "c"), (1, 0), {0: 1, 1: 0})])
+    cc = ("c", "c")
+    box = {((), ()): {(0, 0): 0}, ((), cc): {(0, a): a for a in (0, 1)},
+           (cc, ()): {(a, 0): a for a in (0, 1)}}
+    zeta = {(cc, 0, 1): {0: 0, 1: 0}}
+    report = validate_circuit_operad(S, make_operad_structure(box, zeta, {"c": 0}))
+    assert {kind for kind, _ in report.violations} == {"unit-symmetry"}
+    # an epsilon that misses a colour fails typing
+    report = validate_circuit_operad(S, make_operad_structure(box, zeta, {}))
+    assert report.violations == (("unit-typing", "epsilon does not cover the palette"),)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,9 @@ from brauerkit.wiring import (
     algebra_to_json,
     check_circuit_algebra,
     check_derived_axioms,
-    check_downward_algebra,
     contraction_wiring,
     derived_boxtimes,
     derived_contraction,
-    derived_diamond,
     enumerate_wirings,
     identity_wiring,
     is_downward_wiring,
@@ -379,16 +377,20 @@ def test_derived_axioms_pairing():
     assert report.passed and report.mode == "sampled" and report.checked == 1800
 
 
-def test_downward_check_and_e1_probe():
+DOWNWARD_NOTE = "downward only: the connected unit is not in scope"
+
+
+def test_downward_check_leaves_out_the_connected_unit():
     for palette, count in ((MONO, 55), (ORI, 163)):
-        report = check_downward_algebra(pairing_algebra(palette, 4, downward_only=True))
+        report = check_derived_axioms(pairing_algebra(palette, 4, downward_only=True))
         assert report.passed and report.checked == report.candidates == count
-    down = pairing_algebra(MONO, 4, downward_only=True)
-    with pytest.raises(NotDownward):
-        check_derived_axioms(down)
+        assert report.notes == (DOWNWARD_NOTE,)
     free_down = FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)},
                                    max_blocks=1, bubble_cap=0, downward_only=True)
-    assert check_downward_algebra(free_down, budget=2000, samples=100).passed
+    report = check_derived_axioms(free_down, budget=2000, samples=100)
+    assert report.passed and report.notes == (DOWNWARD_NOTE,)
+    # an algebra on every wiring diagram keeps the connected unit, unnoted
+    assert check_derived_axioms(pairing_algebra(MONO, 4)).notes == ()
 
 
 def test_contraction_frozen_coherence():
@@ -418,22 +420,21 @@ def test_contraction_errors():
         derived_contraction(A, ("+", "-"), 0, 2)
     with pytest.raises(IndexError):
         derived_contraction(A, ("+", "-"), 2, 2)
-    with pytest.raises(ColourMismatch):
-        derived_diamond(A, ("+",), ("+",), 1, 1)
-    with pytest.raises(IndexError):
-        derived_diamond(A, ("+",), ("-",), 1, 2)
     with pytest.raises(ArityBoundExceeded):
         derived_boxtimes(A, ("+",) * 3, ("-",) * 3)
 
 
 def test_diamond_swap_symmetry():
+    # the diamond (multiplication) is the contraction after the product
     A = pairing_algebra(ORI, 4)
     c_word, d_word = ("+", "-"), ("-", "+")
     a, = A.elements(c_word)
     b, = A.elements(d_word)
     # contract c_1 with d_1 both ways around
-    lhs = derived_diamond(A, c_word, d_word, 1, 1)(a, b)
-    rhs = derived_diamond(A, d_word, c_word, 1, 1)(b, a)
+    lhs = derived_contraction(A, c_word + d_word, 1, 3)(
+        derived_boxtimes(A, c_word, d_word)(a, b))
+    rhs = derived_contraction(A, d_word + c_word, 1, 3)(
+        derived_boxtimes(A, d_word, c_word)(b, a))
     # rhs lives on (d minus slot 1) + (c minus slot 1); route it back onto lhs's word
     u2 = ("+", "-")
     routed = make_wiring(coloured_permutation(ORI, (2, 1), u2), (2,))
