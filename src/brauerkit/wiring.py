@@ -34,13 +34,13 @@ relabelling through perm_wiring.  An algebra on downward diagrams
 alone has no cap unit, so there it leaves out the connected unit and
 its report carries the note "downward only: the connected unit is not
 in scope".  species.species_from_circuit_algebra tabulates the same
-operations.  Checks run exhaustively when the
-instance count fits the budget and fall back to seeded sampling
-otherwise; the axioms.Report records mode, seed, and every violation
-found as a sorted (kind, detail) pair.  The exhaustive composition
-square visits its (g, fs) pairs grouped by g's block types, so that
-each tensor of arguments is built once for all the gs that share it;
-the instances are those of the pair-by-pair loop, in another order.
+operations.  Checks run exhaustively when the instance count fits the
+budget and fall back to seeded sampling otherwise; the axioms.Report
+records mode, seed, and every violation found as a sorted (kind,
+detail) pair.  The exhaustive composition square visits its (g, fs)
+pairs grouped by g's block types, so that each tensor of arguments is
+built once for all the gs that share it; the instances are those of
+the pair-by-pair loop, in another order.
 """
 
 from __future__ import annotations

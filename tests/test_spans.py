@@ -34,8 +34,6 @@ def _bound(module, attr):
 
 
 def test_every_span_target_installs_and_uninstalls(spans):
-    for module, attr, _ in spans.TARGETS:
-        importlib.import_module(f"brauerkit.{module}")
     originals = {(module, attr): _bound(module, attr) for module, attr, _ in spans.TARGETS}
     tracer = spans.Tracer()
     tracer.install()

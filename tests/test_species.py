@@ -402,8 +402,12 @@ def find_connected_units(S, C):
 
 def find_external_units(S, C):
     """Every element of S() satisfying the external unit law against C's product."""
-    return tuple(u for u in S.elements(()) if run_laws(
-        [external_unit(species._table_ops(S, dataclasses.replace(C, external_unit=u)))]).passed)
+    found = []
+    for u in S.elements(()):
+        ops = species._table_ops(S, dataclasses.replace(C, external_unit=u))
+        if run_laws([external_unit(ops)]).passed:
+            found.append(u)
+    return tuple(found)
 
 
 def test_unit_uniqueness():
