@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from brauerkit.graph import (
     InvalidParameter,
@@ -44,9 +48,11 @@ from brauerkit.graph import (
     validate_etale,
     vertex_element,
     wheel,
+    x_certificate,
     x_iso,
 )
 from brauerkit import graph
+from genutil import random_admissible, random_connected_graph, random_graph
 
 
 def _relabel(g, edge_map, vertex_map):
@@ -58,13 +64,18 @@ def _relabel(g, edge_map, vertex_map):
     )
 
 
-def _scramble(g, rng):
+def _scrambled(g, rng):
+    # a copy on shuffled string labels, and where each edge went
     edge_targets = [f"e{i}" for i in range(len(g.edges))]
     vertex_targets = [f"w{i}" for i in range(len(g.vertices))]
     rng.shuffle(edge_targets)
     rng.shuffle(vertex_targets)
-    return _relabel(g, dict(zip(g.edges, edge_targets)),
-                    dict(zip(g.vertices, vertex_targets)))
+    edge_map = dict(zip(g.edges, edge_targets))
+    return _relabel(g, edge_map, dict(zip(g.vertices, vertex_targets))), edge_map
+
+
+def _scramble(g, rng):
+    return _scrambled(g, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +462,96 @@ def test_xgraph_validation():
     assert make_xgraph(wheel(2), {}).admissible
     assert not make_xgraph(stick(), {1: 1, 2: 2}).admissible
     assert not make_xgraph(wheel(1), None).admissible
+
+
+# ---------------------------------------------------------------------------
+# the networkx VF2 oracle
+#
+# A graph becomes a simple graph with one node per edge and per vertex:
+# tau links two edge nodes and each half-edge links an edge node to its
+# vertex.  An edge node meets one tau partner and at most one vertex, so
+# the kind-preserving isomorphisms of the encoding are exactly the graph
+# isomorphisms.  A port label joins the kind of its edge node for x_iso.
+
+
+def _vf2_encoding(g, rho):
+    G = nx.Graph()
+    G.add_nodes_from((("e", e), {"colour": ("edge", rho.get(e))}) for e in g.edges)
+    G.add_nodes_from((("v", v), {"colour": ("vertex",)}) for v in g.vertices)
+    G.add_edges_from((("e", a), ("e", b)) for a, b in g.tau_pairs)
+    G.add_edges_from((("e", e), ("v", v)) for e, v in g.half_edges)
+    return G
+
+
+def _vf2(g, h, rho_g=None, rho_h=None):
+    matcher = GraphMatcher(_vf2_encoding(g, rho_g or {}), _vf2_encoding(h, rho_h or {}),
+                           node_match=categorical_node_match("colour", None))
+    return matcher.is_isomorphic()
+
+
+def _assert_isomorphism(f, g, h, rho_g=None, rho_h=None):
+    em, vm = f.edge_map, f.vertex_map
+    assert f.source == g and f.target == h
+    assert sorted(map(repr, em.values())) == sorted(map(repr, h.edges))
+    assert sorted(map(repr, vm.values())) == sorted(map(repr, h.vertices))
+    assert all(h.tau(em[e]) == em[g.tau(e)] for e in g.edges)
+    assert {(em[e], vm[v]) for e, v in g.half_edges} == set(h.half_edges)
+    if rho_g is not None:
+        assert all(rho_h[em[p]] == lab for p, lab in rho_g.items())
+
+
+def _rewired(g, rng):
+    # the vertices of two half-edges exchanged: the valencies stay, so
+    # iso's cheap invariants pass and the canonical search decides
+    halves = list(g.half_edges)
+    if len(halves) >= 2:
+        i, j = rng.sample(range(len(halves)), 2)
+        (a, u), (b, w) = halves[i], halves[j]
+        halves[i], halves[j] = (a, w), (b, u)
+    return make_graph(g.edges, g.tau_pairs, halves, g.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["copy", "rewired", "other"]))
+def test_iso_agrees_with_vf2(seed, kind):
+    rng = random.Random(seed)
+    make = rng.choice([random_graph, random_connected_graph])
+    nv = rng.randint(1, 6)
+    size = {"max_vertices": nv, "max_orbits": rng.randint(nv, 8)}
+    g = make(rng, **size)
+    h = {"copy": g, "rewired": _rewired(g, rng), "other": make(rng, **size)}[kind]
+    h = _scramble(h, rng)
+    want = _vf2(g, h)
+    f = iso(g, h)
+    assert (f is not None) == want
+    if f is not None:
+        _assert_isomorphism(f, g, h)
+    assert (canonical_form(g) == canonical_form(h)) == want
+    assert (x_certificate(make_xgraph(g, None)) == x_certificate(make_xgraph(h, None))) == want
+    assert canonical_form(_scramble(g, rng)) == canonical_form(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["copy", "ports moved", "other"]))
+def test_x_iso_agrees_with_vf2(seed, kind):
+    rng = random.Random(seed)
+    labels = tuple(range(1, rng.randint(0, 4) + 1))
+    x = random_admissible(rng, labels, max_vertices=3, max_extra=3)
+    y = x
+    if kind == "other":
+        y = random_admissible(rng, labels, max_vertices=3, max_extra=3)
+    elif kind == "ports moved":
+        moved = list(labels)
+        rng.shuffle(moved)
+        y = make_xgraph(x.graph, {p: moved[lab - 1] for p, lab in x.rho})
+    h, edge_map = _scrambled(y.graph, rng)
+    y = make_xgraph(h, {edge_map[p]: lab for p, lab in y.rho})
+    want = _vf2(x.graph, y.graph, x.rho_map, y.rho_map)
+    f = x_iso(x, y)
+    assert (f is not None) == want
+    if f is not None:
+        _assert_isomorphism(f, x.graph, y.graph, x.rho_map, y.rho_map)
+    assert (x_certificate(x) == x_certificate(y)) == want
 
 
 # ---------------------------------------------------------------------------

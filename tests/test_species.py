@@ -800,6 +800,52 @@ def test_pull_back_pinned(name):
     assert hashlib.sha256(build().encode()).hexdigest() == digest
 
 
+def cycle_type(mapping):
+    mapping = dict(mapping)
+    seen, lengths = set(), []
+    for start in mapping:
+        n, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = mapping[x]
+            n += 1
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths))
+
+
+# the free species up to renaming its classes: the table size at each
+# word and the cycle type of each listed swap.  The graph certificate
+# orders and names the classes, so the digests above move with it, but
+# these do not.
+FREE_SHAPES = {
+    "mono bound 2": (
+        lambda: build_free_species(mono_generator(3), 2, 6, 2),
+        {(): 3, ("c",): 1, ("c", "c"): 3},
+        {(("c", "c"), (1, 0)): (1, 1, 1)}),
+    "oriented bound 4": (
+        oriented_free_species,
+        {(): 1, ("-",): 4, ("-", "-"): 32, ("+", "-", "-"): 2, ("+", "-", "-", "-"): 36},
+        {(("-", "-"), (1, 0)): (1,) * 4 + (2,) * 14,
+         (("+", "-", "-"), (0, 2, 1)): (2,),
+         (("+", "-", "-", "-"), (0, 2, 1, 3)): (2,) * 18,
+         (("+", "-", "-", "-"), (0, 1, 3, 2)): (2,) * 18}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_SHAPES))
+def test_free_species_shape_pinned(name):
+    build, sizes, cycles = FREE_SHAPES[name]
+    FS = build()
+    assert {w: len(es) for w, es in FS.tables} == sizes
+    assert {(w, perm): cycle_type(m) for w, perm, m in FS.actions} == cycles
+    # the bounded free species has no admissible unit (the stick is not
+    # enumerated) and its product leaves the vertex bound, so it carries
+    # no circuit-operad structure to validate; its nerve is checked instead
+    P = nerve_presheaf(FS, [("wheel", wheel(2)), ("line", line(2))])
+    assert segal_check(P).passed
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
