@@ -515,126 +515,242 @@ def is_connected(g):
 # ---------------------------------------------------------------------------
 # canonical form and isomorphism
 #
-# Colour refinement on the edge/vertex incidence structure, with
-# individualisation on the smallest ambiguous colour class; the
-# certificate is minimised over all branches, so the result depends
-# only on the isomorphism class (plus port colours, when given).
+# The certificate is the graph renumbered by the least leaf of a search
+# tree of ordered partitions, as in nauty and Traces (B. McKay and
+# A. Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+# 2014).  Edges are the nodes 0..E-1 and vertices E..n-1.  An edge's
+# neighbours are its tau partner and its vertex, a vertex's are its
+# edges; edges and vertices never share a cell, so the two cells tell
+# which kind a link is and one count per node suffices.
+#
+# A partition is the array `lab` cut into cells, each named by its start
+# index.  The first cells are the colour tokens in order: attached edges,
+# ports (by seed label, when seeded), then vertices by valency.
+# Refinement pops a splitter cell from a queue, counts each node's
+# neighbours inside it, and splits every touched cell into fragments in
+# ascending count.  It queues each fragment but the first largest, or
+# all of them when the old cell was still queued: the counts against
+# the one left out are the old cell's minus the others'.  Each step
+# reads only cell positions and counts, never node numbers, so an
+# isomorphism carries one graph's refined partition onto the other's
+# cell for cell: the cell order is an isomorphism invariant.
+#
+# The search individualises each node of the first non-singleton cell in
+# turn, in label order, and refines again.  A discrete partition is a
+# leaf; numbering the edges and vertices by their places gives its
+# certificate, and the least certificate over the leaves depends only on
+# the isomorphism class (and on the port labels, when seeded).  Two
+# leaves with one certificate give an automorphism, which maps the
+# first leaf's path onto the second's and fixes the nodes individualised
+# above the point where they part.  A subtree that an automorphism maps
+# onto an explored one repeats its certificates, which prunes in two ways:
+# - every automorphism found while a tree node is open fixes the node's
+#   individualised prefix, so a child in the orbit of a tried child
+#   under those automorphisms is skipped.  The first path (the nodes
+#   opened before the first leaf) prunes by all of them;
+# - a leaf equal to an earlier leaf maps the earlier leaf's branch at
+#   their common ancestor, which is explored, onto the later leaf's, so
+#   the search goes back to that ancestor.  For the first leaf this is
+#   the later leaf's last ancestor on the first path.
+# Pruning only on the first path, and returning only from leaves equal
+# to the first, left a repeated-component graph beside one odd pair of
+# components (six wheel(3) with wheel(2) and wheel(4)) searching every
+# order of the repeated ones below each branch that starts at the pair.
 
 
-def _refine(colour, adj):
-    while True:
-        sigs = {
-            x: (colour[x], tuple(sorted((k, colour[y]) for k, y in adj[x])))
-            for x in colour
-        }
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new = {x: ranking[sigs[x]] for x in colour}
-        if new == colour:
-            return colour
-        colour = new
+class _Orbits:
+    """Orbits of the automorphisms found since some point of the search:
+    a union-find that joins each automorphism when it is first read."""
+
+    __slots__ = ("parent", "start", "joined")
+
+    def __init__(self, n, start):
+        self.parent, self.start, self.joined = list(range(n)), start, start
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def meets(self, x, tried, gens):
+        """True iff x lies in the orbit of a node in tried."""
+        for lab_a, lab_b in gens[self.joined:]:
+            for a, b in zip(lab_a, lab_b):
+                ra, rb = self.find(a), self.find(b)
+                if ra != rb:
+                    self.parent[ra] = rb
+        self.joined = len(gens)
+        if self.joined == self.start:
+            return False
+        rx = self.find(x)
+        return any(self.find(u) == rx for u in tried)
 
 
-def _adjacency(g):
-    adj = {}
-    for e in g.edges:
-        n = [("tau", ("e", g.tau(e)))]
-        v = g.edge_vertex.get(e)
-        if v is not None:
-            n.append(("at", ("v", v)))
-        adj[("e", e)] = tuple(n)
-    for v in g.vertices:
-        adj[("v", v)] = tuple(("has", ("e", x)) for x in g.vertex_edges(v))
-    return adj
+class _Node:
+    """A node of the search tree: its refined partition, the candidates
+    it branches on, the children tried so far, and the orbits of the
+    automorphisms found since it was opened."""
 
+    __slots__ = ("state", "cands", "next", "tried", "orbits")
 
-def _initial_colour(g, port_seed):
-    seed = dict(port_seed) if port_seed else {}
-    tokens = {}
-    for e in g.edges:
-        if e in g.edge_vertex:
-            tokens[("e", e)] = ("edge", 0, (0, 0))
-        elif e in seed:
-            tokens[("e", e)] = ("edge", 1, label_key(seed[e]))
-        else:
-            tokens[("e", e)] = ("edge", 1, (0, 0))
-    for v in g.vertices:
-        tokens[("v", v)] = ("vertex", 2, (g.valency(v), 0))
-    ranking = {t: i for i, t in enumerate(sorted(set(tokens.values())))}
-    return {x: ranking[t] for x, t in tokens.items()}
-
-
-def _certificate(g, colour):
-    edge_order = sorted(g.edges, key=lambda e: colour[("e", e)])
-    vert_order = sorted(g.vertices, key=lambda v: colour[("v", v)])
-    edge_num = {e: i + 1 for i, e in enumerate(edge_order)}
-    vert_num = {v: i + 1 for i, v in enumerate(vert_order)}
-    tau = tuple(sorted(
-        tuple(sorted((edge_num[a], edge_num[b]))) for a, b in g.tau_pairs))
-    halves = tuple(sorted((edge_num[e], vert_num[v]) for e, v in g.half_edges))
-    cert = (len(g.edges), tau, halves, len(g.vertices))
-    return cert, edge_num, vert_num
-
-
-def _orbit_closure(start, gens):
-    out = set(start)
-    frontier = list(start)
-    while frontier:
-        n = frontier.pop()
-        for sigma in gens:
-            m = sigma.get(n, n)
-            if m not in out:
-                out.add(m)
-                frontier.append(m)
-    return out
-
-
-def _tie_automorphism(best, cand):
-    # equal certificates: matching ranks give a colour-preserving automorphism
-    _, be, bv = best
-    _, ce, cv = cand
-    inv_e = {n: e for e, n in be.items()}
-    inv_v = {n: v for v, n in bv.items()}
-    fwd = {("e", e): ("e", inv_e[n]) for e, n in ce.items()}
-    fwd.update({("v", v): ("v", inv_v[n]) for v, n in cv.items()})
-    return fwd, {b: a for a, b in fwd.items()}
-
-
-def _search(g, colour, adj, gens):
-    colour = _refine(colour, adj)
-    cells = {}
-    for x, c in colour.items():
-        cells.setdefault(c, []).append(x)
-    split = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            split = cells[c]
-            break
-    if split is None:
-        return _certificate(g, colour)
-    fresh = len(colour)
-    best = None
-    explored = []
-    for x in sorted(split, key=lambda node: label_key(node[1])):
-        # skip branches an already-found automorphism maps onto an
-        # explored one; their subtrees repeat the same certificates
-        if explored and x in _orbit_closure(explored, gens):
-            continue
-        branched = dict(colour)
-        branched[x] = fresh
-        cand = _search(g, branched, adj, gens)
-        if best is None or cand[0] < best[0]:
-            best = cand
-        elif cand[0] == best[0]:
-            fwd, back = _tie_automorphism(best, cand)
-            gens.append(fwd)
-            gens.append(back)
-        explored.append(x)
-    return best
+    def __init__(self, state, cands, orbits):
+        self.state, self.cands, self.orbits = state, cands, orbits
+        self.next, self.tried = 0, []
 
 
 @lru_cache(maxsize=4096)
 def _canonical_data(g, port_seed):
-    return _search(g, _initial_colour(g, port_seed), _adjacency(g), [])
+    edges, vertices, ev = g.edges, g.vertices, g.edge_vertex
+    n_e = len(edges)
+    n = n_e + len(vertices)
+    eid = {e: i for i, e in enumerate(edges)}
+    vid = {v: n_e + i for i, v in enumerate(vertices)}
+    tau = [eid[g.tau(e)] for e in edges]
+    at = [vid[ev[e]] if e in ev else None for e in edges]
+    adj = [[tau[x]] if at[x] is None else [tau[x], at[x]] for x in range(n_e)]
+    adj += [[eid[e] for e in g.vertex_edges(v)] for v in vertices]
+
+    seed = dict(port_seed) if port_seed else {}
+    tokens = [("edge", 0, (0, 0)) if e in ev
+              else ("edge", 1, label_key(seed[e]) if e in seed else (0, 0))
+              for e in edges]
+    tokens += [("vertex", 2, (g.valency(v), 0)) for v in vertices]
+    lab = sorted(range(n), key=tokens.__getitem__)
+    pos, cell, end = [0] * n, [0] * n, [0] * n
+    starts = []
+    for i, x in enumerate(lab):
+        pos[x] = i
+        if not i or tokens[x] != tokens[lab[i - 1]]:
+            starts.append(i)
+        cell[x] = starts[-1]
+    for a, b in zip(starts, starts[1:] + [n]):
+        end[a] = b
+
+    def refine(lab, pos, cell, end, queue):
+        queued = set(queue)
+        while queue:
+            w = queue.pop()
+            queued.discard(w)
+            count = {}
+            for y in lab[w:end[w]]:
+                for x in adj[y]:
+                    count[x] = count.get(x, 0) + 1
+            touched = {}
+            for x in count:
+                touched.setdefault(cell[x], []).append(x)
+            for s in sorted(touched):
+                xs, e = touched[s], end[s]
+                if len(xs) == e - s and len({count[x] for x in xs}) == 1:
+                    continue
+                # move the touched nodes behind the untouched ones, then
+                # order them by count
+                t = e
+                for x in xs:
+                    t -= 1
+                    p, y = pos[x], lab[t]
+                    lab[p], pos[y] = y, p
+                    lab[t], pos[x] = x, t
+                xs.sort(key=count.__getitem__)
+                lab[t:e] = xs
+                frags = [s] if t > s else []
+                last = None
+                for i, x in enumerate(xs, t):
+                    pos[x] = i
+                    if count[x] != last:
+                        last = count[x]
+                        frags.append(i)
+                    cell[x] = frags[-1]
+                sizes = [b - a for a, b in zip(frags, frags[1:] + [e])]
+                for a, size in zip(frags, sizes):
+                    end[a] = a + size
+                if s in queued:
+                    new = frags[1:]
+                else:
+                    big = sizes.index(max(sizes))
+                    new = frags[:big] + frags[big + 1:]
+                queue.extend(new)
+                queued.update(new)
+
+    def individualise(state, x):
+        lab, pos, cell, end = (list(a) for a in state)
+        s, p = cell[x], pos[x]
+        y = lab[s]
+        lab[s], lab[p] = x, y
+        pos[x], pos[y] = s, p
+        end[s + 1] = end[s]
+        end[s] = s + 1
+        for i in range(s + 1, end[s + 1]):
+            cell[lab[i]] = s + 1
+        refine(lab, pos, cell, end, [s])
+        return lab, pos, cell, end
+
+    def candidates(state):
+        # the first non-singleton cell in label order, None at a leaf
+        lab, end = state[0], state[3]
+        s = 0
+        while s < n:
+            if end[s] - s > 1:
+                return sorted(lab[s:end[s]])
+            s = end[s]
+        return None
+
+    def certificate(state):
+        lab, pos = state[0], state[1]
+        ends = [pos[tau[x]] for x in lab[:n_e]]
+        tau_c = tuple((i + 1, j + 1) for i, j in enumerate(ends) if i < j)
+        halves = tuple((i + 1, pos[at[x]] - n_e + 1)
+                       for i, x in enumerate(lab[:n_e]) if at[x] is not None)
+        return (n_e, tau_c, halves, n - n_e)
+
+    root = (lab, pos, cell, end)
+    refine(lab, pos, cell, end, list(starts))
+    seen = {}     # certificate -> (lab, path) of the first leaf that had it
+    gens = []     # automorphisms, each as the two leaf arrays it maps between
+    opened = {}   # len(gens) -> the orbits shared by nodes opened then
+
+    def open_node(state, cands):
+        k = len(gens)
+        if k not in opened:
+            opened[k] = _Orbits(n, k)
+        return _Node(state, cands, opened[k])
+
+    cands = candidates(root)
+    if cands is None:
+        seen[certificate(root)] = (lab, ())
+    stack = [] if cands is None else [open_node(root, cands)]
+    while stack:
+        node = stack[-1]
+        if node.next == len(node.cands):
+            stack.pop()
+            continue
+        x = node.cands[node.next]
+        node.next += 1
+        if node.orbits.meets(x, node.tried, gens):
+            continue
+        node.tried.append(x)
+        child = individualise(node.state, x)
+        below = candidates(child)
+        if below is not None:
+            stack.append(open_node(child, below))
+            continue
+        path = tuple(f.cands[f.next - 1] for f in stack)
+        cert = certificate(child)
+        if cert not in seen:
+            seen[cert] = (child[0], path)
+            continue
+        old_lab, old_path = seen[cert]
+        gens.append((old_lab, child[0]))
+        common = 0
+        while old_path[common] == path[common]:
+            common += 1
+        del stack[common + 1:]
+    cert = min(seen)
+    lab = seen[cert][0]
+    edge_num = {edges[x]: i + 1 for i, x in enumerate(lab[:n_e])}
+    vert_num = {vertices[x - n_e]: i + 1 for i, x in enumerate(lab[n_e:])}
+    return cert, edge_num, vert_num
 
 
 def canonical_form(g):

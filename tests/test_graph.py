@@ -511,6 +511,40 @@ def _rewired(g, rng):
     return make_graph(g.edges, g.tau_pairs, halves, g.vertices)
 
 
+def _copies(*parts):
+    # the disjoint union of the parts, each tagged by its place
+    return make_graph(
+        [(i, e) for i, g in enumerate(parts) for e in g.edges],
+        [((i, a), (i, b)) for i, g in enumerate(parts) for a, b in g.tau_pairs],
+        [((i, e), (i, v)) for i, g in enumerate(parts) for e, v in g.half_edges],
+        [(i, v) for i, g in enumerate(parts) for v in g.vertices],
+    )
+
+
+# many equal components: without automorphism pruning the search tries
+# every order of them.  Each partner has the same size, and the last
+# passes every count and valency test that iso makes before the search.
+SYMMETRIC = {
+    "32 isolated vertices": (_copies(*[isolated_vertex()] * 32),
+                             _copies(*[isolated_vertex()] * 30, wheel(2))),
+    "24 sticks": (_copies(*[stick()] * 24), _copies(*[stick()] * 22, wheel(2))),
+    "8 wheel(3)": (_copies(*[wheel(3)] * 8), _copies(*[wheel(3)] * 6, wheel(2), wheel(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_iso_on_repeated_components(name):
+    g, partner = SYMMETRIC[name]
+    rng = random.Random(13)
+    for _ in range(2):
+        h = _scramble(g, rng)
+        f = iso(g, h)
+        assert f is not None
+        _assert_isomorphism(f, g, h)
+        assert iso(g, _scramble(partner, rng)) is None
+    assert canonical_form(g) != canonical_form(partner)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["copy", "rewired", "other"]))
 def test_iso_agrees_with_vf2(seed, kind):
