@@ -206,6 +206,8 @@ def _cmd_bd_factor(args):
 
 
 def _cmd_bd_check_triangle(args):
+    if args.max_strands < 1:
+        raise InvalidParameter(f"--max-strands must be at least 1, got {args.max_strands}")
     rows = []
     for n in range(1, args.max_strands + 1):
         left = compose(tensor(identity(n), cap_n(n)), tensor(cup_n(n), identity(n)))

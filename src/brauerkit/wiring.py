@@ -516,7 +516,14 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     holds only wirings with output w, so every f fits its block, and
     compose_coloured still checks palettes and types; each pair is
     checked once, as through operad_gamma, and since the violations are
-    sorted and checked is a count, the report does not see the order."""
+    sorted and checked is a count, the report does not see the order.
+
+    A check that could check nothing is refused: samples below 1 and a
+    negative budget raise InvalidParameter."""
+    if samples < 1:
+        raise InvalidParameter(f"samples must be at least 1, got {samples}")
+    if budget < 0:
+        raise InvalidParameter(f"budget must be non-negative, got {budget}")
     words = [w for w in A.words()]
     sizes = {w: len(A.elements(w)) for w in words}
     if universe is None:

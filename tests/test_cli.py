@@ -145,6 +145,13 @@ def test_bd_check_triangle(capsys):
         "passed": True, "strands": [{"n": 1, "ok": True}, {"n": 2, "ok": True}]}
 
 
+@pytest.mark.parametrize("strands", ["0", "-1"])
+def test_bd_check_triangle_refuses_no_strands(capsys, strands):
+    code, out, err = cli(capsys, "bd", "check-triangle", "--max-strands", strands)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--max-strands" in err
+
+
 def test_bd_input_errors_exit_2(tmp_path, capsys):
     code, _, err = cli(capsys, "bd", "compose", "--lhs", "cup", "--rhs", "bogus!")
     assert code == 2 and "error:" in err
@@ -271,6 +278,17 @@ def test_ca_free_carriers(tmp_path, capsys):
     assert doc["carriers"] == {",".join("c" * n): free_carrier_count(2, 2, n)
                                for n in range(3)}
     assert doc["carriers"]["c"] == 0
+
+
+@pytest.mark.parametrize("flags", [("--samples", "0"), ("--samples", "-5"),
+                                   ("--budget", "-1"), ("--budget", "0", "--samples", "0")],
+                         ids=["no samples", "negative samples", "negative budget",
+                              "no budget, no samples"])
+def test_ca_check_that_checks_nothing_exits_2(tmp_path, capsys, flags):
+    good = write_doc(tmp_path, "alg.json", algebra_to_json(corruptible_table_algebra()))
+    code, out, err = cli(capsys, "ca", "check", "--algebra", good, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and ("samples" in err or "budget" in err)
 
 
 @pytest.mark.parametrize("flag", ["--bound", "--max-blocks"])
