@@ -575,7 +575,8 @@ class _Orbits:
         return x
 
     def meets(self, x, tried, gens):
-        """True iff x lies in the orbit of a node in tried."""
+        """Join the automorphisms found since the last call, then tell
+        whether x lies in the orbit of a node in tried."""
         for lab_a, lab_b in gens[self.joined:]:
             for a, b in zip(lab_a, lab_b):
                 ra, rb = self.find(a), self.find(b)

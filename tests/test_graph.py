@@ -3,7 +3,8 @@
 The etale and embedding validators are exercised on the hand-sized
 menagerie (sticks, corollas, wheels, lines) where every fibre can be
 checked by eye, and the canonical form is stressed with scrambled
-relabellings.
+relabellings, repeated components, and the networkx VF2 matcher as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
@@ -543,6 +544,27 @@ def test_iso_on_repeated_components(name):
         _assert_isomorphism(f, g, h)
         assert iso(g, _scramble(partner, rng)) is None
     assert canonical_form(g) != canonical_form(partner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=58)
+@example(seed=193)
+def test_canonical_form_of_repeated_pieces_ignores_labels(seed):
+    # repeated pieces give the search many equal leaves to return from;
+    # returning past the right ancestor makes the form depend on labels,
+    # as it does at seeds 58 and 193 when the search goes back one level
+    # too far
+    rng = random.Random(seed)
+    pieces = [random_connected_graph(rng, max_vertices=3, max_orbits=4)
+              for _ in range(rng.randint(1, 3))]
+    g = _copies(*pieces * rng.randint(2, 4))
+    for _ in range(3):
+        h = _scramble(g, rng)
+        f = iso(g, h)
+        assert f is not None
+        _assert_isomorphism(f, g, h)
+        assert canonical_form(h) == canonical_form(g)
 
 
 @settings(max_examples=200, deadline=None)
