@@ -699,8 +699,8 @@ def _canonical_data(g, port_seed):
 
     def certificate(state):
         lab, pos = state[0], state[1]
-        ends = [pos[tau[x]] for x in lab[:n_e]]
-        tau_c = tuple((i + 1, j + 1) for i, j in enumerate(ends) if i < j)
+        partner = [pos[tau[x]] for x in lab[:n_e]]
+        tau_c = tuple((i + 1, j + 1) for i, j in enumerate(partner) if i < j)
         halves = tuple((i + 1, pos[at[x]] - n_e + 1)
                        for i, x in enumerate(lab[:n_e]) if at[x] is not None)
         return (n_e, tau_c, halves, n - n_e)
