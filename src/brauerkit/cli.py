@@ -56,7 +56,6 @@ from .graph import (
     make_xgraph,
     stick,
     wheel,
-    x_iso,
 )
 from .labels import decode_label, encode_label, sort_labels
 from .species import (
@@ -484,7 +483,7 @@ def _cmd_species_eval(args):
 
 def _cmd_species_segal(args):
     P = presheaf_from_json(_read_doc(args.presheaf))
-    report = segal_check(P, args.graph or None)
+    report = segal_check(P, [_parse_port(g) for g in args.graph] or None)
     if args.json:
         _emit({"passed": report.passed,
                "results": [[gid, ok, detail] for gid, ok, detail in report.results]})

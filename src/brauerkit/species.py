@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from .axioms import (
     CIRCUIT_LAWS,
@@ -50,7 +50,6 @@ from .coloured import Palette, palette_from_json, palette_to_json
 from .graph import (
     GraphMorphism,
     InvalidParameter,
-    XGraph,
     element_arrows,
     elements,
     glue,
@@ -338,14 +337,9 @@ def terminal_species(palette, bound):
 # evaluation
 
 
-def _carrier(g):
-    return g.graph if isinstance(g, XGraph) else g
-
-
 def evaluate(S, g):
     """All S-structures on g: an omega-compatible colouring of the edges
     together with an arity-table element per vertex."""
-    g = _carrier(g)
     for v in g.vertices:
         if g.valency(v) > S.bound:
             raise ArityBoundExceeded(
@@ -764,15 +758,10 @@ def _build_class(labels, assign, nv, loops, mult):
 
 @lru_cache(maxsize=64)
 def _enumerate(labels, v_max, e_max):
+    # the class table: representatives in certificate order, {certificate: index}
     budget = e_max - len(labels)  # an orbit per port, plus inner orbits
     classes = {}
-    for nv in range(v_max + 1):
-        if nv == 0:
-            if not labels and budget >= 0:
-                classes[_multigraph_key(0, (), (), {})] = ((), 0, (), {})
-            continue
-        if budget < 0:
-            break
+    for nv in range(v_max + 1):  # at nv = 0 only the empty graph passes, with no ports
         pair_list = list(itertools.combinations(range(nv), 2))
         for assign in itertools.product(range(nv), repeat=len(labels)):
             ports_at = tuple(
@@ -792,11 +781,10 @@ def _enumerate(labels, v_max, e_max):
                     key = _multigraph_key(nv, ports_at, loops, mult)
                     if key not in classes:
                         classes[key] = (assign, nv, loops, mult)
-    seen = {}
-    for assign, nv, loops, mult in classes.values():
-        xg = _build_class(labels, assign, nv, loops, mult)
-        seen.setdefault(x_certificate(xg), xg)
-    return tuple(xg for _, xg in sorted(seen.items(), key=lambda kv: repr(kv[0])))
+    # the multigraph key is complete, so each class is built once
+    reps = sorted((_build_class(labels, *shape) for shape in classes.values()),
+                  key=lambda xg: repr(x_certificate(xg)))
+    return tuple(reps), MappingProxyType({x_certificate(xg): i for i, xg in enumerate(reps)})
 
 
 def enumerate_x_graphs(x, v_max, e_max):
@@ -814,7 +802,17 @@ def enumerate_x_graphs(x, v_max, e_max):
         raise BoundTooLarge(
             f"bounds capped at v_max={_V_CAP}, e_max={_E_CAP}, |X|={_X_CAP}"
         )
-    return _enumerate(labels, v_max, e_max)
+    return _enumerate(labels, v_max, e_max)[0]
+
+
+def _classify(S, xg, structure, v_max, e_max):
+    """The index of xg's class in the enumeration at its port labels, and
+    the structure moved onto that class's representative."""
+    reps, index = _enumerate(xg.x_labels, v_max, e_max)
+    idx = index.get(x_certificate(xg))
+    if idx is None:
+        raise InvalidParameter("graph escaped the enumeration bounds")
+    return idx, transport_structure(S, x_iso(xg, reps[idx]), structure)
 
 
 def free_component(S, x, v_max, e_max):
@@ -861,14 +859,8 @@ def contract_free_element(S, x, v_max, e_max, element, px, py):
                       tuple((v, v) for v in glued.vertices))
     structure = pull_back(S, structure, f)
 
-    remaining = tuple(l for l in xg.x_labels if l not in (px, py))
     gx = make_xgraph(glued, {p: lab for p, lab in xg.rho if lab not in (px, py)})
-    targets = enumerate_x_graphs(remaining, v_max, e_max)
-    cert = x_certificate(gx)
-    for jdx, cand in enumerate(targets):
-        if x_certificate(cand) == cert:
-            return (jdx, transport_structure(S, x_iso(gx, cand), structure))
-    raise InvalidParameter("glued graph escaped the enumeration bounds")
+    return _classify(S, gx, structure, v_max, e_max)
 
 
 def build_free_species(gen, v_max, e_max, bound):
@@ -879,15 +871,12 @@ def build_free_species(gen, v_max, e_max, bound):
     for n in range(bound + 1):
         labels = tuple(range(1, n + 1))
         reps = enumerate_x_graphs(labels, v_max, e_max)
-        cert_index = {x_certificate(xg): i for i, xg in enumerate(reps)}
+        port_of = [{lab: p for p, lab in xg.rho} for xg in reps]
         by_word = {}
-        for idx, xg in enumerate(reps):
-            if any(xg.graph.valency(v) > gen.bound for v in xg.graph.vertices):
-                continue
-            for st in evaluate(gen, xg.graph):
-                kappa = dict(st[0])
-                word = tuple(kappa[rho_of(xg, k)] for k in labels)
-                by_word.setdefault(word, []).append((idx, st))
+        for idx, st in free_component(gen, labels, v_max, e_max):
+            kappa = dict(st[0])
+            word = tuple(kappa[port_of[idx][k]] for k in labels)
+            by_word.setdefault(word, []).append((idx, st))
         for word, els in by_word.items():
             if word != tuple(sort_labels(word)):
                 continue  # unsorted words are reached through the actions
@@ -898,18 +887,9 @@ def build_free_species(gen, v_max, e_max, bound):
                 for idx, st in els:
                     relabel = {p: inv[lab - 1] + 1 for p, lab in reps[idx].rho}
                     moved = make_xgraph(reps[idx].graph, relabel)
-                    jdx = cert_index[x_certificate(moved)]
-                    wit = x_iso(moved, reps[jdx])
-                    mapping[(idx, st)] = (jdx, transport_structure(gen, wit, st))
+                    mapping[(idx, st)] = _classify(gen, moved, st, v_max, e_max)
                 actions.append((word, perm, mapping))
     return make_species(gen.palette, bound, tables, actions)
-
-
-def rho_of(xg, label):
-    for p, lab in xg.rho:
-        if lab == label:
-            return p
-    raise InvalidParameter(f"no port labelled {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -994,10 +974,9 @@ def nerve_presheaf(S, named_graphs):
             mapping = tuple((st, pull_back(S, st, ar.map)) for st in values[src])
             arrows.append((gid, ar.half_edge, src, tgt, mapping))
 
-    order = {gid: i for i, gid in enumerate(table)}
     return PresheafTable(
-        tuple(sorted(table.items(), key=lambda kv: order[kv[0]])),
-        tuple(sorted(values.items(), key=lambda kv: order[kv[0]])),
+        tuple(table.items()),
+        tuple(values.items()),
         tuple(restrictions),
         tuple(arrows),
     )

@@ -504,7 +504,6 @@ def _wd_brief(wd: WiringDiagram) -> str:
 
 
 def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400,
-                          max_blocks=2, bubble_cap=0, max_points=8,
                           universe=None) -> Report:
     """Operad-algebra axioms: identity action, block equivariance,
     composition square (violation kinds "identity", "equivariance",
@@ -530,8 +529,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
         if hasattr(A, "listed_wirings"):
             universe = list(A.listed_wirings())
         else:
-            universe = enumerate_wirings(A.palette, words, words,
-                                         max_blocks, bubble_cap, max_points)
+            universe = enumerate_wirings(A.palette, words, words)
     universe = [wd for wd in universe
                 if all(w in sizes for w in wd.block_types) and wd.output_word in sizes]
     by_output = defaultdict(list)

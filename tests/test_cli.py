@@ -525,6 +525,17 @@ def test_species_segal_failure_names_graph(species_docs, capsys):
     assert code == 0 and json.loads(out)["passed"]
 
 
+def test_species_segal_selects_integer_and_string_ids(tmp_path, capsys):
+    # presheaf ids keep their JSON type, so --graph reads ids as ports do
+    P = nerve_presheaf(terminal_species(ORI, 2), [(1, wheel(1)), ("w2", wheel(2))])
+    path = write_doc(tmp_path, "nerve.json", presheaf_to_json(P))
+    for gid, want in (("1", 1), ("w2", "w2")):
+        code, out, err = cli(capsys, "species", "segal", "--json", "--presheaf",
+                             path, "--graph", gid)
+        assert (code, err) == (0, "")
+        assert [row[:2] for row in json.loads(out)["results"]] == [[want, True]]
+
+
 SEGAL_JSON_PINNED = {
     "presheaf": (0, '{"passed":true,"results":['
                     '["stick",true,"1 elements against a limit of 1"],'

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -12,6 +14,7 @@ from brauerkit.coloured import make_palette, monochrome_palette, oriented_palett
 from brauerkit.graph import (
     InvalidParameter,
     compose_morphisms,
+    connected_components,
     corolla,
     disjoint_union,
     empty,
@@ -561,9 +564,73 @@ def brute_classes(labels, v_max, e_max):
 def test_enumerate_complete_against_brute_force():
     for labels, v_max, e_max in [((), 2, 3), ((1, 2), 2, 3), ((1,), 1, 2),
                                  ((1, 2, 3), 1, 3)]:
-        got = {x_certificate(xg) for xg in enumerate_x_graphs(labels, v_max, e_max)}
+        reps = enumerate_x_graphs(labels, v_max, e_max)
+        got = {x_certificate(xg) for xg in reps}
+        assert len(got) == len(reps)
         want = brute_classes(labels, v_max, e_max)
         assert got == want, (labels, v_max, e_max, len(got), len(want))
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+
+
+def class_buckets(n, v_max, e_max, connected_only=False):
+    # enumerated classes by (vertices, tau-orbits)
+    return Counter((len(xg.graph.vertices), len(xg.graph.tau_pairs))
+                   for xg in enumerate_x_graphs(n, v_max, e_max)
+                   if not connected_only or len(connected_components(xg.graph)) == 1)
+
+
+def times(a, b, v_max, e_max):
+    # product of (vertices, orbits) generating functions, truncated
+    out = Counter()
+    for (v1, t1), m1 in a.items():
+        for (v2, t2), m2 in b.items():
+            if v1 + v2 <= v_max and t1 + t2 <= e_max:
+                out[(v1 + v2, t1 + t2)] += m1 * m2
+    return out
+
+
+def euler_transform(k0, v_max, e_max):
+    # multisets of closed components: prod over (v, t) of (1 - x^v y^t)^(-k0)
+    out = Counter({(0, 0): 1})
+    for (v, t), k in k0.items():
+        powers = Counter({(j * v, j * t): comb(k + j - 1, j)
+                          for j in range(v_max // v + 1) if j * t <= e_max})
+        out = times(out, powers, v_max, e_max)
+    return out
+
+
+# (v_max, e_max, largest |X|): inside the enumeration caps (v 3, e 8,
+# |X| 6), at most about 0.1 s per enumeration; at (3, 5) the classes for
+# |X| = 0..3 number 144, 160, 178 and 173
+COUNTING_BOUNDS = [(3, 5, 4), (2, 7, 4), (1, 8, 6)]
+
+
+@pytest.mark.parametrize("v_max,e_max,x_max", COUNTING_BOUNDS)
+def test_enumerate_counts_match_connected_pieces(v_max, e_max, x_max):
+    # each class splits uniquely into connected pieces: a set partition
+    # of the ports, one labelled connected class per block, and a
+    # multiset of closed connected classes; vertices and orbits add
+    connected = {k: class_buckets(k, v_max, e_max, connected_only=True)
+                 for k in range(x_max + 1)}
+    closed = euler_transform(connected[0], v_max, e_max)
+    for n in range(x_max + 1):
+        want = Counter()
+        for partition in set_partitions(list(range(n))):
+            term = closed
+            for block in partition:
+                term = times(term, connected[len(block)], v_max, e_max)
+            want.update(term)
+        assert class_buckets(n, v_max, e_max) == want, (n, v_max, e_max)
 
 
 def test_free_component_terminal_counts_classes():

@@ -184,22 +184,31 @@ def _pin(report):
 NO_VIOLATIONS = "2e38e77b22c3"
 
 
+def word_universe(A, **caps):
+    # the wirings among A's own words, at caps other than enumerate_wirings'
+    words = list(A.words())
+    return enumerate_wirings(A.palette, words, words, **caps)
+
+
 def test_axioms_pairing_algebra_exhaustive():
     # the universe is enumerate_wirings' own, not a table's
     for palette, count in ((MONO, 15_422), (ORI, 99_924)):
-        report = check_circuit_algebra(pairing_algebra(palette, 2), max_points=6)
+        A = pairing_algebra(palette, 2)
+        report = check_circuit_algebra(A, universe=word_universe(A, max_points=6))
         assert report.passed, report.violations[:3]
         assert _pin(report) == ("exhaustive", count, count, NO_VIOLATIONS)
 
 
 def test_axioms_one_point():
-    report = check_circuit_algebra(one_point_algebra(MONO, 2), max_points=6)
+    A = one_point_algebra(MONO, 2)
+    report = check_circuit_algebra(A, universe=word_universe(A, max_points=6))
     assert report.passed and report.mode == "exhaustive"
 
 
 def test_axioms_free_algebra():
     A = FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)}, max_blocks=1, bubble_cap=1)
-    report = check_circuit_algebra(A, max_points=4, bubble_cap=1, budget=3000, samples=150)
+    report = check_circuit_algebra(A, budget=3000, samples=150,
+                                   universe=word_universe(A, bubble_cap=1, max_points=4))
     assert report.passed, report.violations[:3]
     assert _pin(report) == ("sampled", 6_978_628, 450, NO_VIOLATIONS)
 
