@@ -159,8 +159,15 @@ def _load_xgraph(arg):
     return make_xgraph(g, {p: i + 1 for i, p in enumerate(sort_labels(g.ports))})
 
 
-def _parse_port(text):
-    return int(text) if text.lstrip("-").isdigit() else text
+_LABELS = ("as in the documents: 1 is the int 1, '\"1\"' the string \"1\", "
+           "{\"tuple\": [...]} a tuple, and any other text the plain string")
+
+
+def _parse_label(text):
+    try:  # read as _LABELS says
+        return decode_label(json.loads(text))
+    except (ValueError, TypeError):
+        return text
 
 
 def _structure_doc(structure):
@@ -328,7 +335,7 @@ def _cmd_graph_build(args):
 
 def _cmd_graph_glue(args):
     g = _load_graph(args.graph)
-    p1, p2 = (_parse_port(p) for p in args.ports)
+    p1, p2 = (_parse_label(p) for p in args.ports)
     _emit(graph_to_json(glue(g, p1, p2)))
     return 0
 
@@ -423,7 +430,7 @@ def _cmd_gog_colimit(args):
 
 def _cmd_gog_delete(args):
     g = _load_graph(args.graph)
-    w = tuple(_parse_port(v) for v in args.vertices)
+    w = tuple(_parse_label(v) for v in args.vertices)
     _emit(record_to_json(delete_vertices(g, w)))
     return 0
 
@@ -483,7 +490,7 @@ def _cmd_species_eval(args):
 
 def _cmd_species_segal(args):
     P = presheaf_from_json(_read_doc(args.presheaf))
-    report = segal_check(P, [_parse_port(g) for g in args.graph] or None)
+    report = segal_check(P, [_parse_label(g) for g in args.graph] or None)
     if args.json:
         _emit({"passed": report.passed,
                "results": [[gid, ok, detail] for gid, ok, detail in report.results]})
@@ -610,7 +617,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_graph_build)
     p = graph_sub.add_parser("glue", parents=[common])
     p.add_argument("--graph", default="-")
-    p.add_argument("--ports", nargs=2, required=True)
+    p.add_argument("--ports", nargs=2, required=True, help=f"two port labels, {_LABELS}")
     p.set_defaults(fn=_cmd_graph_glue)
     p = graph_sub.add_parser("elements", parents=[common])
     p.add_argument("--graph", default="-")
@@ -631,7 +638,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_gog_colimit)
     p = gog_sub.add_parser("delete", parents=[common])
     p.add_argument("--graph", default="-")
-    p.add_argument("--vertices", nargs="+", required=True)
+    p.add_argument("--vertices", nargs="+", required=True, help=f"vertex labels, {_LABELS}")
     p.set_defaults(fn=_cmd_gog_delete)
     p = gog_sub.add_parser("terminal", parents=[common])
     p.add_argument("--graph", default="-")
@@ -655,7 +662,7 @@ def _build_parser():
     p = species_sub.add_parser("segal", parents=[common])
     p.add_argument("--presheaf", required=True)
     p.add_argument("--graph", action="append", default=[],
-                   help="restrict the check to these graph ids")
+                   help=f"restrict the check to these graph ids, {_LABELS}")
     p.set_defaults(fn=_cmd_species_segal)
     p = species_sub.add_parser("free-component", parents=[common])
     p.add_argument("--species", required=True)

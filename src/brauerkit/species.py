@@ -15,14 +15,14 @@ the identity map or a swap s_k of two equal neighbouring letters, each
 s_k with one map; make_species refuses any other entry and checks the
 listed maps against the Coxeter relations.  A permutation acts by
 bubble-sorting it into swaps, and one that needs an unlisted swap is
-refused.  Each species keeps bounded caches (CACHE_CAP entries each) of
-the actions it has composed and of the sorting data of the contractions
-and products it has applied.
+refused.  Each species keeps two bounded caches (CACHE_CAP entries
+each): the actions it has composed and the relabellings it has prepared.
 
 The circuit-operad checks run the laws of the axioms module on the
-tables through apply_product, apply_contraction, the stored units and
-transport, and add the table-only laws: unit symmetry and the
-equivariance of both tables against the listed actions.
+tables through the product and contractions, prepared once per key and
+check, the stored units and the relabellings, and add the table-only
+laws: unit symmetry and the equivariance of both tables against the
+listed actions.
 
 Structures on a graph are pairs (edge colouring, vertex assignment),
 both as sorted tuples of pairs, so they double as labels and can sit
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from types import MappingProxyType, SimpleNamespace
 
 from .axioms import (
@@ -148,7 +148,6 @@ def _check_coxeter(word, swap_maps, elems):
 # entries each per-species cache holds at most; past it, results are
 # computed and not stored
 CACHE_CAP = 4096
-_UNSEEN = object()
 
 
 def _remember(cache, key, value):
@@ -217,36 +216,26 @@ class GraphicalSpecies:
 
     @cached_property
     def _acts(self):
-        # (sorted word, theta) -> the map of S(theta), None if it fixes every name
-        return {}
-
-    @cached_property
-    def _contraction_plans(self):
-        # (word, x, y) -> ((r, i, j), dropped word, theta): see apply_contraction
-        return {}
-
-    @cached_property
-    def _product_plans(self):
-        # (w1, w2) -> (r1, r2, representative, theta): see apply_product
+        # (sorted word, theta) -> S(theta) as a function of the names
         return {}
 
     @cached_property
     def _transport_plans(self):
-        # (word, sigma) -> (sorted word, theta): see transport
+        # (word, sigma) -> S(sigma) as a function of the names: see transport
         return {}
 
-    def act_name(self, rep_word, theta, name):
+    def _acting(self, rep_word, theta):
         key = (rep_word, theta)
-        mapping = self._acts.get(key, _UNSEEN)
-        if mapping is _UNSEEN:
-            mapping = _remember(self._acts, key, self._action(rep_word, theta))
-        return name if mapping is None else mapping[name]
+        return self._acts.get(key) or _remember(self._acts, key, self._action(rep_word, theta))
+
+    def act_name(self, rep_word, theta, name):
+        return self._acting(rep_word, theta)(name)
 
     def _action(self, word, theta):
         if sorted(theta) != list(range(len(word))) or _apply(word, theta) != word:
             raise InvalidParameter(f"{theta!r} is not a permutation stabilizing {word!r}")
         if theta == _identity(len(theta)) or len(self.table_map.get(word, ())) <= 1:
-            return None  # the only bijection of a small set
+            return lambda name: name  # the only bijection of a small set
         # theta = s_kL o ... o s_k1 and S is contravariant, so s_kL acts first;
         # bubble sort writes a reduced word, which stays inside the subgroup
         # generated by the listed swaps whenever theta lies in it
@@ -257,18 +246,22 @@ class GraphicalSpecies:
                 raise InvalidParameter(f"no action entry reaches {theta!r} at {word!r}")
             s = swap_maps[k]
             mapping = {e: s[v] for e, v in mapping.items()}
-        return mapping
+        return mapping.__getitem__
 
-    def transport(self, word, sigma, name):
-        """The name of S(sigma) applied to the element named `name` of S_word."""
+    def _transporting(self, word, sigma):
+        """S(sigma) at S_word, as a function of the element names."""
         key = (tuple(word), tuple(sigma))
-        plan = self._transport_plans.get(key)
-        if plan is None:
+        act = self._transport_plans.get(key)
+        if act is None:
             word, sigma = key
             p = _sort_perm(word)
             theta = _comp(_inv(p), _comp(sigma, _sort_perm(_apply(word, sigma))))
-            plan = _remember(self._transport_plans, key, (_apply(word, p), theta))
-        return self.act_name(plan[0], plan[1], name)
+            act = _remember(self._transport_plans, key, self._acting(_apply(word, p), theta))
+        return act
+
+    def transport(self, word, sigma, name):
+        """The name of S(sigma) applied to the element named `name` of S_word."""
+        return self._transporting(word, sigma)(name)
 
 
 def make_species(palette, bound, tables, actions=()):
@@ -446,31 +439,26 @@ def make_operad_structure(boxtimes, contraction, epsilon, external_unit=None):
     return CircuitOperadStructure(box, zeta, tuple(epsilon.items()), external_unit)
 
 
-def _product_plan(S, w1, w2):
+# The prepared operations of C on S: functions of the element names that
+# raise MissingActionEntry on a missing row.  A stored value names an
+# element at sorted words, and transport moves it to the words asked for.
+def _product(S, C, w1, w2):
     if len(w1) + len(w2) > S.bound:
         raise ArityBoundExceeded(f"|{w1!r}| + |{w2!r}| exceeds bound {S.bound}")
     q1, q2 = _sort_perm(w1), _sort_perm(w2)
-    r1, r2 = _apply(w1, q1), _apply(w2, q2)
-    whole = w1 + w2
-    theta = _comp(_inv(_sort_perm(r1 + r2)),
-                  _comp(_inv(_block(q1, q2)), _sort_perm(whole)))
-    return r1, r2, S.rep(whole), theta
+    r1, r2 = S.rep(w1), S.rep(w2)
+    rows = C.box_map.get((r1, r2), {})
+    act = S._transporting(r1 + r2, _inv(_block(q1, q2))) if rows else None
+
+    def product(n1, n2):
+        if (n1, n2) not in rows:
+            raise MissingActionEntry(f"no product entry for {r1!r} x {r2!r}")
+        return act(rows[n1, n2])
+
+    return product
 
 
-def apply_product(S, C, w1, n1, w2, n2):
-    """Name of the external product of elements named n1, n2 of S_w1, S_w2."""
-    key = (tuple(w1), tuple(w2))
-    plan = S._product_plans.get(key)
-    if plan is None:
-        plan = _remember(S._product_plans, key, _product_plan(S, *key))
-    r1, r2, rep, theta = plan
-    rows = C.box_map.get((r1, r2))
-    if rows is None or (n1, n2) not in rows:
-        raise MissingActionEntry(f"no product entry for {r1!r} x {r2!r}")
-    return S.act_name(rep, theta, rows[(n1, n2)])
-
-
-def _contraction_plan(S, w, x, y):
+def _contraction(S, C, w, x, y):
     m = len(w)
     if not (0 <= x < m and 0 <= y < m and x != y):
         raise InvalidParameter(f"positions {(x, y)!r} out of range")
@@ -482,27 +470,27 @@ def _contraction_plan(S, w, x, y):
     r = _apply(w, q)
     qinv = _inv(q)
     i, j = sorted((qinv[x], qinv[y]))
-    keep_r = [k for k in range(m) if k not in (i, j)]
-    keep_w = [k for k in range(m) if k not in (x, y)]
-    pos_w = {p: t for t, p in enumerate(keep_w)}
-    qhat = tuple(pos_w[q[k]] for k in keep_r)
-    w_rest = tuple(w[k] for k in keep_w)
-    theta = _comp(_inv(qhat), _sort_perm(w_rest))
-    return (r, i, j), drop(r, i, j), theta
+    # the letter at position k of w sits at qinv[k] of r
+    back = tuple(shifted(qinv[k], (i, j)) for k in range(m) if k not in (x, y))
+    rows = C.zeta_map.get((r, i, j), {})
+    act = S._transporting(drop(r, i, j), back) if rows else None
+
+    def contraction(n):
+        if n not in rows:
+            raise MissingActionEntry(f"no contraction entry for {r!r} at {(i, j)!r}")
+        return act(rows[n])
+
+    return contraction
+
+
+def apply_product(S, C, w1, n1, w2, n2):
+    """Name of the external product of elements named n1, n2 of S_w1, S_w2."""
+    return _product(S, C, tuple(w1), tuple(w2))(n1, n2)
 
 
 def apply_contraction(S, C, w, x, y, n):
     """Name of the contraction at positions x, y of the element named n of S_w."""
-    key = (tuple(w), x, y)
-    plan = S._contraction_plans.get(key)
-    if plan is None:
-        plan = _remember(S._contraction_plans, key, _contraction_plan(S, *key))
-    zeta_key, dropped, theta = plan
-    rows = C.zeta_map.get(zeta_key)
-    if rows is None or n not in rows:
-        r, i, j = zeta_key
-        raise MissingActionEntry(f"no contraction entry for {r!r} at {(i, j)!r}")
-    return S.act_name(dropped, theta, rows[n])
+    return _contraction(S, C, tuple(w), x, y)(n)
 
 
 def _typing_pass(S, C):
@@ -563,51 +551,50 @@ def _typing_pass(S, C):
 
 
 def _listed_perms(S, word):
-    out = [_identity(len(word))]
-    for w, perm, _ in S.actions:
-        if w == word:
-            out.append(perm)
-    return out
+    return [_identity(len(word))] + [perm for w, perm, _ in S.actions if w == word]
 
 
 def _table_ops(S, C):
     # C's product, contractions and units on S, as the laws of the axioms
-    # module take them (0-based positions)
+    # module take them (0-based positions); ⊠ and ζ are prepared once per
+    # key and ops object, relabellings once per key in S's bounded cache
+    prepared = cache(lambda make, *key: make(S, C, *key))
     return SimpleNamespace(
         words=[w for w, es in S.tables if es], elements=S.elements,
         bound=S.bound, omega=S.palette.omega, unit=C.external_unit,
-        box=lambda u, a, v, b: apply_product(S, C, u, a, v, b),
-        zeta=lambda w, i, j, a: apply_contraction(S, C, w, i, j, a),
+        box=lambda u, v: prepared(_product, u, v),
+        zeta=lambda w, i, j: prepared(_contraction, w, i, j),
         eps=C.epsilon_map.__getitem__,
-        relabel=S.transport,
+        relabel=S._transporting,
     )
 
 
 def _unit_symmetry(S, ops):
     # S(swap) ε_c = ε_{ω c}: one instance per colour
     def sides(c):
-        return ops.relabel((c, ops.omega(c)), (1, 0), ops.eps(c)), ops.eps(ops.omega(c))
+        swap, eps = ops.relabel((c, ops.omega(c)), (1, 0)), ops.eps(c)
+        return lambda: (swap(eps), ops.eps(ops.omega(c)))
 
     return Law("unit-symmetry", [(c, ()) for c in S.palette.colours], sides)
 
 
-def _equivariance_laws(S, C):
+def _equivariance_laws(S, C, ops):
     """The stored tables commute with the listed actions (table rows
     are the element pools)."""
-    def product_sides(t, row):
+    def product_sides(t):
         w1, w2, sigma = t
-        (a, b), val = row
-        return (S.transport(w1 + w2, _block(sigma, _identity(len(w2))), val),
-                apply_product(S, C, w1, S.act_name(w1, sigma, a), w2, b))
+        move_val = ops.relabel(w1 + w2, _block(sigma, _identity(len(w2))))
+        move_a, box = ops.relabel(w1, sigma), ops.box(w1, w2)
+        return lambda row: (move_val(row[1]), box(move_a(row[0][0]), row[0][1]))
 
-    def contraction_sides(t, row):
+    def contraction_sides(t):
         w, i, j, sigma = t
-        a, val = row
         inv = _inv(sigma)
         x, y = inv[i], inv[j]
         sigma_hat = tuple(shifted(sigma[k], (i, j)) for k in range(len(w)) if k not in (x, y))
-        return (apply_contraction(S, C, w, x, y, S.act_name(w, sigma, a)),
-                S.transport(drop(w, i, j), sigma_hat, val))
+        move_a, zeta = ops.relabel(w, sigma), ops.zeta(w, x, y)
+        move_val = ops.relabel(drop(w, i, j), sigma_hat)
+        return lambda row: (zeta(move_a(row[0])), move_val(row[1]))
 
     return [
         Law("product-equivariance",
@@ -629,7 +616,7 @@ def validate_circuit_operad(S, C):
     if violations:
         return Report(False, "exhaustive", 0, 0, 0, tuple(sorted(violations)))
     ops = _table_ops(S, C)
-    laws = [_unit_symmetry(S, ops), *_equivariance_laws(S, C)]
+    laws = [_unit_symmetry(S, ops), *_equivariance_laws(S, C, ops)]
     laws += [law(ops) for law in CIRCUIT_LAWS]
     note = ("no external unit listed; its law was not in scope" if C.external_unit is None
             else "external unit present; absorption checked both ways")
@@ -666,14 +653,13 @@ def species_from_circuit_algebra(A):
             raise ValueError(f"{x!r} is not in the carrier at {word!r}")
         return index[word][x]
 
-    def sorted_name(word, x):
-        # the name of x, at an unsorted word, in the sorted table
+    def sorted_names(word):
+        # x at an unsorted word -> the name of x in the sorted table
         sort = _sort_perm(word)
-        if sort != _identity(len(word)):
-            x = ops.relabel(word, sort, x)
-        return name(_apply(word, sort), x)
+        rep, move = _apply(word, sort), ops.relabel(word, sort)
+        return lambda x: name(rep, x if rep == word else move(x))
 
-    actions = [(r, perm, {i: name(r, ops.relabel(r, perm, x))
+    actions = [(r, perm, {i: name(r, ops.relabel(r, perm)(x))
                           for i, x in enumerate(A.elements(r))})
                for r in reps if len(tables[r]) > 1 for perm in _adjacent_swaps(r)]
     S = make_species(palette, bound, tables, actions)
@@ -683,7 +669,8 @@ def species_from_circuit_algebra(A):
         if len(r1) + len(r2) > bound or not tables[r1] or not tables[r2]:
             continue
         xs, ys = A.elements(r1), A.elements(r2)
-        box[(r1, r2)] = {(a, b): sorted_name(r1 + r2, ops.box(r1, xs[a], r2, ys[b]))
+        product, to_name = ops.box(r1, r2), sorted_names(r1 + r2)
+        box[(r1, r2)] = {(a, b): to_name(product(xs[a], ys[b]))
                          for a, b in itertools.product(tables[r1], tables[r2])}
 
     zeta = {}
@@ -692,10 +679,10 @@ def species_from_circuit_algebra(A):
         if not xs:
             continue
         for i, j in contractable(r, ops.omega):
-            zeta[(r, i, j)] = {a: name(drop(r, i, j), ops.zeta(r, i, j, xs[a]))
-                               for a in tables[r]}
+            contraction, dropped = ops.zeta(r, i, j), drop(r, i, j)
+            zeta[(r, i, j)] = {a: name(dropped, contraction(xs[a])) for a in tables[r]}
 
-    epsilon = {c: sorted_name((c, ops.omega(c)), ops.eps(c)) for c in palette.colours}
+    epsilon = {c: sorted_names((c, ops.omega(c)))(ops.eps(c)) for c in palette.colours}
     external = None if ops.unit is None else name((), ops.unit)
     return S, make_operad_structure(box, zeta, epsilon, external)
 

@@ -50,7 +50,7 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -692,27 +692,22 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     return Report(not violations, mode, seed, candidates, checked, tuple(violations))
 
 
+def _relabelling(A: CircuitAlgebra, word, sigma):
+    fn = A.act(perm_wiring(A.palette, word, sigma))
+    return lambda a: fn((a,))
+
+
 def _algebra_ops(A: CircuitAlgebra):
-    # the operations A derives from wiring diagrams, as the laws of the
-    # axioms module take them (0-based positions); each wiring is built
-    # once per ops object: ⊠ per (u, v), ζ per (w, i, j), ε per colour,
-    # the relabelling per (w, sigma)
-    built = {}
-
-    def once(key, build):
-        if key not in built:
-            built[key] = build()
-        return built[key]
-
+    # the operations A derives from wiring diagrams, as the laws of the axioms
+    # module take them (0-based positions), each built once per key and ops object
+    prepared = cache(lambda make, *key: make(A, *key))
     return SimpleNamespace(
         words=[w for w in A.words() if A.elements(w)], elements=A.elements,
         bound=A.bound, omega=A.palette.omega, unit=A.unit_element(),
-        box=lambda u, a, v, b: once(("box", u, v), lambda: derived_boxtimes(A, u, v))(a, b),
-        zeta=lambda w, i, j, a: once(("zeta", w, i, j),
-                                     lambda: derived_contraction(A, w, i + 1, j + 1))(a),
-        eps=lambda c: once(("eps", c), lambda: unit_epsilon(A, c)),
-        relabel=lambda w, sigma, a: once(
-            ("perm", w, sigma), lambda: A.act(perm_wiring(A.palette, w, sigma)))((a,)),
+        box=lambda u, v: prepared(derived_boxtimes, u, v),
+        zeta=lambda w, i, j: prepared(derived_contraction, w, i + 1, j + 1),
+        eps=lambda c: prepared(unit_epsilon, c),
+        relabel=lambda w, sigma: prepared(_relabelling, w, sigma),
     )
 
 

@@ -39,6 +39,7 @@ from brauerkit.graph import (
     graph_from_json,
     graph_to_json,
     line,
+    make_graph,
     stick,
     wheel,
 )
@@ -443,6 +444,34 @@ def test_gog_similar(capsys):
     assert code == 1 and json.loads(out) == {"similar": False}
 
 
+def test_gog_reads_wrapped_closed_and_bare_documents(tmp_path, capsys):
+    # {"graph", "rho"} with a rho map keeps its labels, "rho": null makes a
+    # closed graph, and a bare graph document gets labels 1..k by port
+    def wrapped(name, g, rho):
+        doc = {"graph": graph_to_json(g),
+               "rho": None if rho is None else {json.dumps(p): lab for p, lab in rho.items()}}
+        return write_doc(tmp_path, name, doc)
+
+    ab = wrapped("ab.json", line(2), {1: "a", 6: "b"})
+    numbered = wrapped("12.json", line(2), {1: 1, 6: 2})
+    closed = wrapped("closed.json", wheel(2), None)
+    bare = write_doc(tmp_path, "bare.json", graph_to_json(line(3)))
+    for path, rho in ((ab, {"1": "a", "6": "b"}), (bare, {"1": 1, "8": 2})):
+        code, out, err = cli(capsys, "gog", "terminal", "--graph", path)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert graph_from_json(doc["graph"]).vertices == () and doc["rho"] == rho
+    code, out, err = cli(capsys, "gog", "terminal", "--graph", closed)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert "rho" not in doc and graph_from_json(doc["graph"]).vertices == ()
+    for left, right, want in ((numbered, bare, (0, "similar\n")),
+                              (ab, bare, (1, "not similar\n")),
+                              (closed, wrapped("w1.json", wheel(1), None), (0, "similar\n"))):
+        code, out, err = cli(capsys, "gog", "similar", "--left", left, "--right", right)
+        assert ((code, out), err) == (want, "")
+
+
 def test_gog_assoc_check(tmp_path, capsys):
     outer = identity_gog(line(2))
     inners = {json.dumps(encode_label(v)): gog_to_json(identity_gog(xg.graph))
@@ -534,6 +563,30 @@ def test_species_segal_selects_integer_and_string_ids(tmp_path, capsys):
                              path, "--graph", gid)
         assert (code, err) == (0, "")
         assert [row[:2] for row in json.loads(out)["results"]] == [[want, True]]
+
+
+def test_label_arguments_reach_digit_spelled_strings(tmp_path, capsys):
+    # a label argument reads as a JSON label when it parses as one, so
+    # '"1"' names the string "1" while 1 stays the int 1
+    P = nerve_presheaf(terminal_species(ORI, 2), [("1", wheel(1)), (2, wheel(2))])
+    path = write_doc(tmp_path, "nerve.json", presheaf_to_json(P))
+    for gid, want in (('"1"', "1"), ("2", 2)):
+        code, out, err = cli(capsys, "species", "segal", "--json", "--presheaf",
+                             path, "--graph", gid)
+        assert (code, err) == (0, "")
+        assert [row[:2] for row in json.loads(out)["results"]] == [[want, True]]
+    dag1, dag2 = ("dag", 1), ("dag", 2)
+    g = make_graph(["1", "2", dag1, dag2], [("1", dag1), ("2", dag2)],
+                   [(dag1, "7"), (dag2, "7")], ["7"])
+    path = write_doc(tmp_path, "corolla.json", graph_to_json(g))
+    code, out, err = cli(capsys, "graph", "glue", "--graph", path, "--ports", '"1"', '"2"')
+    assert (code, err) == (0, "")
+    assert graph_from_json(json.loads(out)).ports == ()
+    code, _, err = cli(capsys, "graph", "glue", "--graph", path, "--ports", "1", "2")
+    assert code == 2 and err == "error: 1 is not a port\n"
+    code, out, err = cli(capsys, "gog", "delete", "--graph", path, "--vertices", '"7"')
+    assert (code, err) == (0, "")
+    assert graph_from_json(json.loads(out)["target"]).vertices == ()
 
 
 SEGAL_JSON_PINNED = {

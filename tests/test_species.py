@@ -442,6 +442,53 @@ def test_missing_tables_reported():
     assert "product-typing" in kinds and "contraction-typing" in kinds
 
 
+def _corrupt_ori4(what):
+    """The lift of pairing_algebra(ORI, 4), rebuilt from dicts with one
+    corruption that the typing pass reports."""
+    S, C = species_from_circuit_algebra(pairing_algebra(ORI, 4))
+    box = {k: dict(v) for k, v in C.box_map.items()}
+    zeta = {k: dict(v) for k, v in C.zeta_map.items()}
+    eps, unit = dict(C.epsilon_map), C.external_unit
+    pm = ("+", "-")
+    if what == "unknown word":
+        box[(("-", "+"), ())] = {}
+    elif what == "rows miss the grid":
+        del box[((), ())][(0, 0)]
+    elif what == "product value":
+        box[((), ())][(0, 0)] = 99
+    elif what == "bad contraction key":
+        zeta[(pm, 1, 0)] = {0: 0}
+    elif what == "not omega-dual":
+        zeta[(("+", "+"), 0, 1)] = {}
+    elif what == "contraction rows":
+        del zeta[(pm, 0, 1)][0]
+    elif what == "epsilon":
+        eps["+"] = 99
+    elif what == "external unit":
+        unit = 99
+    return S, make_operad_structure(box, zeta, eps, unit)
+
+
+TYPING_VIOLATIONS = {
+    "unknown word": ("product-typing", "unknown word ('-', '+')"),
+    "rows miss the grid": ("product-typing", "rows at () x () miss the element grid"),
+    "product value": ("product-typing", "() x () at (0, 0) -> 99"),
+    "bad contraction key": ("contraction-typing", "bad key (('+', '-'), 1, 0)"),
+    "not omega-dual": ("contraction-typing", "(0, 1) not omega-dual in ('+', '+')"),
+    "contraction rows": ("contraction-typing", "rows at (('+', '-'), 0, 1) miss the table"),
+    "epsilon": ("unit-typing", "epsilon['+'] outside S('+', '-')"),
+    "external unit": ("unit-typing", "external unit outside the empty-word table"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(TYPING_VIOLATIONS))
+def test_typing_pass_reports_each_corruption(what):
+    # the typing pass runs first and no law runs after a typing violation
+    report = validate_circuit_operad(*_corrupt_ori4(what))
+    assert not report.passed and report.checked == 0
+    assert report.violations == (TYPING_VIOLATIONS[what],)
+
+
 def test_apply_ops_at_unsorted_words():
     S, C = species_from_circuit_algebra(pairing_algebra(ORI, 4))
     w = ("-", "+")

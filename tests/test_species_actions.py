@@ -290,7 +290,7 @@ def test_lift_builds_no_group_table_and_caches_stay_bounded():
     assert {len(w) for w in S._swap_maps} == {4, 6, 8}
     assert validate_circuit_operad(S, C).checked == 53_278
     assert check_modular_axioms(S, C).checked == 28_530
-    caches = (S._acts, S._contraction_plans, S._product_plans, S._transport_plans)
+    caches = (S._acts, S._transport_plans)
     assert all(0 < len(c) <= CACHE_CAP for c in caches)
 
 
@@ -299,5 +299,5 @@ def test_caches_stop_at_the_cap(monkeypatch):
     S, C = species_from_circuit_algebra(pairing_algebra(ORI, 4))
     report = validate_circuit_operad(S, C)
     assert report.passed and report.checked == 76
-    caches = (S._acts, S._contraction_plans, S._product_plans, S._transport_plans)
+    caches = (S._acts, S._transport_plans)
     assert all(len(c) == 3 for c in caches)

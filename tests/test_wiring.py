@@ -9,6 +9,7 @@ import pytest
 from brauerkit import wiring
 from brauerkit.brauer import make_diagram
 from brauerkit.coloured import (
+    PaletteMismatch,
     TypeMismatch,
     cap_coloured,
     coloured_diagrams,
@@ -229,6 +230,38 @@ def test_corrupted_identity_detected():
     report = check_circuit_algebra(bad, universe=universe)
     assert not report.passed and report.mode == "exhaustive"
     assert any(v[0] == "identity" for v in report.violations)
+
+
+def test_moved_row_reported_as_equivariance():
+    # a (cc, cc) -> cccc wiring, its block swap and the identities; the
+    # one row of the first wiring moves to the next pairing of four points
+    A = pairing_algebra(MONO, 4)
+    cc, c4 = ("c", "c"), ("c",) * 4
+    wd = make_wiring(coloured_identity(MONO, c4), (2, 2))
+    table = tabulate(A, [wd, sigma_action(wd, (2, 1))]
+                     + [identity_wiring(MONO, w) for w in ((), cc, c4)])
+    pool = A.elements(c4)
+    entries = []
+    for g, rows in table.table.items():
+        rows = dict(rows)
+        if g == wd:
+            (combo, out), = rows.items()
+            rows[combo] = pool[(pool.index(out) + 1) % len(pool)]
+        entries.append((g, rows))
+    report = check_circuit_algebra(TableCircuitAlgebra(MONO, 4, table.carriers, entries))
+    assert (report.passed, report.mode, report.checked) == (False, "exhaustive", 23)
+    assert {kind for kind, _ in report.violations} == {"equivariance"}
+
+
+def test_act_refuses_wrong_palette_and_long_words():
+    A = pairing_algebra(MONO, 4)
+    with pytest.raises(PaletteMismatch):
+        A.act(identity_wiring(ORI, ("+", "-")))
+    with pytest.raises(ArityBoundExceeded, match="output word"):
+        A.act(identity_wiring(MONO, ("c",) * 6))
+    # six points contracted to four: the output fits the bound, the block does not
+    with pytest.raises(ArityBoundExceeded, match="block word"):
+        A.act(contraction_wiring(MONO, ("c",) * 6, 1, 2))
 
 
 def _closed_mono_wirings():
