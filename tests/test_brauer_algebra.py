@@ -283,3 +283,77 @@ def _nonzero(ring, rng):
         c = ring.add(_sample(ring, rng), ring.zero())  # normalizes polynomials
         if not ring.is_zero(c):
             return c
+
+
+# ---------------------------------------------------------------------------
+# ring I/O pinned value by value, with the Python type of each value
+
+Z5 = integers_mod(5)
+
+
+def _typed(value):
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("ring, zero, one, from_int", [
+    (ZZ, 0, 1, {-7: -7, 0: 0, 12: 12}),
+    (QQ, Fraction(0), Fraction(1), {-7: Fraction(-7), 0: Fraction(0)}),
+    (ZPOLY, (), (1,), {-7: (-7,), 0: ()}),
+    (Z5, 0, 1, {-7: 3, 0: 0, 12: 2}),
+    (integers_mod(2), 0, 1, {-7: 1, 4: 0}),
+])
+def test_ring_constants_pinned(ring, zero, one, from_int):
+    assert _typed(ring.zero()) == _typed(zero)
+    assert _typed(ring.one()) == _typed(one)
+    for k, want in from_int.items():
+        assert _typed(ring.from_int(k)) == _typed(want)
+
+
+@pytest.mark.parametrize("ring, text, want", [
+    (ZZ, "-12", -12), (ZZ, " 7 ", 7),
+    (QQ, "-3/6", Fraction(-1, 2)), (QQ, " 2 ", Fraction(2)), (QQ, "0.25", Fraction(1, 4)),
+    (ZPOLY, "t", (0, 1)), (ZPOLY, "[1, 0, 2]", (1, 0, 2)), (ZPOLY, "[1, 0, 0]", (1,)),
+    (ZPOLY, " 5 ", (5,)), (ZPOLY, "0", ()),
+    (Z5, "-7", 3), (Z5, "12", 2),
+])
+def test_ring_parse_pinned(ring, text, want):
+    assert _typed(ring.parse(text)) == _typed(want)
+
+
+@pytest.mark.parametrize("ring, obj, want", [
+    (ZZ, 8, 8), (ZZ, "8", 8), (ZZ, 3.9, 3),
+    (QQ, 0.1, Fraction(1, 10)), (QQ, "2/4", Fraction(1, 2)), (QQ, 3, Fraction(3)),
+    (ZPOLY, 4, (4,)), (ZPOLY, 0, ()), (ZPOLY, [3, -1], (3, -1)), (ZPOLY, [0, 0], ()),
+    (Z5, 13, 3), (Z5, "-1", 4),
+])
+def test_ring_from_json_pinned(ring, obj, want):
+    assert _typed(ring.from_json(obj)) == _typed(want)
+
+
+@pytest.mark.parametrize("ring, value, want", [
+    (ZZ, -4, -4), (QQ, Fraction(1, 10), "1/10"), (QQ, Fraction(4), "4"),
+    (ZPOLY, (3, -1), [3, -1]), (ZPOLY, (), []), (Z5, 4, 4),
+])
+def test_ring_to_json_pinned(ring, value, want):
+    assert _typed(ring.to_json(value)) == _typed(want)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_integers_mod_refuses_small_moduli(p):
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        integers_mod(p)
+
+
+def test_rings_compare_by_name():
+    assert integers_mod(5) == Z5 and hash(integers_mod(5)) == hash("Z/5")
+    assert ring_by_name("Z/5") == Z5 and ring_by_name("Zt") is ZPOLY
+    assert ZZ != QQ and Z5 != integers_mod(7) and repr(Z5) == "Ring(Z/5)"
+
+
+def test_make_element_reads_a_mapping_and_pairs():
+    f, g = identity(2), make_diagram(2, 2, [("s1", "s2"), ("t1", "t2")])
+    want = ((g, 3), (f, 2))
+    assert make_element(ZZ, 2, 2, {f: 2, g: 3}).terms == want
+    assert make_element(ZZ, 2, 2, [(f, 2), (g, 3)]).terms == want
+    assert make_element(ZZ, 2, 2, {f: 2, g: 0}).terms == ((f, 2),)
+    assert make_element(Z5, 2, 2, [(f, 5)]) == br_zero(Z5, 2, 2)
