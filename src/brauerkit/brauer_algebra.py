@@ -6,15 +6,20 @@ components born from stacking.  Keeping delta formal recovers the
 bubble count: BD with its closed-component bookkeeping embeds into
 Br_t over Z[t] via (tau, k) |-> t^k tau, and that map is functorial.
 
-Rings are value-level operation bundles, not a type-class hierarchy:
-four instances cover the ground the tests need (integers, rationals,
-dense integer polynomials in t, integers mod p).  Polynomial elements
-are tuples of coefficients by degree with no trailing zeros, so
-equality is tuple equality and the zero polynomial is ().
+Rings are value-level operation bundles, not a type-class hierarchy.
+The number rings Z, Q and Z/p are instances of one class, which keeps
+Python numbers in a canonical form (int, Fraction, least residue mod p)
+and differs only in that form and in how values are read and written.
+Z[t] has its own class: polynomial elements are tuples of coefficients
+by degree with no trailing zeros, so equality is tuple equality and the
+zero polynomial is ().  Elements are built by make_element alone, which
+sums the coefficients of each diagram, so sums and products only list
+their terms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -44,9 +49,6 @@ class Ring:
 
     name = "?"
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def power(self, a, k: int):
         out = self.one()
         for _ in range(k):
@@ -70,66 +72,48 @@ class Ring:
         return hash(self.name)
 
 
-class _Integers(Ring):
-    name = "Z"
+class _Numbers(Ring):
+    """Z, Q or Z/p on Python numbers: `canon` puts a number in the ring's
+    canonical form, `read` turns text or a JSON value into a number and
+    `write` turns a value into JSON."""
+
+    def __init__(self, name, canon, read, write=None):
+        self.name, self.canon, self.read = name, canon, read
+        self.write = write or canon
 
     def zero(self):
-        return 0
+        return self.canon(0)
 
     def one(self):
-        return 1
+        return self.canon(1)
 
     def add(self, a, b):
-        return a + b
+        return self.canon(a + b)
 
     def neg(self, a):
-        return -a
+        return self.canon(-a)
 
     def mul(self, a, b):
-        return a * b
+        return self.canon(a * b)
 
     def from_int(self, k):
-        return k
-
-    def parse(self, text):
-        return int(text)
-
-    def to_json(self, a):
-        return a
+        return self.canon(k)
 
     def from_json(self, obj):
-        return int(obj)
+        return self.canon(self.read(obj))
 
-
-class _Rationals(Ring):
-    name = "Q"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def from_int(self, k):
-        return Fraction(k)
-
-    def parse(self, text):
-        return Fraction(text)
+    parse = from_json  # text reads as the JSON value it spells
 
     def to_json(self, a):
-        return str(a)
+        return self.write(a)
 
-    def from_json(self, obj):
+
+def _read_fraction(obj):
+    # JSON numbers go through their text, so 0.1 reads as 1/10
+    try:
         return Fraction(str(obj))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {obj!r}") from None
 
 
 class _IntPolynomials(Ring):
@@ -186,48 +170,15 @@ class _IntPolynomials(Ring):
         return self.from_int(int(obj))
 
 
-class _IntegersMod(Ring):
-    def __init__(self, p: int):
-        if p < 2:
-            raise ValueError(f"modulus must be >= 2: {p}")
-        self.p = p
-        self.name = f"Z/{p}"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def from_int(self, k):
-        return k % self.p
-
-    def parse(self, text):
-        return int(text) % self.p
-
-    def to_json(self, a):
-        return a
-
-    def from_json(self, obj):
-        return int(obj) % self.p
-
-
-ZZ = _Integers()
-QQ = _Rationals()
+ZZ = _Numbers("Z", int, int)
+QQ = _Numbers("Q", Fraction, _read_fraction, str)
 ZPOLY = _IntPolynomials()
 
 
 def integers_mod(p: int) -> Ring:
-    return _IntegersMod(p)
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2: {p}")
+    return _Numbers(f"Z/{p}", lambda k: k % p, int)
 
 
 def ring_by_name(name: str) -> Ring:
@@ -240,11 +191,6 @@ def ring_by_name(name: str) -> Ring:
     if isinstance(name, str) and name.startswith("Z/"):
         return integers_mod(int(name[2:]))
     raise ValueError(f"unknown ring: {name!r}")
-
-
-def _diagram_key(d: BrauerDiagram):
-    # terms are ordered by their label pairs as strings, so "s10" < "s2"
-    return (d.m, d.n, d.pairs)
 
 
 @dataclass(frozen=True)
@@ -262,22 +208,30 @@ class BrElement:
 
 
 def make_element(ring: Ring, m: int, n: int, terms) -> BrElement:
+    """The element summing c d over the (diagram d, coefficient c) pairs
+    of `terms`, or over the items of a mapping d -> c."""
+    if isinstance(terms, Mapping):
+        terms = terms.items()
     acc = {}
-    for d, c in dict(terms).items():
+    zero = ring.zero()
+    for d, c in terms:
+        acc[d] = ring.add(acc.get(d, zero), c)
+    kept = []
+    for d, c in acc.items():
         if d.closed != 0:
             raise ArityMismatch(f"basis diagrams must be open: {d!r}")
         if (d.m, d.n) != (m, n):
             raise ArityMismatch(f"term arity {(d.m, d.n)} != element arity {(m, n)}")
-        acc[d] = ring.add(acc.get(d, ring.zero()), c)
-    pruned = [(d, c) for d, c in acc.items() if not ring.is_zero(c)]
-    pruned.sort(key=lambda dc: _diagram_key(dc[0]))
-    return BrElement(ring, m, n, tuple(pruned))
+        if not ring.is_zero(c):
+            kept.append((d, c))
+    kept.sort(key=lambda dc: dc[0].pairs)  # label pairs as strings, so "s10" < "s2"
+    return BrElement(ring, m, n, tuple(kept))
 
 
 def element_of(ring: Ring, d: BrauerDiagram, coeff=None) -> BrElement:
     """Single open diagram as an element; coeff defaults to 1."""
     coeff = ring.one() if coeff is None else coeff
-    return make_element(ring, d.m, d.n, {BrauerDiagram(d.m, d.n, d.partner): coeff})
+    return make_element(ring, d.m, d.n, [(BrauerDiagram(d.m, d.n, d.partner), coeff)])
 
 
 def br_zero(ring: Ring, m: int, n: int) -> BrElement:
@@ -288,16 +242,11 @@ def br_add(a: BrElement, b: BrElement) -> BrElement:
     _check_rings(a, b)
     if (a.m, a.n) != (b.m, b.n):
         raise ArityMismatch(f"cannot add {(a.m, a.n)} and {(b.m, b.n)}")
-    acc = {d: c for d, c in a.terms}
-    for d, c in b.terms:
-        acc[d] = a.ring.add(acc.get(d, a.ring.zero()), c)
-    return make_element(a.ring, a.m, a.n, acc)
+    return make_element(a.ring, a.m, a.n, a.terms + b.terms)
 
 
 def br_scale(coeff, a: BrElement) -> BrElement:
-    return make_element(
-        a.ring, a.m, a.n, {d: a.ring.mul(coeff, c) for d, c in a.terms}
-    )
+    return make_element(a.ring, a.m, a.n, [(d, a.ring.mul(coeff, c)) for d, c in a.terms])
 
 
 def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
@@ -306,29 +255,22 @@ def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
     if a.n != b.m:
         raise ArityMismatch(f"cannot stack {a.m}->{a.n} onto {b.m}->{b.n}")
     ring = a.ring
-    acc = {}
-    for f, cf in a.terms:
-        for g, cg in b.terms:
-            h, cycles = compose_detailed(f, g)
-            open_part = BrauerDiagram(h.m, h.n, h.partner)
-            coeff = ring.mul(ring.mul(cf, cg), ring.power(delta, len(cycles)))
-            if open_part in acc:
-                acc[open_part] = ring.add(acc[open_part], coeff)
-            else:
-                acc[open_part] = coeff
-    return make_element(ring, a.m, b.n, acc)
+
+    def terms():
+        for f, cf in a.terms:
+            for g, cg in b.terms:
+                h, cycles = compose_detailed(f, g)
+                yield (BrauerDiagram(h.m, h.n, h.partner),
+                       ring.mul(ring.mul(cf, cg), ring.power(delta, len(cycles))))
+
+    return make_element(ring, a.m, b.n, terms())
 
 
 def br_tensor(a: BrElement, b: BrElement) -> BrElement:
     _check_rings(a, b)
     ring = a.ring
-    acc = {}
-    for f, cf in a.terms:
-        for g, cg in b.terms:
-            h = tensor(f, g)
-            coeff = ring.mul(cf, cg)
-            acc[h] = ring.add(acc.get(h, ring.zero()), coeff)
-    return make_element(ring, a.m + b.m, a.n + b.n, acc)
+    return make_element(ring, a.m + b.m, a.n + b.n, [
+        (tensor(f, g), ring.mul(cf, cg)) for f, cf in a.terms for g, cg in b.terms])
 
 
 def _check_rings(a: BrElement, b: BrElement):
@@ -368,15 +310,8 @@ def is_walled(f: BrauerDiagram, wall) -> bool:
 
 
 def element_to_json(a: BrElement) -> dict:
-    return {
-        "ring": a.ring.name,
-        "m": a.m,
-        "n": a.n,
-        "terms": [
-            {"coeff": a.ring.to_json(c), "diagram": diagram_to_json(d)}
-            for d, c in a.terms
-        ],
-    }
+    terms = [{"coeff": a.ring.to_json(c), "diagram": diagram_to_json(d)} for d, c in a.terms]
+    return {"ring": a.ring.name, "m": a.m, "n": a.n, "terms": terms}
 
 
 def element_from_json(obj: dict) -> BrElement:

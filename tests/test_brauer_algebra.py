@@ -357,3 +357,10 @@ def test_make_element_reads_a_mapping_and_pairs():
     assert make_element(ZZ, 2, 2, [(f, 2), (g, 3)]).terms == want
     assert make_element(ZZ, 2, 2, {f: 2, g: 0}).terms == ((f, 2),)
     assert make_element(Z5, 2, 2, [(f, 5)]) == br_zero(Z5, 2, 2)
+
+
+def test_make_element_sums_the_pairs_of_one_diagram():
+    f, g = identity(2), make_diagram(2, 2, [("s1", "s2"), ("t1", "t2")])
+    assert make_element(ZZ, 2, 2, [(f, 2), (g, 3), (f, 4)]).terms == ((g, 3), (f, 6))
+    assert make_element(ZZ, 2, 2, [(f, 2), (g, 3), (f, -2)]).terms == ((g, 3),)
+    assert make_element(ZPOLY, 2, 2, [(f, (1, 1)), (f, (0, -1, 0))]).terms == ((f, (1,)),)
