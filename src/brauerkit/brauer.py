@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .pairing import PairingError, all_pairings, make_pairing
+from .pairing import PairingError, UncoveredLabel, all_pairings, make_pairing
 
 
 class ArityMismatch(ValueError):
@@ -109,6 +109,8 @@ def make_diagram(m: int, n: int, pairs, closed: int = 0) -> BrauerDiagram:
     if m < 0 or n < 0 or closed < 0:
         raise ArityMismatch(f"negative arity or closed count: {(m, n, closed)!r}")
     pairs = list(pairs)
+    if m + n > 2 * len(pairs):  # refused before labels(m, n) is built for a huge arity
+        raise UncoveredLabel(f"{len(pairs)} pairs cannot cover the {m + n} points of {m}->{n}")
     make_pairing(labels(m, n), pairs)  # validation only
     return _from_pairs(m, n, pairs, closed)
 

@@ -17,6 +17,7 @@ wheel:K, line:K.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -91,11 +92,20 @@ def _emit(doc):
     print(json.dumps(doc, separators=(",", ":")))
 
 
+def _finite(text):
+    # json reads Infinity, NaN and literals past the float range such as
+    # 1e400 as non-finite floats, which no loader can take
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"document holds a non-finite number: {text}")
+    return value
+
+
 def _read_doc(path):
     if path == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, parse_float=_finite, parse_constant=_finite)
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
 def _is_path(arg):

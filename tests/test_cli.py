@@ -5,6 +5,7 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,13 @@ from brauerkit.brauer import (
     diagram_to_json,
     evaluate_word,
     identity,
+    make_diagram,
     parse_word,
     sigma_2,
 )
 from brauerkit.axioms import Report
-from brauerkit.brauer_algebra import bd_to_br_t, element_from_json, element_to_json
+from brauerkit.brauer_algebra import (QQ, bd_to_br_t, br_add, element_from_json, element_of,
+                                      element_to_json)
 from brauerkit.cli import run
 from brauerkit.coloured import (
     cap_coloured,
@@ -192,6 +195,61 @@ def test_br_mul_on_a_malformed_term_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.splitlines() == [err.rstrip("\n")]
     assert err.startswith("error: malformed element document")
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.splitlines() == [err.rstrip("\n")]
+
+
+def q_element_doc():
+    a = element_of(QQ, sigma_2(), Fraction(1, 2))
+    return element_to_json(br_add(a, element_of(QQ, identity(2), Fraction(-3))))
+
+
+def test_br_mul_zero_denominator_delta_exits_2(tmp_path, capsys):
+    el = write_doc(tmp_path, "el.json", q_element_doc())
+    code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
+                         "--ring", "Q", "--delta", "1/0")
+    assert_one_error_line(code, out, err)
+    assert "zero denominator" in err
+
+
+def test_br_mul_zero_denominator_coefficient_exits_2(tmp_path, capsys):
+    doc = q_element_doc()
+    doc["terms"][0]["coeff"] = "1/0"
+    el = write_doc(tmp_path, "el.json", doc)
+    code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
+                         "--ring", "Q", "--delta", "1")
+    assert_one_error_line(code, out, err)
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_bd_dual_non_finite_arity_exits_2(tmp_path, capsys, number):
+    path = tmp_path / "d.json"
+    path.write_text('{"m": %s, "n": 1, "pairs": []}' % number)
+    code, out, err = cli(capsys, "bd", "dual", "--diagram", str(path))
+    assert_one_error_line(code, out, err)
+    assert "non-finite number" in err
+
+
+def test_br_mul_non_finite_coefficient_exits_2(tmp_path, capsys):
+    doc = element_to_json(element_of(QQ, identity(2)))
+    doc["ring"], doc["terms"][0]["coeff"] = "Z", float("inf")
+    el = write_doc(tmp_path, "el.json", doc)
+    assert "Infinity" in open(el).read()
+    code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
+                         "--ring", "Z", "--delta", "2")
+    assert_one_error_line(code, out, err)
+    assert "non-finite number" in err
+
+
+def test_diagram_past_its_pairs_is_refused_before_its_labels(tmp_path, capsys):
+    path = write_doc(tmp_path, "d.json", {"m": 1e300, "n": 1, "pairs": []})
+    code, out, err = cli(capsys, "bd", "dual", "--diagram", path)
+    assert_one_error_line(code, out, err)
+    assert "0 pairs cannot cover" in err
 
 def test_cbd_compose_traces_bubble(tmp_path, capsys):
     pal = write_doc(tmp_path, "pal.json", palette_to_json(ORI))
@@ -641,7 +699,7 @@ def _at(doc, path):
 
 _WRONG_TYPED = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False),
-    st.sampled_from(["", "w", "stick"]), st.lists(st.integers(0, 2), max_size=3),
+    st.just(float("inf")), st.sampled_from(["", "w", "stick", "1/0"]), st.lists(st.integers(0, 2), max_size=3),
     st.dictionaries(st.sampled_from(["tuple", "id"]), st.integers(0, 2), max_size=2),
 )
 _OUTSIDE_LABEL = st.sampled_from(["outside", 10 ** 6, {"tuple": ["outside"]}])
@@ -683,22 +741,51 @@ def small_nerve_doc():
     return json.dumps(presheaf_to_json(P))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_mutated_nerve_documents_exit_cleanly(small_nerve_doc, tmp_path_factory, data):
-    doc = json.loads(small_nerve_doc)
+def run_mutated(data, doc_text, tmp_path_factory, argv):
+    """Mutate the document one to three times, run argv on it with {doc}
+    standing for its path, and return the exit code and the output; an
+    exit 2 must print one error line and nothing else."""
+    doc = json.loads(doc_text)
     for _ in range(data.draw(st.integers(1, 3))):
         doc = _mutate(data, doc)
     path = write_doc(tmp_path_factory.getbasetemp(), "mutated.json", doc)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["species", "segal", "--json", "--presheaf", path])
+        code = run([path if a == "{doc}" else a for a in argv])
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
-    else:
-        assert json.loads(out.getvalue())["passed"] == (code == 0)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_nerve_documents_exit_cleanly(small_nerve_doc, tmp_path_factory, data):
+    code, out = run_mutated(data, small_nerve_doc, tmp_path_factory,
+                            ["species", "segal", "--json", "--presheaf", "{doc}"])
+    if code != 2:
+        assert json.loads(out)["passed"] == (code == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_element_documents_exit_cleanly(tmp_path_factory, data):
+    code, out = run_mutated(data, json.dumps(q_element_doc()), tmp_path_factory,
+                            ["br", "mul", "--lhs", "{doc}", "--rhs", "{doc}",
+                             "--ring", "Q", "--delta", "1/2"])
+    if code != 2:
+        assert code == 0 and element_from_json(json.loads(out)).ring == QQ
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_diagram_documents_exit_cleanly(tmp_path_factory, data):
+    doc = diagram_to_json(make_diagram(2, 4, [("s1", "t3"), ("s2", "t1"), ("t2", "t4")], 1))
+    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                            ["bd", "dual", "--diagram", "{doc}"])
+    if code != 2:
+        assert code == 0 and diagram_from_json(json.loads(out)).closed >= 0
 
 
 def test_species_check_co(tmp_path, capsys):
