@@ -100,6 +100,14 @@ def test_default_selection_refuses_an_incomplete_cone():
     assert [gid for gid, _, _ in segal_check(P).results] == ["w"]
 
 
+def test_listed_graph_with_no_value_set_is_refused():
+    P = nerve_presheaf(SPECIES["terminal"], [("g", line(2))])
+    values = tuple((gid, es) for gid, es in P.values if gid != "g")
+    for graphs in (None, ["g"]):
+        with pytest.raises(MissingRestriction, match="'g' has no value set"):
+            segal_check(dataclasses.replace(P, values=values), graphs)
+
+
 def test_empty_graph_is_checked_by_default():
     P = nerve_presheaf(terminal_species(ORI, 2), [("e", empty())])
     assert segal_check(P).results == (("e", True, "1 elements against a limit of 1"),)

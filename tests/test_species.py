@@ -998,3 +998,38 @@ def test_json_garbage_rejected():
         presheaf_from_json({"graphs": [], "values": [{"id": "g"}]})
     with pytest.raises(ValueError):
         presheaf_from_json({"values": []})
+
+
+# ---------------------------------------------------------------------------
+# typed errors of the species constructors and prepared operations
+
+
+@pytest.mark.parametrize("bound", [-1, True, 2.0, "2"])
+def test_make_species_refuses_a_bad_bound(bound):
+    with pytest.raises(InvalidParameter, match="bound must be a non-negative integer"):
+        make_species(MONO, bound, {})
+
+
+def test_make_species_refuses_a_duplicate_table_word():
+    with pytest.raises(InvalidParameter, match="duplicate table word"):
+        make_species(MONO, 2, [(("c", "c"), ("a",)), (["c", "c"], ("b",))])
+
+
+def test_prepared_operations_refuse_bad_keys_and_missing_rows():
+    S, C = species_from_circuit_algebra(pairing_algebra(ORI, 4))
+    with pytest.raises(ArityBoundExceeded, match="exceeds bound 4"):
+        apply_product(S, C, ("+", "-", "+"), 0, ("-", "+"), 0)
+    for x, y in [(0, 0), (-1, 1), (0, 2)]:
+        with pytest.raises(InvalidParameter, match="out of range"):
+            apply_contraction(S, C, ("+", "-"), x, y, S.elements(("+", "-"))[0])
+    name = S.elements(("+", "-"))[0]
+    apply_contraction(S, C, ("+", "-"), 0, 1, name)
+    with pytest.raises(MissingActionEntry, match="no contraction entry"):
+        apply_contraction(S, dataclasses.replace(C, contraction=()), ("+", "-"), 0, 1, name)
+
+
+def test_classify_refuses_a_graph_outside_the_bounds():
+    gen = make_species(MONO, 3, {("c", "c", "c"): ("g",)})
+    xg = next(xg for xg in enumerate_x_graphs((1, 2), 2, 3) if len(xg.graph.vertices) == 2)
+    with pytest.raises(InvalidParameter, match="escaped the enumeration bounds"):
+        species._classify(gen, xg, None, 1, 3)

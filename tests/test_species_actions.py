@@ -1,4 +1,4 @@
-"""Species actions by adjacent swaps, and the per-species plans.
+"""Species actions by adjacent swaps, and the prepared products and contractions.
 
 The references below are written out here, independent of the species
 module: the closure of the listed actions into a whole group table, and
@@ -252,7 +252,7 @@ def test_loader_refuses_bad_sigma_rows_with_value_error(sigma):
 
 
 # ---------------------------------------------------------------------------
-# contraction and product plans
+# prepared products and contractions
 
 
 @pytest.mark.parametrize("bound", [4, 6])
@@ -262,7 +262,7 @@ def test_plans_match_the_uncached_formulas(bound):
     S, C = species_from_circuit_algebra(pairing_algebra(ORI, bound))
     omega, groups = ORI.omega, {}
     contractions = products = 0
-    for _ in range(2):  # the second pass reads the plans the first one stored
+    for _ in range(2):  # the second pass prepares each operation again, on cached transports
         for n in range(bound + 1):
             for w in itertools.product(ORI.colours, repeat=n):
                 names = S.elements(w)
@@ -280,7 +280,7 @@ def test_plans_match_the_uncached_formulas(bound):
                             ref_product(S, C, groups, w1, a, w2, b), (w1, w2, a, b)
                         products += 1
     assert contractions and products
-    for _ in range(2):  # a refused key stores no plan
+    for _ in range(2):  # a refused key is refused each time it is prepared
         with pytest.raises(ColourMismatch):
             apply_contraction(S, C, ("+", "+"), 0, 1, 0)
 

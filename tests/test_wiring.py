@@ -253,6 +253,23 @@ def test_moved_row_reported_as_equivariance():
     assert {kind for kind, _ in report.violations} == {"equivariance"}
 
 
+@pytest.mark.parametrize("with_ids, with_swap, candidates, checked", [
+    (False, False, 7, 1), (False, True, 9, 4), (True, False, 19, 18), (True, True, 23, 23)])
+def test_unlisted_instances_are_left_out_of_checked(with_ids, with_swap, candidates, checked):
+    # a table of the (cc, cc) -> cccc wiring wd, with or without the
+    # identities at (), cc and cccc and wd's block swap: an unlisted
+    # identity leaves its 5 instances unchecked, and an unlisted swap the
+    # one equivariance instance of wd whose other side it is
+    A = pairing_algebra(MONO, 4)
+    cc, c4 = ("c", "c"), ("c",) * 4
+    wd = make_wiring(coloured_identity(MONO, c4), (2, 2))
+    wirings = [wd] + [sigma_action(wd, (2, 1))] * with_swap
+    wirings += [identity_wiring(MONO, w) for w in ((), cc, c4)] * with_ids
+    report = check_circuit_algebra(tabulate(A, wirings))
+    assert (report.passed, report.mode) == (True, "exhaustive")
+    assert (report.candidates, report.checked) == (candidates, checked)
+
+
 def test_act_refuses_wrong_palette_and_long_words():
     A = pairing_algebra(MONO, 4)
     with pytest.raises(PaletteMismatch):
