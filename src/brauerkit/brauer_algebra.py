@@ -102,7 +102,7 @@ class _Numbers(Ring):
     def from_json(self, obj):
         return self.canon(self.read(obj))
 
-    parse = from_json  # text reads as the JSON value it spells
+    parse = from_json  # each reader takes text and JSON values alike
 
     def to_json(self, a):
         return self.write(a)

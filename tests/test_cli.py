@@ -238,7 +238,7 @@ def test_br_mul_non_finite_coefficient_exits_2(tmp_path, capsys):
     doc = element_to_json(element_of(QQ, identity(2)))
     doc["ring"], doc["terms"][0]["coeff"] = "Z", float("inf")
     el = write_doc(tmp_path, "el.json", doc)
-    assert "Infinity" in open(el).read()
+    assert "Infinity" in (tmp_path / "el.json").read_text()
     code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
                          "--ring", "Z", "--delta", "2")
     assert_one_error_line(code, out, err)
@@ -246,10 +246,12 @@ def test_br_mul_non_finite_coefficient_exits_2(tmp_path, capsys):
 
 
 def test_diagram_past_its_pairs_is_refused_before_its_labels(tmp_path, capsys):
-    path = write_doc(tmp_path, "d.json", {"m": 1e300, "n": 1, "pairs": []})
+    # an arity such as 1e300 used to list its labels until memory ran out
+    path = write_doc(tmp_path, "d.json", {"m": 10 ** 6, "n": 1, "pairs": []})
     code, out, err = cli(capsys, "bd", "dual", "--diagram", path)
     assert_one_error_line(code, out, err)
     assert "0 pairs cannot cover" in err
+
 
 def test_cbd_compose_traces_bubble(tmp_path, capsys):
     pal = write_doc(tmp_path, "pal.json", palette_to_json(ORI))
@@ -699,7 +701,8 @@ def _at(doc, path):
 
 _WRONG_TYPED = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False),
-    st.just(float("inf")), st.sampled_from(["", "w", "stick", "1/0"]), st.lists(st.integers(0, 2), max_size=3),
+    st.just(float("inf")), st.sampled_from(["", "w", "stick", "1/0"]),
+    st.lists(st.integers(0, 2), max_size=3),
     st.dictionaries(st.sampled_from(["tuple", "id"]), st.integers(0, 2), max_size=2),
 )
 _OUTSIDE_LABEL = st.sampled_from(["outside", 10 ** 6, {"tuple": ["outside"]}])
@@ -754,8 +757,7 @@ def run_mutated(data, doc_text, tmp_path_factory, argv):
         code = run([path if a == "{doc}" else a for a in argv])
     assert code in (0, 1, 2)
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error:")
-        assert len(err.getvalue().splitlines()) == 1
+        assert_one_error_line(code, out.getvalue(), err.getvalue())
     return code, out.getvalue()
 
 

@@ -1019,11 +1019,11 @@ def test_prepared_operations_refuse_bad_keys_and_missing_rows():
     S, C = species_from_circuit_algebra(pairing_algebra(ORI, 4))
     with pytest.raises(ArityBoundExceeded, match="exceeds bound 4"):
         apply_product(S, C, ("+", "-", "+"), 0, ("-", "+"), 0)
+    name = S.elements(("+", "-"))[0]
     for x, y in [(0, 0), (-1, 1), (0, 2)]:
         with pytest.raises(InvalidParameter, match="out of range"):
-            apply_contraction(S, C, ("+", "-"), x, y, S.elements(("+", "-"))[0])
-    name = S.elements(("+", "-"))[0]
-    apply_contraction(S, C, ("+", "-"), 0, 1, name)
+            apply_contraction(S, C, ("+", "-"), x, y, name)
+    apply_contraction(S, C, ("+", "-"), 0, 1, name)  # the row that is dropped below
     with pytest.raises(MissingActionEntry, match="no contraction entry"):
         apply_contraction(S, dataclasses.replace(C, contraction=()), ("+", "-"), 0, 1, name)
 
