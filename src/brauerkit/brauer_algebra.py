@@ -19,6 +19,7 @@ their terms.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,10 +109,17 @@ class _Numbers(Ring):
         return self.write(a)
 
 
+_MAX_EXPONENT = 4300  # 10**exp has about the digits int() reads from text by default
+
+
 def _read_fraction(obj):
     # JSON numbers go through their text, so 0.1 reads as 1/10
+    text = str(obj)
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:  # Fraction would build 10**exp
+        raise ValueError(f"decimal exponent past {_MAX_EXPONENT}: {obj!r}")
     try:
-        return Fraction(str(obj))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {obj!r}") from None
 
@@ -246,7 +254,9 @@ def br_add(a: BrElement, b: BrElement) -> BrElement:
 
 
 def br_scale(coeff, a: BrElement) -> BrElement:
-    return make_element(a.ring, a.m, a.n, [(d, a.ring.mul(coeff, c)) for d, c in a.terms])
+    return make_element(
+        a.ring, a.m, a.n, [(d, a.ring.mul(coeff, c)) for d, c in a.terms]
+    )
 
 
 def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
@@ -310,16 +320,22 @@ def is_walled(f: BrauerDiagram, wall) -> bool:
 
 
 def element_to_json(a: BrElement) -> dict:
-    terms = [{"coeff": a.ring.to_json(c), "diagram": diagram_to_json(d)} for d, c in a.terms]
-    return {"ring": a.ring.name, "m": a.m, "n": a.n, "terms": terms}
+    return {
+        "ring": a.ring.name,
+        "m": a.m,
+        "n": a.n,
+        "terms": [
+            {"coeff": a.ring.to_json(c), "diagram": diagram_to_json(d)}
+            for d, c in a.terms
+        ],
+    }
 
 
 def element_from_json(obj: dict) -> BrElement:
     try:
         ring = ring_by_name(obj["ring"])
-        terms = {}
-        for t in obj["terms"]:
-            terms[diagram_from_json(t["diagram"])] = ring.from_json(t["coeff"])
+        terms = [(diagram_from_json(t["diagram"]), ring.from_json(t["coeff"]))
+                 for t in obj["terms"]]
         m, n = int(obj["m"]), int(obj["n"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, PairingError):

@@ -364,3 +364,20 @@ def test_make_element_sums_the_pairs_of_one_diagram():
     assert make_element(ZZ, 2, 2, [(f, 2), (g, 3), (f, 4)]).terms == ((g, 3), (f, 6))
     assert make_element(ZZ, 2, 2, [(f, 2), (g, 3), (f, -2)]).terms == ((g, 3),)
     assert make_element(ZPOLY, 2, 2, [(f, (1, 1)), (f, (0, -1, 0))]).terms == ((f, (1,)),)
+
+
+def test_element_from_json_sums_a_repeated_diagram():
+    doc = element_to_json(element_of(ZZ, identity(2), 3))
+    doc["terms"].append({"coeff": 4, "diagram": doc["terms"][0]["diagram"]})
+    assert element_from_json(doc).terms == ((identity(2), 7),)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2E-4301", "1e999999999", " 3.5e+1_000_000 "])
+def test_rationals_refuse_exponents_past_the_bound(text):
+    with pytest.raises(ValueError, match="decimal exponent past 4300"):
+        QQ.parse(text)
+
+
+def test_rationals_read_exponents_up_to_the_bound():
+    assert QQ.parse("1e4300") == Fraction(10 ** 4300)
+    assert QQ.from_json("-5E-4300") == Fraction(-5, 10 ** 4300)

@@ -225,6 +225,24 @@ def test_br_mul_zero_denominator_coefficient_exits_2(tmp_path, capsys):
     assert "zero denominator" in err
 
 
+def test_br_mul_huge_exponent_delta_exits_2(tmp_path, capsys):
+    el = write_doc(tmp_path, "el.json", q_element_doc())
+    code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
+                         "--ring", "Q", "--delta", "1e999999999")
+    assert_one_error_line(code, out, err)
+    assert "decimal exponent past" in err
+
+
+def test_br_mul_huge_exponent_coefficient_exits_2(tmp_path, capsys):
+    doc = q_element_doc()
+    doc["terms"][1]["coeff"] = "-1e-999999999"
+    el = write_doc(tmp_path, "el.json", doc)
+    code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
+                         "--ring", "Q", "--delta", "1")
+    assert_one_error_line(code, out, err)
+    assert "decimal exponent past" in err
+
+
 @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400"])
 def test_bd_dual_non_finite_arity_exits_2(tmp_path, capsys, number):
     path = tmp_path / "d.json"
@@ -701,7 +719,7 @@ def _at(doc, path):
 
 _WRONG_TYPED = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False),
-    st.just(float("inf")), st.sampled_from(["", "w", "stick", "1/0"]),
+    st.just(float("inf")), st.sampled_from(["", "w", "stick", "1/0", "1e999999999"]),
     st.lists(st.integers(0, 2), max_size=3),
     st.dictionaries(st.sampled_from(["tuple", "id"]), st.integers(0, 2), max_size=2),
 )
