@@ -270,6 +270,69 @@ def test_unlisted_instances_are_left_out_of_checked(with_ids, with_swap, candida
     assert (report.candidates, report.checked) == (candidates, checked)
 
 
+def brute_checked(A, universe):
+    """The identity, equivariance and composition instances of the
+    exhaustive check on whose every wiring A acts, counted one by one: a
+    table acts on its listed wirings, any other algebra on all of them."""
+    table = getattr(A, "table", None)
+
+    def acts(*wirings):
+        return all(wd in table for wd in wirings)
+
+    elements = {w: A.elements(w) for w in A.words()}
+    universe = [wd for wd in universe
+                if all(w in elements for w in wd.block_types + (wd.output_word,))]
+    count = 0
+    for w, xs in elements.items():
+        if table is None or acts(identity_wiring(A.palette, w)):
+            count += sum(1 for _ in xs)
+    for wd in universe:
+        for sigma in itertools.permutations(range(1, len(wd.block_sizes) + 1)):
+            if table is None or acts(wd, sigma_action(wd, sigma)):
+                count += sum(1 for _ in itertools.product(
+                    *(elements[w] for w in wd.block_types)))
+    fills = {w: [f for f in universe if f.output_word == w] for w in elements}
+    for g in universe:
+        for fs in itertools.product(*(fills[w] for w in g.block_types)):
+            if table is None or acts(g, *fs, operad_gamma(g, fs)):
+                count += sum(1 for _ in itertools.product(
+                    *(elements[w] for f in fs for w in f.block_types)))
+    return count
+
+
+def _mono2_table(keep):
+    A = pairing_algebra(MONO, 2)
+    T = tabulate(A, [wd for wd in word_universe(A, max_blocks=2) if keep(wd)])
+    return T, list(T.listed_wirings())
+
+
+def _without_identities():
+    ids = {identity_wiring(MONO, w) for w in pairing_algebra(MONO, 2).words()}
+    return _mono2_table(lambda wd: wd not in ids)
+
+
+def _without_sigma_images():
+    # a two-block wiring whose first block is the longer is the block
+    # swap of one whose first block is the shorter, and is left out
+    return _mono2_table(lambda wd: len(wd.block_sizes) != 2
+                        or len(wd.block_types[0]) <= len(wd.block_types[1]))
+
+
+def _pairing_ori2():
+    A = pairing_algebra(ORI, 2)
+    return A, word_universe(A)
+
+
+@pytest.mark.parametrize("build, checked", [
+    (_without_identities, 1_087), (_without_sigma_images, 1_052), (_pairing_ori2, 99_924)],
+    ids=["table without identities", "table without sigma images", "pairing ori 2"])
+def test_checked_counts_the_instances_on_acted_wirings(build, checked):
+    A, universe = build()
+    report = check_circuit_algebra(A, universe=universe)
+    assert report.passed and report.mode == "exhaustive"
+    assert report.checked == brute_checked(A, universe) == checked
+
+
 def test_act_refuses_wrong_palette_and_long_words():
     A = pairing_algebra(MONO, 4)
     with pytest.raises(PaletteMismatch):
