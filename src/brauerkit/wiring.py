@@ -13,7 +13,8 @@ the bound.  CircuitAlgebra is that pair, with the action a callable;
 its act is the one place that checks the palette, the bound and, for
 algebras on downward diagrams only, downwardness.  Two subclasses
 supply their own action: TableCircuitAlgebra looks it up in
-extensional tables, validated complete at load time, and the free
+extensional tables, validated complete at load time, and acts on its
+listed wirings alone (acts_on says where an algebra acts), and the free
 algebra on a typed generating set acts symbolically (elements are
 shape/generator pairs, the action rewires shapes and concatenates
 generators), so it enumerates a carrier only when asked for it.  Free
@@ -28,9 +29,10 @@ count are capped, while the action itself stays exact.
 Derived operations: block juxtaposition, contraction of two
 omega-dual boundary positions, and the cap unit.
 check_circuit_algebra verifies the operad-algebra axioms (identity,
-block equivariance, composition square); check_derived_axioms runs the
-circuit-operad laws of the axioms module on the derived operations,
-relabelling through perm_wiring.  An algebra on downward diagrams
+block equivariance, composition square) on the instances on whose
+every wiring the algebra acts (acts_on), and skips the rest;
+check_derived_axioms runs the circuit-operad laws of the axioms module
+on the derived operations, relabelling through perm_wiring.  An algebra on downward diagrams
 alone has no cap unit, so there it leaves out the connected unit and
 its report carries the note "downward only: the connected unit is not
 in scope".  species.species_from_circuit_algebra tabulates the same
@@ -249,6 +251,12 @@ class CircuitAlgebra:
         elems = self.elements(())
         return elems[0] if len(elems) == 1 else None
 
+    def acts_on(self, wd) -> bool:
+        """Whether the action is defined on wd: everywhere here, on the
+        listed wirings alone for a table.  check_circuit_algebra skips
+        exactly the instances that use a wiring where this fails."""
+        return True
+
     def act(self, wd: WiringDiagram):
         if wd.palette != self.palette:
             raise PaletteMismatch("wiring diagram over the wrong palette")
@@ -288,6 +296,9 @@ class TableCircuitAlgebra(CircuitAlgebra):
 
     def listed_wirings(self):
         return tuple(self.table)
+
+    def acts_on(self, wd) -> bool:
+        return wd in self.table
 
     def _lookup(self, wd, inputs):
         rows = self.table.get(wd)
@@ -503,12 +514,30 @@ def _wd_brief(wd: WiringDiagram) -> str:
     return json.dumps(wiring_to_json(wd), sort_keys=True)
 
 
+# the violation detail of each axiom, from the two sides and the instance
+_DETAILS = {
+    "identity": lambda y, x, word: f"on {word!r}: {x!r} acted to {y!r}",
+    "equivariance": lambda lhs, rhs, wd, sigma, inputs: (
+        f"wd={_wd_brief(wd)} sigma={sigma!r} inputs={inputs!r}: {lhs!r} != {rhs!r}"),
+    "composition": lambda lhs, rhs, g, fs, nested: (
+        f"g={_wd_brief(g)} fs={[_wd_brief(f) for f in fs]!r} "
+        f"inputs={nested!r}: {lhs!r} != {rhs!r}"),
+}
+
+
 def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400,
                           universe=None) -> Report:
     """Operad-algebra axioms: identity action, block equivariance,
     composition square (violation kinds "identity", "equivariance",
     "composition").  Exhaustive when the instance count fits the budget,
     seeded sampling otherwise.
+
+    An instance is skipped exactly when A.acts_on fails for some wiring
+    it uses (a table acts on its listed wirings only), decided per wiring
+    before anything is evaluated; checked counts the instances left.  An
+    inner value of the square outside g's swept domain, as a truncated
+    free carrier gives, is checked by applying g to it.  An action that
+    raises, MissingActionEntry included, propagates.
 
     The exhaustive square takes its pairs from _grouped_composites, which
     tensors each fs once for all the g with its block types.  pools[w]
@@ -523,7 +552,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
         raise InvalidParameter(f"samples must be at least 1, got {samples}")
     if budget < 0:
         raise InvalidParameter(f"budget must be non-negative, got {budget}")
-    words = [w for w in A.words()]
+    words = list(A.words())
     sizes = {w: len(A.elements(w)) for w in words}
     if universe is None:
         if hasattr(A, "listed_wirings"):
@@ -551,99 +580,60 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     violations = []
     checked = 0
 
-    # table algebras raise MissingActionEntry on first application; those
-    # instances are skipped (only listed diagrams are checkable), so checked
-    # counts successful evaluations only
-    _missing = object()
-
-    def check_identity(act_id, word, x):
+    def record(kind, lhs, rhs, *instance):
         nonlocal checked
-        try:
-            y = act_id((x,))
-        except MissingActionEntry:
-            return
-        checked += 1
-        if y != x:
-            violations.append(("identity", f"on {word!r}: {x!r} acted to {y!r}"))
-
-    def check_equivariance(lhs, rhs, wd, sigma, inputs):
-        nonlocal checked
-        if lhs is _missing or rhs is _missing:
-            return
         checked += 1
         if lhs != rhs:
-            violations.append((
-                "equivariance",
-                f"wd={_wd_brief(wd)} sigma={sigma!r} inputs={inputs!r}: {lhs!r} != {rhs!r}",
-            ))
+            violations.append((kind, _DETAILS[kind](lhs, rhs, *instance)))
 
-    def check_composition(lhs, rhs, g, fs, nested):
-        nonlocal checked
-        if lhs is _missing or rhs is _missing:
-            return
-        checked += 1
-        if lhs != rhs:
-            violations.append((
-                "composition",
-                f"g={_wd_brief(g)} fs={[_wd_brief(f) for f in fs]!r} "
-                f"inputs={nested!r}: {lhs!r} != {rhs!r}",
-            ))
+    swept = {}
 
-    def identity_act(word):
-        return A.act(identity_wiring(A.palette, word))
-
-    def apply_or_missing(fn, inputs):
-        try:
-            return fn(inputs)
-        except MissingActionEntry:
-            return _missing
-
-    eval_cache = {}
-
-    def evaluated_domain(f):
-        # one full sweep of f's input domain: chunk -> action value.  The
-        # sweeps are shared across phases; a composite equal to an already
-        # swept wiring (unit laws produce many) costs nothing extra.
-        got = eval_cache.get(f)
+    def sweep(f):
+        # one full sweep of f's input domain: (chunk, action value) pairs.
+        # The sweeps are shared across phases; a composite equal to an
+        # already swept wiring (unit laws produce many) costs nothing extra.
+        got = swept.get(f)
         if got is None:
             act_f = A.act(f)
             dom = itertools.product(*(A.elements(w) for w in f.block_types))
-            got = eval_cache[f] = [(chunk, apply_or_missing(act_f, chunk))
-                                   for chunk in dom]
+            got = swept[f] = [(chunk, act_f(chunk)) for chunk in dom]
         return got
 
     if candidates <= budget:
         mode = "exhaustive"
         for w in words:
-            act_id = identity_act(w)
-            for x in A.elements(w):
-                check_identity(act_id, w, x)
+            idw = identity_wiring(A.palette, w)
+            if A.acts_on(idw):
+                for (x,), y in sweep(idw):
+                    record("identity", y, x, w)
         for wd in universe:
-            k = len(wd.block_sizes)
-            evaluated = evaluated_domain(wd)
-            if not evaluated:
+            if not A.acts_on(wd) or not sweep(wd):
                 continue
-            for sigma in itertools.permutations(range(1, k + 1)):
-                sig_map = dict(evaluated_domain(sigma_action(wd, sigma)))
-                for inputs, rhs in evaluated:
-                    moved = tuple(inputs[b - 1] for b in sigma)
-                    check_equivariance(sig_map.get(moved, _missing), rhs,
-                                       wd, sigma, inputs)
-        g_maps = {g: dict(evaluated_domain(g)) for g in universe}
+            for sigma in itertools.permutations(range(1, len(wd.block_sizes) + 1)):
+                moved_wd = sigma_action(wd, sigma)
+                if not A.acts_on(moved_wd):
+                    continue
+                moved_map = dict(sweep(moved_wd))
+                for inputs, rhs in sweep(wd):
+                    lhs = moved_map[tuple(inputs[b - 1] for b in sigma)]
+                    record("equivariance", lhs, rhs, wd, sigma, inputs)
+        g_maps = {g: dict(sweep(g)) for g in universe if A.acts_on(g)}
         for fs, composites in _grouped_composites(universe, pools, A.palette):
-            evaluated = [evaluated_domain(f) for f in fs]
+            if not all(map(A.acts_on, fs)):
+                continue
+            inner = [sweep(f) for f in fs]
             for g, composite in composites:
-                g_map = g_maps[g]
+                g_map = g_maps.get(g)
+                if g_map is None or not A.acts_on(composite):
+                    continue
                 # the composite's domain is the product of the inner domains
                 # in the same order, so the two iterations stay in step
-                comp_pairs = evaluated_domain(composite)
-                for nested_pairs, (_, lhs) in zip(
-                        itertools.product(*evaluated), comp_pairs):
+                for nested_pairs, (_, lhs) in zip(itertools.product(*inner),
+                                                  sweep(composite)):
                     values = tuple(v for _, v in nested_pairs)
-                    rhs = (_missing if any(v is _missing for v in values)
-                           else g_map.get(values, _missing))
+                    rhs = g_map[values] if values in g_map else A.act(g)(values)
                     nested = tuple(chunk for chunk, _ in nested_pairs)
-                    check_composition(lhs, rhs, g, fs, nested)
+                    record("composition", lhs, rhs, g, fs, nested)
     else:
         mode = "sampled"
         rng = random.Random(seed)
@@ -652,21 +642,23 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
             if inhabited:
                 w = inhabited[rng.randrange(len(inhabited))]
                 xs = A.elements(w)
-                check_identity(identity_act(w), w, xs[rng.randrange(len(xs))])
+                x = xs[rng.randrange(len(xs))]
+                idw = identity_wiring(A.palette, w)
+                if A.acts_on(idw):
+                    record("identity", A.act(idw)((x,)), x, w)
         usable = [wd for wd in universe if all(sizes[w] for w in wd.block_types)]
         for _ in range(samples):
             if not usable:
                 break
             wd = usable[rng.randrange(len(usable))]
-            k = len(wd.block_sizes)
-            sigma = list(range(1, k + 1))
+            sigma = list(range(1, len(wd.block_sizes) + 1))
             rng.shuffle(sigma)
             sigma = tuple(sigma)
             inputs = tuple(A.elements(w)[rng.randrange(sizes[w])] for w in wd.block_types)
-            moved = tuple(inputs[b - 1] for b in sigma)
-            lhs = apply_or_missing(A.act(sigma_action(wd, sigma)), moved)
-            rhs = apply_or_missing(A.act(wd), inputs)
-            check_equivariance(lhs, rhs, wd, sigma, inputs)
+            moved_wd = sigma_action(wd, sigma)
+            if A.acts_on(wd) and A.acts_on(moved_wd):
+                lhs = A.act(moved_wd)(tuple(inputs[b - 1] for b in sigma))
+                record("equivariance", lhs, A.act(wd)(inputs), wd, sigma, inputs)
         comp_ok = [g for g in universe if all(pools[w] for w in g.block_types)]
         for _ in range(samples):
             if not comp_ok:
@@ -679,14 +671,12 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
                 fs.append(f)
                 nested.append(tuple(A.elements(b)[rng.randrange(sizes[b])]
                                     for b in f.block_types))
-            fs = tuple(fs)
-            flat = tuple(x for chunk in nested for x in chunk)
-            lhs = apply_or_missing(A.act(operad_gamma(g, fs)), flat)
-            values = tuple(apply_or_missing(A.act(f), chunk)
-                           for f, chunk in zip(fs, nested))
-            rhs = (_missing if any(v is _missing for v in values)
-                   else apply_or_missing(A.act(g), values))
-            check_composition(lhs, rhs, g, fs, tuple(nested))
+            composite = operad_gamma(g, fs)
+            if all(map(A.acts_on, [g, composite, *fs])):
+                flat = tuple(x for chunk in nested for x in chunk)
+                values = tuple(A.act(f)(chunk) for f, chunk in zip(fs, nested))
+                record("composition", A.act(composite)(flat), A.act(g)(values),
+                       g, fs, tuple(nested))
 
     violations.sort()
     return Report(not violations, mode, seed, candidates, checked, tuple(violations))

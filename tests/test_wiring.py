@@ -323,9 +323,18 @@ def _pairing_ori2():
     return A, word_universe(A)
 
 
+def _free_truncated():
+    # the action is exact, but the carriers are truncated; an inner value
+    # of the square outside them is checked by applying g to it
+    A = FreeCircuitAlgebra(MONO, 2, {("c", "c"): ("g",)}, max_blocks=1, bubble_cap=0)
+    return A, word_universe(A, max_blocks=1, bubble_cap=0, max_points=4)
+
+
 @pytest.mark.parametrize("build, checked", [
-    (_without_identities, 1_087), (_without_sigma_images, 1_052), (_pairing_ori2, 99_924)],
-    ids=["table without identities", "table without sigma images", "pairing ori 2"])
+    (_without_identities, 1_087), (_without_sigma_images, 1_052), (_pairing_ori2, 99_924),
+    (_free_truncated, 104)],
+    ids=["table without identities", "table without sigma images", "pairing ori 2",
+         "free truncated"])
 def test_checked_counts_the_instances_on_acted_wirings(build, checked):
     A, universe = build()
     report = check_circuit_algebra(A, universe=universe)
