@@ -293,7 +293,8 @@ def open_diagrams(m: int, n: int):
 # ";" separates slices, e.g. "id_1 + cup ; cap + id_1".  The layered
 # normal form produced by factor_generators is: one slice of caps
 # (innermost first, by least target index, closed components last),
-# then adjacent-transposition slices, then one slice of cups.
+# then adjacent-transposition slices, then one slice of cups, whose
+# closed components come last again, after the identity strands.
 
 _GEN_RE = re.compile(r"^(id|cup|cap|sigma)(?:_([0-9]+))?$")
 
@@ -381,12 +382,13 @@ def factor_generators(f: BrauerDiagram):
 
     # strands below the caps: the sources, then the legs of each
     # target-target cap, then of each bubble; their final places: the
-    # cup legs, the bubbles, then the strand of each target in turn
+    # cup legs, the strand of each target in turn, then the bubbles, so
+    # that no transposition layer crosses a bubble
     leg = {}
     for r, (j1, j2) in enumerate(tt):
         leg[j1], leg[j2] = m + 2 * r, m + 2 * r + 1
-    final = cups + list(range(m + 2 * len(tt), m + 2 * caps))
-    final += [st[j] if j in st else leg[j] for j in range(n)]
+    final = cups + [st[j] if j in st else leg[j] for j in range(n)]
+    final += range(m + 2 * len(tt), m + 2 * caps)
     order = [0] * len(final)
     for x, strand in enumerate(final):
         order[strand] = x
@@ -407,7 +409,7 @@ def factor_generators(f: BrauerDiagram):
         slices.append(layer)
 
     if cups or f.closed:
-        slices.append(["cup"] * (len(cups) // 2 + f.closed) + ["id_1"] * n)
+        slices.append(["cup"] * (len(cups) // 2) + ["id_1"] * n + ["cup"] * f.closed)
     if not slices:
         slices = [["id_1"] * m] if m else [["id_0"]]
     return slices

@@ -246,6 +246,10 @@ def test_open_diagram_counts_double_factorial():
 def test_factor_generators_frozen_examples():
     assert factor_generators(identity(2)) == [["id_1", "id_1"]]
     assert factor_generators(make_diagram(0, 0, [], closed=1)) == [["cap"], ["cup"]]
+    # the bubbles stay right of every strand, so no transposition layer
+    # crosses one and the word grows linearly in the closed count
+    through = make_diagram(1, 1, [("s1", "t1")], closed=3)
+    assert factor_generators(through) == [["id_1"] + ["cap"] * 3, ["id_1"] + ["cup"] * 3]
 
 
 def test_factor_generators_round_trip_exhaustive():

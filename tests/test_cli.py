@@ -140,6 +140,13 @@ def test_bd_factor_reconstructs(capsys):
     assert evaluate_word(doc["slices"]) == evaluate_word(parse_word(doc["word"]))
 
 
+def test_bd_factor_is_linear_in_the_closed_count(tmp_path, capsys):
+    doc = {"m": 1, "n": 1, "pairs": [["s1", "t1"]], "closed": 2000}
+    code, out, _ = cli(capsys, "bd", "factor", "--diagram", write_doc(tmp_path, "d.json", doc))
+    assert code == 0 and len(out) < 100_000
+    assert evaluate_word(parse_word(out.strip())) == diagram_from_json(doc)
+
+
 def test_bd_check_triangle(capsys):
     code, out, _ = cli(capsys, "bd", "check-triangle")
     assert code == 0
