@@ -41,6 +41,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .labels import whole_number
 from .pairing import PairingError, UncoveredLabel, all_pairings, make_pairing
 
 
@@ -426,9 +427,9 @@ def diagram_to_json(f: BrauerDiagram) -> dict:
 
 def diagram_from_json(obj: dict) -> BrauerDiagram:
     try:
-        m, n = int(obj["m"]), int(obj["n"])
+        m, n = whole_number(obj["m"]), whole_number(obj["n"])
         pairs = [(str(a), str(b)) for a, b in obj["pairs"]]
-        closed = int(obj.get("closed", 0))
+        closed = whole_number(obj.get("closed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise PairingError(f"not a Brauer diagram object: {obj!r}") from exc
     return make_diagram(m, n, pairs, closed)

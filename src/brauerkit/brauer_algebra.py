@@ -27,6 +27,7 @@ from math import prod
 
 from .brauer import (ArityMismatch, BrauerDiagram, compose_detailed, diagram_from_json,
                      diagram_to_json, tensor)
+from .labels import whole_number
 from .pairing import PairingError
 
 
@@ -166,19 +167,19 @@ class _IntPolynomials(Ring):
         if text.startswith("["):
             import json
 
-            return _strip(int(c) for c in json.loads(text))
-        return self.from_int(int(text))
+            return _strip(whole_number(c) for c in json.loads(text))
+        return self.from_int(whole_number(text))
 
     def to_json(self, a):
         return list(a)
 
     def from_json(self, obj):
         if isinstance(obj, list):
-            return _strip(int(c) for c in obj)
-        return self.from_int(int(obj))
+            return _strip(whole_number(c) for c in obj)
+        return self.from_int(whole_number(obj))
 
 
-ZZ = _Numbers("Z", int, int)
+ZZ = _Numbers("Z", int, whole_number)
 QQ = _Numbers("Q", Fraction, _read_fraction, str)
 ZPOLY = _IntPolynomials()
 
@@ -186,7 +187,7 @@ ZPOLY = _IntPolynomials()
 def integers_mod(p: int) -> Ring:
     if p < 2:
         raise ValueError(f"modulus must be >= 2: {p}")
-    return _Numbers(f"Z/{p}", lambda k: k % p, int)
+    return _Numbers(f"Z/{p}", lambda k: k % p, whole_number)
 
 
 def ring_by_name(name: str) -> Ring:
@@ -336,7 +337,7 @@ def element_from_json(obj: dict) -> BrElement:
         ring = ring_by_name(obj["ring"])
         terms = [(diagram_from_json(t["diagram"]), ring.from_json(t["coeff"]))
                  for t in obj["terms"]]
-        m, n = int(obj["m"]), int(obj["n"])
+        m, n = whole_number(obj["m"]), whole_number(obj["n"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, PairingError):
             raise

@@ -1,10 +1,10 @@
-"""Label plumbing shared by the diagram and graph modules.
+"""Label and number plumbing shared by the diagram and graph modules.
 
 Labels are opaque tokens: ints, strings, or (for internally generated
 bookkeeping names) tuples of labels.  Python refuses to order ints
 against strings, so every sort in the library goes through label_key,
 which totally orders the union by kind first (ints < strings < tuples),
-then by value.
+then by value.  whole_number reads the counts of a document.
 """
 
 from __future__ import annotations
@@ -48,6 +48,15 @@ def decode_label(x):
     if isinstance(x, dict) and set(x) == {"tuple"}:
         return tuple(decode_label(y) for y in x["tuple"])
     raise TypeError(f"cannot decode label: {x!r}")
+
+
+def whole_number(x) -> int:
+    """x as an int: an int, an integral float or text such as " 7 ".  A
+    bool or a non-integral number raises ValueError where int() would
+    read it as 1 or truncate it."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"not a whole number: {x!r}")
+    return int(x)
 
 
 def decode_pairs(rows):

@@ -78,7 +78,7 @@ from .coloured import (
     tensor_coloured,
 )
 from .graph import InvalidParameter
-from .labels import decode_label, encode_label, label_key
+from .labels import decode_label, encode_label, label_key, whole_number
 
 
 class BlockMismatch(ValueError):
@@ -728,7 +728,7 @@ def wiring_to_json(wd: WiringDiagram) -> dict:
 def wiring_from_json(obj: dict) -> WiringDiagram:
     if "blocks" not in obj:
         raise BlockMismatch(f"wiring diagram object lacks blocks: {obj!r}")
-    return make_wiring(coloured_from_json(obj), obj["blocks"])
+    return make_wiring(coloured_from_json(obj), map(whole_number, obj["blocks"]))
 
 
 def _word_key(word) -> str:
@@ -765,7 +765,7 @@ def algebra_from_json(obj: dict) -> TableCircuitAlgebra:
     table is validated complete at load time."""
     try:
         palette = palette_from_json(obj["palette"])
-        bound = int(obj["bound"])
+        bound = whole_number(obj["bound"])
         carriers = {_word_unkey(k): tuple(decode_label(x) for x in xs)
                     for k, xs in obj["carriers"].items()}
         entries = []

@@ -322,7 +322,7 @@ def test_ring_parse_pinned(ring, text, want):
 
 
 @pytest.mark.parametrize("ring, obj, want", [
-    (ZZ, 8, 8), (ZZ, "8", 8), (ZZ, 3.9, 3),
+    (ZZ, 8, 8), (ZZ, "8", 8), (ZZ, 3.0, 3),
     (QQ, 0.1, Fraction(1, 10)), (QQ, "2/4", Fraction(1, 2)), (QQ, 3, Fraction(3)),
     (QQ, "-5E-4300", Fraction(-5, 10 ** 4300)),
     (ZPOLY, 4, (4,)), (ZPOLY, 0, ()), (ZPOLY, [3, -1], (3, -1)), (ZPOLY, [0, 0], ()),
@@ -330,6 +330,27 @@ def test_ring_parse_pinned(ring, text, want):
 ])
 def test_ring_from_json_pinned(ring, obj, want):
     assert _typed(ring.from_json(obj)) == _typed(want)
+
+
+@pytest.mark.parametrize("read, value", [
+    pytest.param(ZZ.from_json, 3.9, id="Z-3.9"),
+    pytest.param(ZZ.from_json, True, id="Z-true"),
+    pytest.param(Z5.from_json, 7.9, id="Z/5-7.9"),
+    pytest.param(ZPOLY.from_json, [1.5, 2], id="Z[t]-list"),
+    pytest.param(ZPOLY.from_json, 2.5, id="Z[t]-2.5"),
+    pytest.param(ZPOLY.parse, "[1.5, 2]", id="Z[t]-text"),
+])
+def test_whole_number_readers_refuse_fractions_and_bools(read, value):
+    with pytest.raises(ValueError, match="not a whole number"):
+        read(value)
+
+
+@pytest.mark.parametrize("field, value", [("m", 2.5), ("n", True)])
+def test_element_from_json_refuses_fractional_arities(field, value):
+    doc = element_to_json(element_of(ZZ, identity(2)))
+    doc[field] = value
+    with pytest.raises(MalformedElement, match="not a whole number"):
+        element_from_json(doc)
 
 
 @pytest.mark.parametrize("ring, value, want", [

@@ -258,6 +258,45 @@ def test_br_mul_non_finite_coefficient_exits_2(tmp_path, capsys):
     assert "non-finite number" in err
 
 
+# a non-integral number or a bool where a document holds a count:
+# case -> (document kind, fields set on a valid document of that kind)
+FRACTIONAL_COUNTS = {
+    "diagram arity": ("diagram", {"m": 1.9, "n": 1.2}),
+    "diagram closed": ("diagram", {"closed": 1.5}),
+    "boolean arity": ("diagram", {"m": True}),
+    "Z coefficient": ("Z", {"coeff": 2.7}),
+    "Z/5 coefficient": ("Z/5", {"coeff": 7.9}),
+    "Z[t] coefficient": ("Z[t]", {"coeff": [1.5, 2]}),
+    "element arity": ("Z", {"m": 2.5}),
+    "algebra bound": ("algebra", {"bound": 2.5}),
+    "wiring blocks": ("wiring", {"blocks": [0.5, 1.5]}),
+}
+
+
+def _fractional_argv(tmp_path, kind, fields):
+    if kind == "diagram":
+        doc = {"m": 1, "n": 1, "pairs": [["s1", "t1"]], **fields}
+        return ["bd", "dual", "--diagram", write_doc(tmp_path, "d.json", doc)]
+    if kind == "algebra":
+        doc = {**algebra_to_json(renamed_pairing_table(MONO)), **fields}
+        return ["ca", "check", "--algebra", write_doc(tmp_path, "alg.json", doc)]
+    if kind == "wiring":
+        doc = {**wiring_to_json(identity_wiring(MONO, ("c", "c"))), **fields}
+        return ["wd", "gamma", "--outer", write_doc(tmp_path, "wd.json", doc)]
+    doc = element_to_json(element_of(QQ, identity(2)))
+    doc["ring"], doc["m"] = kind, fields.get("m", 2)
+    doc["terms"][0]["coeff"] = fields.get("coeff", 1)
+    el = write_doc(tmp_path, "el.json", doc)
+    return ["br", "mul", "--lhs", el, "--rhs", el, "--ring", kind, "--delta", "1"]
+
+
+@pytest.mark.parametrize("case", sorted(FRACTIONAL_COUNTS))
+def test_fractional_count_exits_2(tmp_path, capsys, case):
+    code, out, err = cli(capsys, *_fractional_argv(tmp_path, *FRACTIONAL_COUNTS[case]))
+    assert_one_error_line(code, out, err)
+    assert "Traceback" not in err
+
+
 def test_diagram_past_its_pairs_is_refused_before_its_labels(tmp_path, capsys):
     # an arity such as 1e300 used to list its labels until memory ran out
     path = write_doc(tmp_path, "d.json", {"m": 10 ** 6, "n": 1, "pairs": []})
