@@ -101,6 +101,18 @@ class NotDownward(ValueError):
     pass
 
 
+class BudgetExceeded(ValueError):
+    pass
+
+
+# the most wirings one enumerate_wirings call lists.  The test suite and
+# the benchmark list at most 2,086.  A free algebra relabels every shape
+# it lists by each block order, so the cap trips before that work grows:
+# `ca free --bound 8 --generator c,c` lists 22,926 shapes for its carrier
+# of cccc, 23 s of relabelling, and the whole command ran past 60 s
+WIRING_BUDGET = 20_000
+
+
 @dataclass(frozen=True)
 class WiringDiagram:
     diagram: ColouredBrauerDiagram
@@ -198,7 +210,8 @@ def enumerate_wirings(palette: Palette, block_words, out_words,
                       max_blocks=2, bubble_cap=0, max_points=8):
     """Wiring diagrams with blocks typed from block_words and output
     from out_words, capped in block count, bubbles, and total boundary
-    points.  Deterministic order."""
+    points.  Deterministic order.  Past WIRING_BUDGET wirings it raises
+    BudgetExceeded."""
     block_words = [tuple(w) for w in block_words]
     out_words = [tuple(w) for w in out_words]
     found = []
@@ -210,6 +223,9 @@ def enumerate_wirings(palette: Palette, block_words, out_words,
                 if m + len(w) > max_points:
                     continue
                 for d in coloured_diagrams(palette, flat, w, bubble_cap):
+                    if len(found) == WIRING_BUDGET:
+                        raise BudgetExceeded(f"wiring enumeration past its budget of "
+                                             f"{WIRING_BUDGET} diagrams")
                     found.append(make_wiring(d, tuple(map(len, combo))))
     return found
 

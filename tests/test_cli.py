@@ -404,6 +404,14 @@ def test_ca_check_that_checks_nothing_exits_2(tmp_path, capsys, flags):
     assert err.startswith("error:") and ("samples" in err or "budget" in err)
 
 
+def test_ca_free_past_the_enumeration_budget_exits_2(tmp_path, capsys):
+    mono = write_doc(tmp_path, "mono.json", palette_to_json(MONO))
+    code, out, err = cli(capsys, "ca", "free", "--palette", mono, "--bound", "8",
+                         "--generator", "c,c")
+    assert_one_error_line(code, out, err)
+    assert "past its budget" in err
+
+
 @pytest.mark.parametrize("flag", ["--bound", "--max-blocks"])
 def test_ca_free_negative_bound_exits_2(tmp_path, capsys, flag):
     pal = write_doc(tmp_path, "mono.json", palette_to_json(MONO))

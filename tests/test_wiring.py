@@ -697,6 +697,20 @@ def test_algebra_json_round_trip():
         algebra_from_json({"palette": blob["palette"]})
 
 
+def test_enumerate_wirings_stops_at_its_budget(monkeypatch):
+    words = [(), ("c",), ("c", "c")]
+    listed = len(enumerate_wirings(MONO, words, words, max_blocks=2, max_points=5))
+    monkeypatch.setattr(wiring, "WIRING_BUDGET", listed)
+    assert len(enumerate_wirings(MONO, words, words, max_blocks=2, max_points=5)) == listed
+    monkeypatch.setattr(wiring, "WIRING_BUDGET", listed - 1)
+    with pytest.raises(wiring.BudgetExceeded, match=f"budget of {listed - 1} diagrams"):
+        enumerate_wirings(MONO, words, words, max_blocks=2, max_points=5)
+    # the free algebra draws its carriers from the same enumeration
+    monkeypatch.setattr(wiring, "WIRING_BUDGET", 10)
+    with pytest.raises(wiring.BudgetExceeded):
+        FreeCircuitAlgebra(MONO, 4, {("c", "c"): ("g",)}).elements(("c",) * 4)
+
+
 def test_enumerate_wirings_deterministic():
     words = [(), ("c",), ("c", "c")]
     first = enumerate_wirings(MONO, words, words, max_blocks=2, max_points=5)
