@@ -57,6 +57,8 @@ from .graph import (
     make_xgraph,
     stick,
     wheel,
+    xgraph_from_json,
+    xgraph_to_json,
 )
 from .labels import decode_label, encode_label, sort_labels
 from .species import (
@@ -154,15 +156,7 @@ def _load_xgraph(arg):
     if _is_path(arg):
         doc = _read_doc(arg)
         if "graph" in doc:
-            g = graph_from_json(doc["graph"])
-            rho = doc.get("rho")
-            if rho is None:
-                return make_xgraph(g, None)
-            if not isinstance(rho, dict):
-                raise InvalidParameter(f"rho must map ports to labels, got {rho!r}")
-            decoded = {decode_label(json.loads(k)): decode_label(v)
-                       for k, v in rho.items()}
-            return make_xgraph(g, decoded)
+            return xgraph_from_json(doc)
         g = graph_from_json(doc)
     else:
         g = _load_graph(arg)
@@ -447,12 +441,7 @@ def _cmd_gog_delete(args):
 
 def _cmd_gog_terminal(args):
     xg = _load_xgraph(args.graph)
-    t = terminal_representative(xg)
-    doc = {"graph": graph_to_json(t.graph)}
-    if t.rho is not None:
-        doc["rho"] = {json.dumps(encode_label(p)): encode_label(lab)
-                      for p, lab in t.rho}
-    _emit(doc)
+    _emit(xgraph_to_json(terminal_representative(xg)))
     return 0
 
 

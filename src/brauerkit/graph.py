@@ -18,6 +18,7 @@ canonical form used for isomorphism testing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -885,6 +886,25 @@ def graph_from_json(data):
     except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed graph document: {exc}") from exc
     return make_graph(edges, tau, halves, vertices)
+
+
+def xgraph_to_json(xg):
+    """{"graph": graph, "rho": {JSON text of an encoded port: encoded
+    label}}; the unlabelled stick of a closed graph has no "rho"."""
+    doc = {"graph": graph_to_json(xg.graph)}
+    if xg.rho is not None:
+        doc["rho"] = {json.dumps(encode_label(p)): encode_label(lab) for p, lab in xg.rho}
+    return doc
+
+
+def xgraph_from_json(doc):
+    g = graph_from_json(doc["graph"])
+    rho = doc.get("rho")
+    if rho is None:
+        return make_xgraph(g, None)
+    if not isinstance(rho, dict):
+        raise InvalidParameter(f"rho must map ports to labels, got {rho!r}")
+    return make_xgraph(g, {decode_label(json.loads(k)): decode_label(v) for k, v in rho.items()})
 
 
 def _dot_id(prefix, label):

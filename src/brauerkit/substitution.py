@@ -35,6 +35,8 @@ from .graph import (
     make_morphism,
     make_xgraph,
     x_iso,
+    xgraph_from_json,
+    xgraph_to_json,
 )
 from .labels import decode_label, encode_label, label_key, sort_labels
 
@@ -455,13 +457,7 @@ def check_deletion_coherence(source, w, deleted_gog):
 
 
 def gog_to_json(gog):
-    assign = {}
-    for v, xg in gog.assignment:
-        assign[json.dumps(encode_label(v))] = {
-            "graph": graph_to_json(xg.graph),
-            "rho": {json.dumps(encode_label(p)): encode_label(lab)
-                    for p, lab in xg.rho},
-        }
+    assign = {json.dumps(encode_label(v)): xgraph_to_json(xg) for v, xg in gog.assignment}
     return {"base": graph_to_json(gog.base), "assign": assign}
 
 
@@ -470,10 +466,7 @@ def gog_from_json(data):
         base = graph_from_json(data["base"])
         assign = {}
         for key, entry in data["assign"].items():
-            v = decode_label(json.loads(key))
-            rho = {decode_label(json.loads(p)): decode_label(lab)
-                   for p, lab in entry["rho"].items()}
-            assign[v] = make_xgraph(graph_from_json(entry["graph"]), rho)
+            assign[decode_label(json.loads(key))] = xgraph_from_json(entry)
     except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise InvalidParameter(f"malformed graph-of-graphs document: {exc}") from exc
     return make_gog(base, assign)

@@ -51,6 +51,8 @@ from brauerkit.graph import (
     wheel,
     x_certificate,
     x_iso,
+    xgraph_from_json,
+    xgraph_to_json,
 )
 from brauerkit import graph
 from genutil import random_admissible, random_connected_graph, random_graph
@@ -627,6 +629,19 @@ def test_json_rejects_garbage():
     for tau in ("xy", [["x"]]):
         with pytest.raises(InvalidParameter, match="malformed graph document"):
             graph_from_json(dict(doc, tau=tau))
+
+
+def test_xgraph_json_round_trip():
+    rng = random.Random(41)
+    xgraphs = [random_admissible(rng, labels) for labels in
+               ((), (1,), ("a", 2), (("t", 1), "b", 3))]
+    xgraphs.append(make_xgraph(wheel(2), None))
+    for xg in xgraphs:
+        doc = xgraph_to_json(xg)
+        assert ("rho" in doc) == (xg.rho is not None)
+        assert xgraph_from_json(doc) == xg
+    with pytest.raises(InvalidParameter, match="rho must map ports to labels"):
+        xgraph_from_json({"graph": graph_to_json(line(1)), "rho": [1]})
 
 
 def test_dot_output():
