@@ -14,7 +14,7 @@ its act is the one place that checks the palette, the bound and, for
 algebras on downward diagrams only, downwardness.  Two subclasses
 supply their own action: TableCircuitAlgebra looks it up in
 extensional tables, validated complete at load time, and acts on its
-listed wirings alone (acts_on says where an algebra acts), and the free
+listed wirings alone (acts_on says where an algebra acts); the free
 algebra on a typed generating set acts symbolically (elements are
 shape/generator pairs, the action rewires shapes and concatenates
 generators), so it enumerates a carrier only when asked for it.  Free
@@ -26,13 +26,13 @@ the generators.  Carrier enumeration for the free algebra is a
 truncation of enumerate_wirings: block count, source arity, and bubble
 count are capped, while the action itself stays exact.
 
-Derived operations: block juxtaposition, contraction of two
-omega-dual boundary positions, and the cap unit.
-check_circuit_algebra verifies the operad-algebra axioms (identity,
-block equivariance, composition square) on the instances on whose
-every wiring the algebra acts (acts_on), and skips the rest;
-check_derived_axioms runs the circuit-operad laws of the axioms module
-on the derived operations, relabelling through perm_wiring.  An algebra on downward diagrams
+Derived operations: block juxtaposition, contraction of two omega-dual
+boundary positions, and the cap unit.  check_circuit_algebra verifies
+the operad-algebra axioms (identity, block equivariance, composition
+square) on the instances on whose every wiring the algebra acts
+(acts_on), and skips the rest; check_derived_axioms runs the
+circuit-operad laws of the axioms module on the derived operations,
+relabelling through perm_wiring.  An algebra on downward diagrams
 alone has no cap unit, so there it leaves out the connected unit and
 its report carries the note "downward only: the connected unit is not
 in scope".  species.species_from_circuit_algebra tabulates the same
@@ -105,11 +105,8 @@ class BudgetExceeded(ValueError):
     pass
 
 
-# the most wirings one enumerate_wirings call lists.  The test suite and
-# the benchmark list at most 2,086.  A free algebra relabels every shape
-# it lists by each block order, so the cap trips before that work grows:
-# `ca free --bound 8 --generator c,c` lists 22,926 shapes for its carrier
-# of cccc, 23 s of relabelling, and the whole command ran past 60 s
+# the most wirings one enumerate_wirings call lists: the tests and the benchmark
+# list at most 2,086, `ca free --bound 8 --generator c,c` 22,926 for cccc alone
 WIRING_BUDGET = 20_000
 
 
@@ -224,8 +221,7 @@ def enumerate_wirings(palette: Palette, block_words, out_words,
                     continue
                 for d in coloured_diagrams(palette, flat, w, bubble_cap):
                     if len(found) == WIRING_BUDGET:
-                        raise BudgetExceeded(f"wiring enumeration past its budget of "
-                                             f"{WIRING_BUDGET} diagrams")
+                        raise BudgetExceeded(f"wirings past the budget of {WIRING_BUDGET}")
                     found.append(make_wiring(d, tuple(map(len, combo))))
     return found
 
@@ -268,9 +264,7 @@ class CircuitAlgebra:
         return elems[0] if len(elems) == 1 else None
 
     def acts_on(self, wd) -> bool:
-        """Whether the action is defined on wd: everywhere here, on the
-        listed wirings alone for a table.  check_circuit_algebra skips
-        exactly the instances that use a wiring where this fails."""
+        """Whether the action is defined on wd: always, but for a table."""
         return True
 
     def act(self, wd: WiringDiagram):
@@ -548,12 +542,11 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     "composition").  Exhaustive when the instance count fits the budget,
     seeded sampling otherwise.
 
-    An instance is skipped exactly when A.acts_on fails for some wiring
-    it uses (a table acts on its listed wirings only), decided per wiring
-    before anything is evaluated; checked counts the instances left.  An
-    inner value of the square outside g's swept domain, as a truncated
-    free carrier gives, is checked by applying g to it.  An action that
-    raises, MissingActionEntry included, propagates.
+    An instance is checked, and counted in checked, when A.acts_on holds
+    for every wiring it uses (a table acts on its listed wirings alone),
+    decided per wiring before anything is evaluated.  An inner value of
+    the square outside g's swept domain is checked by applying g to it,
+    and an action that raises, MissingActionEntry included, propagates.
 
     The exhaustive square takes its pairs from _grouped_composites, which
     tensors each fs once for all the g with its block types.  pools[w]
@@ -571,10 +564,8 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     words = list(A.words())
     sizes = {w: len(A.elements(w)) for w in words}
     if universe is None:
-        if hasattr(A, "listed_wirings"):
-            universe = list(A.listed_wirings())
-        else:
-            universe = enumerate_wirings(A.palette, words, words)
+        universe = (list(A.listed_wirings()) if hasattr(A, "listed_wirings")
+                    else enumerate_wirings(A.palette, words, words))
     universe = [wd for wd in universe
                 if all(w in sizes for w in wd.block_types) and wd.output_word in sizes]
     by_output = defaultdict(list)
@@ -605,14 +596,13 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     swept = {}
 
     def sweep(f):
-        # one full sweep of f's input domain: (chunk, action value) pairs.
-        # The sweeps are shared across phases; a composite equal to an
-        # already swept wiring (unit laws produce many) costs nothing extra.
+        # f's whole input domain, chunk -> value in domain order, swept once
+        # for all phases; the unit laws give many composites equal to swept wirings
         got = swept.get(f)
         if got is None:
             act_f = A.act(f)
             dom = itertools.product(*(A.elements(w) for w in f.block_types))
-            got = swept[f] = [(chunk, act_f(chunk)) for chunk in dom]
+            got = swept[f] = {chunk: act_f(chunk) for chunk in dom}
         return got
 
     if candidates <= budget:
@@ -620,73 +610,65 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
         for w in words:
             idw = identity_wiring(A.palette, w)
             if A.acts_on(idw):
-                for (x,), y in sweep(idw):
+                for (x,), y in sweep(idw).items():
                     record("identity", y, x, w)
         for wd in universe:
             if not A.acts_on(wd) or not sweep(wd):
                 continue
             for sigma in itertools.permutations(range(1, len(wd.block_sizes) + 1)):
                 moved_wd = sigma_action(wd, sigma)
-                if not A.acts_on(moved_wd):
-                    continue
-                moved_map = dict(sweep(moved_wd))
-                for inputs, rhs in sweep(wd):
-                    lhs = moved_map[tuple(inputs[b - 1] for b in sigma)]
-                    record("equivariance", lhs, rhs, wd, sigma, inputs)
-        g_maps = {g: dict(sweep(g)) for g in universe if A.acts_on(g)}
-        for fs, composites in _grouped_composites(universe, pools, A.palette):
+                if A.acts_on(moved_wd):
+                    moved = sweep(moved_wd)
+                    for inputs, rhs in sweep(wd).items():
+                        lhs = moved[tuple(inputs[b - 1] for b in sigma)]
+                        record("equivariance", lhs, rhs, wd, sigma, inputs)
+        acted = [g for g in universe if A.acts_on(g)]
+        for fs, composites in _grouped_composites(acted, pools, A.palette):
             if not all(map(A.acts_on, fs)):
                 continue
-            inner = [sweep(f) for f in fs]
+            inner = [sweep(f).items() for f in fs]
             for g, composite in composites:
-                g_map = g_maps.get(g)
-                if g_map is None or not A.acts_on(composite):
+                if not A.acts_on(composite):
                     continue
+                g_map = sweep(g)
                 # the composite's domain is the product of the inner domains
                 # in the same order, so the two iterations stay in step
-                for nested_pairs, (_, lhs) in zip(itertools.product(*inner),
-                                                  sweep(composite)):
-                    values = tuple(v for _, v in nested_pairs)
-                    rhs = g_map[values] if values in g_map else A.act(g)(values)
-                    nested = tuple(chunk for chunk, _ in nested_pairs)
-                    record("composition", lhs, rhs, g, fs, nested)
+                for pairs, lhs in zip(itertools.product(*inner), sweep(composite).values()):
+                    values = tuple(v for _, v in pairs)
+                    try:
+                        rhs = g_map[values]
+                    except KeyError:  # outside g's swept domain: a truncated carrier
+                        rhs = A.act(g)(values)
+                    record("composition", lhs, rhs, g, fs, tuple(c for c, _ in pairs))
     else:
         mode = "sampled"
         rng = random.Random(seed)
         inhabited = [w for w in words if sizes[w]]
-        for _ in range(samples):
-            if inhabited:
-                w = inhabited[rng.randrange(len(inhabited))]
-                xs = A.elements(w)
-                x = xs[rng.randrange(len(xs))]
-                idw = identity_wiring(A.palette, w)
-                if A.acts_on(idw):
-                    record("identity", A.act(idw)((x,)), x, w)
+        for _ in range(samples if inhabited else 0):
+            w = rng.choice(inhabited)
+            x = rng.choice(A.elements(w))
+            idw = identity_wiring(A.palette, w)
+            if A.acts_on(idw):
+                record("identity", A.act(idw)((x,)), x, w)
         usable = [wd for wd in universe if all(sizes[w] for w in wd.block_types)]
-        for _ in range(samples):
-            if not usable:
-                break
-            wd = usable[rng.randrange(len(usable))]
+        for _ in range(samples if usable else 0):
+            wd = rng.choice(usable)
             sigma = list(range(1, len(wd.block_sizes) + 1))
             rng.shuffle(sigma)
             sigma = tuple(sigma)
-            inputs = tuple(A.elements(w)[rng.randrange(sizes[w])] for w in wd.block_types)
+            inputs = tuple(rng.choice(A.elements(w)) for w in wd.block_types)
             moved_wd = sigma_action(wd, sigma)
             if A.acts_on(wd) and A.acts_on(moved_wd):
                 lhs = A.act(moved_wd)(tuple(inputs[b - 1] for b in sigma))
                 record("equivariance", lhs, A.act(wd)(inputs), wd, sigma, inputs)
         comp_ok = [g for g in universe if all(pools[w] for w in g.block_types)]
-        for _ in range(samples):
-            if not comp_ok:
-                break
-            g = comp_ok[rng.randrange(len(comp_ok))]
+        for _ in range(samples if comp_ok else 0):
+            g = rng.choice(comp_ok)
             fs, nested = [], []
             for w in g.block_types:
-                pool = pools[w]
-                f = pool[rng.randrange(len(pool))]
+                f = rng.choice(pools[w])
                 fs.append(f)
-                nested.append(tuple(A.elements(b)[rng.randrange(sizes[b])]
-                                    for b in f.block_types))
+                nested.append(tuple(rng.choice(A.elements(b)) for b in f.block_types))
             composite = operad_gamma(g, fs)
             if all(map(A.acts_on, [g, composite, *fs])):
                 flat = tuple(x for chunk in nested for x in chunk)

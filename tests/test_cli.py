@@ -409,7 +409,7 @@ def test_ca_free_past_the_enumeration_budget_exits_2(tmp_path, capsys):
     code, out, err = cli(capsys, "ca", "free", "--palette", mono, "--bound", "8",
                          "--generator", "c,c")
     assert_one_error_line(code, out, err)
-    assert "past its budget" in err
+    assert "past the budget of 20000" in err
 
 
 @pytest.mark.parametrize("flag", ["--bound", "--max-blocks"])

@@ -703,7 +703,7 @@ def test_enumerate_wirings_stops_at_its_budget(monkeypatch):
     monkeypatch.setattr(wiring, "WIRING_BUDGET", listed)
     assert len(enumerate_wirings(MONO, words, words, max_blocks=2, max_points=5)) == listed
     monkeypatch.setattr(wiring, "WIRING_BUDGET", listed - 1)
-    with pytest.raises(wiring.BudgetExceeded, match=f"budget of {listed - 1} diagrams"):
+    with pytest.raises(wiring.BudgetExceeded, match=f"past the budget of {listed - 1}$"):
         enumerate_wirings(MONO, words, words, max_blocks=2, max_points=5)
     # the free algebra draws its carriers from the same enumeration
     monkeypatch.setattr(wiring, "WIRING_BUDGET", 10)
