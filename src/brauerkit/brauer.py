@@ -17,12 +17,13 @@ plain set of such data, no quotient involved.  Every operation below
 is arithmetic on positions.
 
 The boundary labels are the strings "s1".."sm" and "t1".."tn".  They
-appear only at the edges: make_diagram, the JSON reader and
-open_diagrams (which enumerates through pairing.all_pairings) parse
-them through boundary_key, `pairs`, boundary_cospan and the JSON writer
-print them, and error messages name them.  `pairs` lists each pair
-once, in boundary order, which orders by row then by numeric index (so
-"s10" comes after "s2").
+appear only at the edges: make_diagram and the JSON reader turn each
+label into its position through boundary_key and validate the pairs on
+a partner list over positions, open_diagrams enumerates through
+pairing.all_pairings, `pairs`, boundary_cospan and the JSON writer
+print the labels, and error messages name them.  `pairs` lists each
+pair once, in boundary order, which orders by row then by numeric
+index (so "s10" comes after "s2").
 
 The compact closed structure moves boundary points:
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .labels import whole_number
-from .pairing import PairingError, UncoveredLabel, all_pairings, make_pairing
+from .pairing import DuplicateLabel, PairingError, SelfPair, UncoveredLabel, all_pairings
 
 
 class ArityMismatch(ValueError):
@@ -53,7 +54,7 @@ class WordSyntaxError(ValueError):
     pass
 
 
-_LABEL_RE = re.compile(r"^([st])([1-9][0-9]*)$")
+_LABEL_RE = re.compile(r"([st])([1-9][0-9]*)")
 
 
 def src(i: int) -> str:
@@ -76,7 +77,7 @@ def labels(m: int, n: int) -> list:
 @lru_cache(maxsize=4096)
 def boundary_key(label: str):
     """(row, index) of a boundary label: row 0 for sources, 1 for targets."""
-    mo = _LABEL_RE.match(label)
+    mo = _LABEL_RE.fullmatch(label)
     if mo is None:
         raise PairingError(f"not a boundary label: {label!r}")
     return (0 if mo.group(1) == "s" else 1, int(mo.group(2)))
@@ -89,6 +90,15 @@ def position(label: str, m: int, n: int) -> int:
     if not 1 <= i <= (n if row else m):
         raise KeyError(label)
     return i - 1 + (m if row else 0)
+
+
+def point(x, m: int, n: int):
+    """The position of label x on an m -> n diagram, or None when x is
+    not a boundary label of it."""
+    try:
+        return position(x, m, n)
+    except (PairingError, KeyError, TypeError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -110,17 +120,21 @@ def make_diagram(m: int, n: int, pairs, closed: int = 0) -> BrauerDiagram:
     if m < 0 or n < 0 or closed < 0:
         raise ArityMismatch(f"negative arity or closed count: {(m, n, closed)!r}")
     pairs = list(pairs)
-    if m + n > 2 * len(pairs):  # refused before labels(m, n) is built for a huge arity
+    if m + n > 2 * len(pairs):  # refused before a partner list is built for a huge arity
         raise UncoveredLabel(f"{len(pairs)} pairs cannot cover the {m + n} points of {m}->{n}")
-    make_pairing(labels(m, n), pairs)  # validation only
-    return _from_pairs(m, n, pairs, closed)
-
-
-def _from_pairs(m: int, n: int, pairs, closed: int = 0) -> BrauerDiagram:
-    # label pairs known to partition the boundary of m -> n
-    partner = [0] * (m + n)
-    for a, b in pairs:
-        p, q = position(a, m, n), position(b, m, n)
+    # a pair is refused as the pairing module refuses it: as a self-pair,
+    # then for a point used before, then for a label that names no point;
+    # past the count check, pairs on fresh points cover every point
+    partner = [-1] * (m + n)
+    for pair in pairs:
+        a, b = pair
+        if a == b:
+            raise SelfPair(f"pair {pair!r} repeats its label")
+        p, q = point(a, m, n), point(b, m, n)
+        if (p is not None and partner[p] >= 0) or (q is not None and partner[q] >= 0):
+            raise DuplicateLabel(f"label used twice across pairs: {pair!r}")
+        if p is None or q is None:
+            raise UncoveredLabel(f"pair {pair!r} leaves the carrier")
         partner[p], partner[q] = q, p
     return BrauerDiagram(m, n, tuple(partner), closed)
 
@@ -283,7 +297,11 @@ def open_diagrams(m: int, n: int):
     """All open diagrams m -> n, (m+n-1)!! of them when m+n is even, in
     the order all_pairings lists the pairings of their labels."""
     for p in all_pairings(labels(m, n)):
-        yield _from_pairs(m, n, p.pairs)
+        partner = [0] * (m + n)
+        for a, b in p.pairs:
+            i, j = position(a, m, n), position(b, m, n)
+            partner[i], partner[j] = j, i
+        yield BrauerDiagram(m, n, tuple(partner))
 
 
 # ---------------------------------------------------------------------------

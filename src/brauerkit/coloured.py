@@ -20,9 +20,11 @@ A coloured diagram stores its boundary colouring as one tuple over the
 base diagram's positions (sources first, then targets, as in the brauer
 module), so types are slices of it and composition and tensor splice
 it.  Boundary labels "s1".."tn" appear only at the edges:
-make_coloured and the JSON reader take a label -> colour mapping,
-`boundary_colour`, `colour(label)` and the JSON writer give one back,
-and error messages name labels.
+make_coloured and the JSON reader take a label -> colour mapping, which
+make_coloured reads in one pass over the labels' positions
+(brauer.point) into the colour tuple, checking the omega swap along the
+base's partner list; `boundary_colour`, `colour(label)` and the JSON
+writer give a mapping back, and error messages name labels.
 """
 
 from __future__ import annotations
@@ -144,25 +146,31 @@ class ColouredBrauerDiagram:
 
 def make_coloured(palette: Palette, base: BrauerDiagram, boundary_colour, bubbles=()) -> ColouredBrauerDiagram:
     cmap = dict(boundary_colour)
-    labels = brauer.labels(base.m, base.n)
-    if set(cmap) != set(labels):
+    m, n = base.m, base.n
+    # distinct labels name distinct points, so m + n labels of points cover them
+    at = [brauer.point(label, m, n) for label in cmap]
+    if len(at) != m + n or None in at:
         raise ColouringError(
-            f"boundary colouring covers {sorted(cmap)!r}, diagram needs {labels!r}"
+            f"boundary colouring covers {sorted(cmap)!r}, diagram needs {brauer.labels(m, n)!r}"
         )
-    for label, colour in cmap.items():
-        if colour not in palette._omega:
+    omega = palette._omega
+    colours = [None] * (m + n)
+    for p, (label, colour) in zip(at, cmap.items()):
+        if colour not in omega:
             raise PaletteMismatch(f"colour {colour!r} at {label} not in palette")
-    for a, b in base.pairs:
-        if cmap[b] != palette.omega(cmap[a]):
+        colours[p] = colour
+    for p, q in enumerate(base.partner):
+        if p < q and colours[q] != omega[colours[p]]:
             raise ColouringError(
-                f"pair ({a},{b}) coloured ({cmap[a]!r},{cmap[b]!r}), not omega-swapped"
+                f"pair ({brauer.label(p, m)},{brauer.label(q, m)}) coloured "
+                f"({colours[p]!r},{colours[q]!r}), not omega-swapped"
             )
     orbs = [_as_orbit(palette, entry) for entry in bubbles]
     if len(orbs) != base.closed:
         raise ColouringError(
             f"{base.closed} closed components but {len(orbs)} bubble colours"
         )
-    return ColouredBrauerDiagram(palette, base, tuple(cmap[lbl] for lbl in labels),
+    return ColouredBrauerDiagram(palette, base, tuple(colours),
                                  tuple(sorted(orbs, key=label_key)))
 
 
@@ -372,9 +380,14 @@ def coloured_to_json(d: ColouredBrauerDiagram) -> dict:
 
 
 def coloured_from_json(obj: dict) -> ColouredBrauerDiagram:
+    return read_coloured(obj, palette_from_json)
+
+
+def read_coloured(obj: dict, read_palette) -> ColouredBrauerDiagram:
+    """coloured_from_json, with read_palette reading the "palette" field."""
     base = brauer.diagram_from_json(obj)
     try:
-        palette = palette_from_json(obj["palette"])
+        palette = read_palette(obj["palette"])
         colours = {label: decode_label(c) for label, c in obj["boundary_colour"].items()}
         bubbles = [tuple(decode_label(c) for c in orb) for orb in obj.get("bubbles", [])]
     except (KeyError, TypeError, AttributeError) as exc:

@@ -51,7 +51,7 @@ import itertools
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from math import factorial, prod
 from types import SimpleNamespace
@@ -75,6 +75,7 @@ from .coloured import (
     output_type,
     palette_from_json,
     palette_to_json,
+    read_coloured,
     tensor_coloured,
 )
 from .graph import InvalidParameter
@@ -724,9 +725,36 @@ def wiring_to_json(wd: WiringDiagram) -> dict:
 
 
 def wiring_from_json(obj: dict) -> WiringDiagram:
+    return _read_wiring(obj, coloured_from_json)
+
+
+def _read_wiring(obj: dict, read_diagram) -> WiringDiagram:
     if "blocks" not in obj:
         raise BlockMismatch(f"wiring diagram object lacks blocks: {obj!r}")
-    return make_wiring(coloured_from_json(obj), map(whole_number, obj["blocks"]))
+    return make_wiring(read_diagram(obj), map(whole_number, obj["blocks"]))
+
+
+def _diagram_reader(palette_doc, palette: Palette):
+    """read_diagram for the wiring documents of one table document.  It
+    reads each distinct diagram, a wiring document without its blocks,
+    once; a diagram whose palette equals the table's gets the table's
+    palette object, so palette comparisons are identity checks."""
+    palette_key, diagrams = repr(palette_doc), {}
+
+    def read_palette(doc):
+        if repr(doc) == palette_key:
+            return palette
+        other = palette_from_json(doc)
+        return palette if other == palette else other
+
+    def read_diagram(doc):
+        # unlike ==, repr tells 1, 1.0 and True apart, as the readers do
+        key = repr({k: v for k, v in doc.items() if k != "blocks"})
+        if key not in diagrams:
+            diagrams[key] = read_coloured(doc, read_palette)
+        return diagrams[key]
+
+    return read_diagram
 
 
 def _word_key(word) -> str:
@@ -766,12 +794,10 @@ def algebra_from_json(obj: dict) -> TableCircuitAlgebra:
         bound = whole_number(obj["bound"])
         carriers = {_word_unkey(k): tuple(decode_label(x) for x in xs)
                     for k, xs in obj["carriers"].items()}
+        read_diagram = _diagram_reader(obj["palette"], palette)
         entries = []
         for entry in obj["entries"]:
-            wd = wiring_from_json(entry["wd"])
-            if wd.palette == palette:
-                # one palette object per document: comparisons become identity checks
-                wd = WiringDiagram(replace(wd.diagram, palette=palette), wd.block_sizes)
+            wd = _read_wiring(entry["wd"], read_diagram)
             rows = {}
             for row in entry["table"]:
                 *ins, out = row

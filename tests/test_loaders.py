@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauerkit import coloured, pairing
 from brauerkit.brauer import labels, make_diagram
 from brauerkit.coloured import (
     ColouringError,
@@ -296,3 +298,30 @@ def test_table_documents_round_trip(palette, bound, seed):
     assert max(len(s) for s in splits.values()) > 1
     assert sum(len(s) for s in splits.values()) == len(back.table)
 
+
+
+def test_ca_check_reads_each_diagram_once_without_the_pairing_module(tmp_path, capsys,
+                                                                     monkeypatch):
+    doc = algebra_to_json(renamed_pairing_table(MONO, 4))
+    distinct = {json.dumps({k: v for k, v in e["wd"].items() if k != "blocks"})
+                for e in doc["entries"]}
+    assert len(doc["entries"]) > len(distinct)
+    calls = {"make_pairing": 0, "make_coloured": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # in every module that has bound it, as a tracer would
+    make_pairing = pairing.make_pairing
+    for module in [m for name, m in sys.modules.items() if name.startswith("brauerkit.")]:
+        if getattr(module, "make_pairing", None) is make_pairing:
+            monkeypatch.setattr(module, "make_pairing", counted("make_pairing", make_pairing))
+    monkeypatch.setattr(coloured, "make_coloured",
+                        counted("make_coloured", coloured.make_coloured))
+    path = write_doc(tmp_path, "alg.json", doc)
+    code, out, _ = cli(capsys, "ca", "check", "--algebra", path, "--json", "--seed", "0")
+    assert code == 0 and json.loads(out)["passed"]
+    assert calls == {"make_pairing": 0, "make_coloured": len(distinct)}
