@@ -444,10 +444,19 @@ def diagram_to_json(f: BrauerDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> BrauerDiagram:
-    try:
-        m, n = whole_number(obj["m"]), whole_number(obj["n"])
-        pairs = [(str(a), str(b)) for a, b in obj["pairs"]]
-        closed = whole_number(obj.get("closed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PairingError(f"not a Brauer diagram object: {obj!r}") from exc
+    m = _read_field(obj, "m", whole_number)
+    n = _read_field(obj, "n", whole_number)
+    pairs = _read_field(obj, "pairs", lambda rows: [(str(a), str(b)) for a, b in rows])
+    closed = _read_field(obj, "closed", whole_number, 0)
     return make_diagram(m, n, pairs, closed)
+
+
+def _read_field(obj, name: str, read, *default):
+    # read(obj[name]), or read of the default when there is one and obj lacks name;
+    # the error names the field and the reason, not the whole document
+    try:
+        return read(obj[name] if not default or name in obj else default[0])
+    except KeyError:
+        raise PairingError(f"diagram document lacks field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise PairingError(f"malformed diagram field {name!r}: {exc}") from exc

@@ -147,12 +147,13 @@ class ColouredBrauerDiagram:
 def make_coloured(palette: Palette, base: BrauerDiagram, boundary_colour, bubbles=()) -> ColouredBrauerDiagram:
     cmap = dict(boundary_colour)
     m, n = base.m, base.n
-    # distinct labels name distinct points, so m + n labels of points cover them
     at = [brauer.point(label, m, n) for label in cmap]
-    if len(at) != m + n or None in at:
-        raise ColouringError(
-            f"boundary colouring covers {sorted(cmap)!r}, diagram needs {brauer.labels(m, n)!r}"
-        )
+    if None in at:
+        label = next(label for label, p in zip(cmap, at) if p is None)
+        raise ColouringError(f"boundary colouring names {label!r}, not a point of {m}->{n}")
+    if len(at) != m + n:  # distinct labels name distinct points, so some point is left
+        missing = min(set(range(m + n)) - set(at))
+        raise ColouringError(f"boundary colouring leaves {brauer.label(missing, m)} uncoloured")
     omega = palette._omega
     colours = [None] * (m + n)
     for p, (label, colour) in zip(at, cmap.items()):
@@ -386,10 +387,15 @@ def coloured_from_json(obj: dict) -> ColouredBrauerDiagram:
 def read_coloured(obj: dict, read_palette) -> ColouredBrauerDiagram:
     """coloured_from_json, with read_palette reading the "palette" field."""
     base = brauer.diagram_from_json(obj)
+    field = "palette"  # the field being read, which an error names
     try:
-        palette = read_palette(obj["palette"])
-        colours = {label: decode_label(c) for label, c in obj["boundary_colour"].items()}
-        bubbles = [tuple(decode_label(c) for c in orb) for orb in obj.get("bubbles", [])]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ColouringError(f"not a coloured diagram object: {obj!r}") from exc
+        palette = read_palette(obj[field])
+        field = "boundary_colour"
+        colours = {label: decode_label(c) for label, c in obj[field].items()}
+        field = "bubbles"
+        bubbles = [tuple(decode_label(c) for c in orb) for orb in obj.get(field, [])]
+    except KeyError:
+        raise ColouringError(f"coloured diagram document lacks field {field!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ColouringError(f"malformed coloured diagram field {field!r}: {exc}") from exc
     return make_coloured(palette, base, colours, bubbles)

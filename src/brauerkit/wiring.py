@@ -730,7 +730,7 @@ def wiring_from_json(obj: dict) -> WiringDiagram:
 
 def _read_wiring(obj: dict, read_diagram) -> WiringDiagram:
     if "blocks" not in obj:
-        raise BlockMismatch(f"wiring diagram object lacks blocks: {obj!r}")
+        raise BlockMismatch("wiring diagram document lacks field 'blocks'")
     return make_wiring(read_diagram(obj), map(whole_number, obj["blocks"]))
 
 

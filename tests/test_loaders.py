@@ -325,3 +325,50 @@ def test_ca_check_reads_each_diagram_once_without_the_pairing_module(tmp_path, c
     code, out, _ = cli(capsys, "ca", "check", "--algebra", path, "--json", "--seed", "0")
     assert code == 0 and json.loads(out)["passed"]
     assert calls == {"make_pairing": 0, "make_coloured": len(distinct)}
+
+
+# ---------------------------------------------------------------------------
+# error lines name the field and the reason, not the whole document
+
+
+def _large_wiring_doc():
+    # the identity wiring on 2,000 strands, about 90 KB of JSON
+    return wiring_to_json(identity_wiring(MONO, ("c",) * 2000))
+
+
+def _edit(doc, **fields):
+    for name, value in fields.items():
+        if value is None:
+            del doc[name]
+        else:
+            doc[name] = value
+    return doc
+
+
+# case -> (command, edit of the large document, text the error line holds)
+LARGE_BAD = {
+    "fractional arity": ("bd dual", dict(m=1.9), "'m': not a whole number: 1.9"),
+    "no pairs": ("bd dual", dict(pairs=None), "'pairs'"),
+    "pairs not a list": ("bd dual", dict(pairs=7), "'pairs'"),
+    "no palette": ("cbd compose", dict(palette=None), "'palette'"),
+    "colouring not a map": ("cbd compose", dict(boundary_colour=["c"]), "'boundary_colour'"),
+    "bubbles not a list": ("cbd compose", dict(bubbles=7), "'bubbles'"),
+    "colouring missing a label": ("cbd compose", dict(boundary_colour={"s1": "c"}),
+                                  "leaves s2 uncoloured"),
+    "colouring with a stray label": ("cbd compose", dict(boundary_colour={"x": "c"}),
+                                     "names 'x'"),
+    "no blocks": ("wd gamma", dict(blocks=None), "'blocks'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_BAD))
+def test_error_line_for_a_large_bad_document_is_short(tmp_path, capsys, case):
+    command, fields, text = LARGE_BAD[case]
+    doc = _edit(_large_wiring_doc(), **fields)
+    path = write_doc(tmp_path, "big.json", doc)
+    assert len(json.dumps(doc)) > 30_000
+    flags = {"bd dual": ["--diagram"], "cbd compose": ["--lhs", path, "--rhs"],
+             "wd gamma": ["--outer"]}[command]
+    code, out, err = cli(capsys, *command.split(), *flags, path)
+    assert_one_error_line(code, out, err)
+    assert text in err and len(err) < 200
