@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from .brauer import (
     cap_n,
@@ -531,8 +532,10 @@ def _cmd_species_check_co(args):
 # wiring it together
 
 
-def _build_parser():
-    seed_default = int(os.environ.get("BRAUERKIT_SEED", "0"))
+@lru_cache(maxsize=1)
+def _build_parser(seed_default: str):
+    # built once per BRAUERKIT_SEED value; argparse reads a string default
+    # with the option's type, when the option is not given
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
@@ -679,7 +682,7 @@ def _build_parser():
 
 
 def run(argv=None):
-    parser = _build_parser()
+    parser = _build_parser(os.environ.get("BRAUERKIT_SEED", "0"))
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -25,6 +25,7 @@ from brauerkit.brauer import (
 from brauerkit.axioms import Report
 from brauerkit.brauer_algebra import (QQ, bd_to_br_t, br_add, element_from_json, element_of,
                                       element_to_json)
+from brauerkit import cli as cli_module
 from brauerkit.cli import run
 from brauerkit.coloured import (
     cap_coloured,
@@ -442,6 +443,30 @@ def test_brauerkit_seed_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRAUERKIT_SEED", "77")
     code, out, _ = cli(capsys, "ca", "check", "--algebra", good, "--json")
     assert code == 0 and json.loads(out)["seed"] == 77
+
+
+def test_repeated_runs_share_one_parser(tmp_path, capsys, monkeypatch):
+    good = write_doc(tmp_path, "alg.json", algebra_to_json(renamed_pairing_table(MONO)))
+    monkeypatch.delenv("BRAUERKIT_SEED", raising=False)
+    check = ["ca", "check", "--algebra", good, "--json"]
+
+    def usage_error(*argv):
+        with pytest.raises(SystemExit) as info:
+            run(list(argv))
+        return info.value.code, capsys.readouterr()
+
+    first = [cli(capsys, *check), usage_error("bd", "nonsense"), usage_error("ca", "check")]
+    built = cli_module._build_parser.cache_info().misses
+    again = [cli(capsys, *check), usage_error("bd", "nonsense"), usage_error("ca", "check")]
+    assert again == first and cli_module._build_parser.cache_info().misses == built
+    assert json.loads(first[0][1])["seed"] == 0 and first[1][0] == 2
+    assert "invalid choice: 'nonsense'" in first[1][1].err
+    # the seed's default follows the environment from one run to the next
+    monkeypatch.setenv("BRAUERKIT_SEED", "5")
+    assert json.loads(cli(capsys, *check)[1])["seed"] == 5
+    monkeypatch.setenv("BRAUERKIT_SEED", "five")
+    code, err = usage_error(*check)
+    assert code == 2 and "invalid int value: 'five'" in err.err
 
 
 # ---------------------------------------------------------------------------
