@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerkit import coloured, pairing
-from brauerkit.brauer import labels, make_diagram
+from brauerkit.brauer import diagram_from_json, labels, make_diagram
 from brauerkit.coloured import (
     ColouringError,
     PaletteMismatch,
@@ -30,9 +30,8 @@ from brauerkit.coloured import (
     oriented_palette,
     palette_to_json,
 )
-from brauerkit.pairing import DuplicateLabel, SelfPair, UncoveredLabel, make_pairing
-from brauerkit.brauer import diagram_from_json
 from brauerkit.cli import run
+from brauerkit.pairing import DuplicateLabel, SelfPair, UncoveredLabel, make_pairing
 from brauerkit.wiring import (
     MissingActionEntry,
     algebra_from_json,
