@@ -97,7 +97,7 @@ def point(x, m: int, n: int):
     not a boundary label of it."""
     try:
         return position(x, m, n)
-    except (PairingError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError):  # ValueError: past int()'s digit limit
         return None
 
 

@@ -218,7 +218,8 @@ def test_an_entry_palette_spelled_otherwise_is_the_documents(ori_table_doc):
 # make_diagram against the label-string validator
 
 _LABELS = st.sampled_from(["s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4",
-                           "s0", "t0", "s01", "x1", "", "S1", "s 1", "1", "s1 ", "s1\n", 1])
+                           "s0", "t0", "s01", "x1", "", "S1", "s 1", "1", "s1 ", "s1\n", 1,
+                           "s" + "1" * 5000])
 
 
 def reference_class(m, n, pairs):
