@@ -97,7 +97,8 @@ def point(x, m: int, n: int):
     not a boundary label of it."""
     try:
         return position(x, m, n)
-    except (ValueError, KeyError, TypeError):  # ValueError: past int()'s digit limit
+    except (ValueError, KeyError, TypeError):
+        # malformed (PairingError), past int()'s digit limit, past m or n, not text
         return None
 
 
@@ -447,15 +448,15 @@ def diagram_from_json(obj: dict) -> BrauerDiagram:
     m = _read_field(obj, "m", whole_number)
     n = _read_field(obj, "n", whole_number)
     pairs = _read_field(obj, "pairs", lambda rows: [(str(a), str(b)) for a, b in rows])
-    closed = _read_field(obj, "closed", whole_number, 0)
+    closed = _read_field(obj, "closed", whole_number, default=0)
     return make_diagram(m, n, pairs, closed)
 
 
-def _read_field(obj, name: str, read, *default):
-    # read(obj[name]), or read of the default when there is one and obj lacks name;
+def _read_field(obj, name: str, read, default=None):
+    # read(obj[name]), or read(default) when there is one and obj lacks name;
     # the error names the field and the reason, not the whole document
     try:
-        return read(obj[name] if not default or name in obj else default[0])
+        return read(obj[name] if default is None or name in obj else default)
     except KeyError:
         raise PairingError(f"diagram document lacks field {name!r}") from None
     except (TypeError, ValueError) as exc:
