@@ -1,6 +1,9 @@
-"""Helpers shared by the test modules: seeded graph generators and
-circuit-algebra tables renamed to plain labels."""
+"""Helpers shared by the test modules: seeded graph generators,
+circuit-algebra tables renamed to plain labels, and in-process CLI runs."""
 
+import json
+
+from brauerkit.cli import run
 from brauerkit.graph import empty, make_graph, make_xgraph
 from brauerkit.substitution import make_gog
 from brauerkit.wiring import TableCircuitAlgebra, enumerate_wirings, pairing_algebra, tabulate
@@ -99,3 +102,21 @@ def random_gog(rng, base, max_vertices=2, max_extra=2):
         for v in base.vertices
     }
     return make_gog(base, assign)
+
+
+def cli(capsys, *argv):
+    """Run the CLI in-process: (exit code, stdout, stderr)."""
+    code = run(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def write_doc(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.splitlines() == [err.rstrip("\n")]

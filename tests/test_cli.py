@@ -68,22 +68,10 @@ from brauerkit.wiring import (
     wiring_to_json,
 )
 
-from genutil import renamed, renamed_pairing_table
+from genutil import assert_one_error_line, cli, renamed, renamed_pairing_table, write_doc
 
 MONO = monochrome_palette()
 ORI = oriented_palette()
-
-
-def cli(capsys, *argv):
-    code = run(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def write_doc(tmp_path, name, doc):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 def corruptible_table_algebra():
@@ -203,11 +191,6 @@ def test_br_mul_on_a_malformed_term_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.splitlines() == [err.rstrip("\n")]
     assert err.startswith("error: malformed element document")
-
-
-def assert_one_error_line(code, out, err):
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.splitlines() == [err.rstrip("\n")]
 
 
 def q_element_doc():

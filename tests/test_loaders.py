@@ -30,7 +30,6 @@ from brauerkit.coloured import (
     oriented_palette,
     palette_to_json,
 )
-from brauerkit.cli import run
 from brauerkit.pairing import DuplicateLabel, SelfPair, UncoveredLabel, make_pairing
 from brauerkit.wiring import (
     MissingActionEntry,
@@ -42,7 +41,7 @@ from brauerkit.wiring import (
     wiring_to_json,
 )
 
-from genutil import renamed_pairing_table
+from genutil import assert_one_error_line, cli, renamed_pairing_table, write_doc
 
 MONO = monochrome_palette()
 ORI = oriented_palette()
@@ -124,23 +123,6 @@ def algebra_with_entry(doc_text, wd_doc):
     doc = json.loads(doc_text)
     doc["entries"][0]["wd"] = wd_doc
     return doc
-
-
-def cli(capsys, *argv):
-    code = run(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def write_doc(tmp_path, name, doc):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def assert_one_error_line(code, out, err):
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.splitlines() == [err.rstrip("\n")]
 
 
 def test_the_unedited_document_loads():
