@@ -7,6 +7,7 @@ from math import factorial, prod
 import pytest
 
 from brauerkit import wiring
+from brauerkit.axioms import Report
 from brauerkit.brauer import make_diagram
 from brauerkit.coloured import (
     PaletteMismatch,
@@ -438,6 +439,107 @@ def test_grouped_composites_are_gamma():
             assert composite == operad_gamma(g, fs)
             seen += 1
     assert seen == sum(prod(len(pools[w]) for w in g.block_types) for g in universe)
+
+
+def reference_report(A):
+    """check_circuit_algebra's exhaustive report on a table, instance by
+    instance: every (g, fs) pair of the square is composed through
+    operad_gamma, and each action is applied as it is met."""
+    words = list(A.words())
+    sizes = {w: len(A.elements(w)) for w in words}
+    universe = [wd for wd in A.listed_wirings()
+                if all(w in sizes for w in wd.block_types + (wd.output_word,))]
+    pools = {w: [f for f in universe
+                 if f.output_word == w and all(sizes[b] for b in f.block_types)]
+             for w in words}
+
+    def domain(wd):
+        return list(itertools.product(*(A.elements(w) for w in wd.block_types)))
+
+    candidates = sum(sizes.values())
+    candidates += sum(factorial(len(wd.block_sizes)) * len(domain(wd)) for wd in universe)
+    candidates += sum(prod(sum(len(domain(f)) for f in universe if f.output_word == w)
+                           for w in g.block_types) for g in universe)
+    violations, checked = [], 0
+
+    def record(kind, lhs, rhs, *instance):
+        nonlocal checked
+        checked += 1
+        if lhs != rhs:
+            violations.append((kind, wiring._DETAILS[kind](lhs, rhs, *instance)))
+
+    for w in words:
+        idw = identity_wiring(A.palette, w)
+        if A.acts_on(idw):
+            for x in A.elements(w):
+                record("identity", A.act(idw)((x,)), x, w)
+    for wd in filter(A.acts_on, universe):
+        for sigma in itertools.permutations(range(1, len(wd.block_sizes) + 1)):
+            moved = sigma_action(wd, sigma)
+            if A.acts_on(moved):
+                for inputs in domain(wd):
+                    lhs = A.act(moved)(tuple(inputs[b - 1] for b in sigma))
+                    record("equivariance", lhs, A.act(wd)(inputs), wd, sigma, inputs)
+    for g in filter(A.acts_on, universe):
+        for fs in itertools.product(*(pools[w] for w in g.block_types)):
+            composite = operad_gamma(g, fs)
+            if not all(map(A.acts_on, [*fs, composite])):
+                continue
+            for nested in itertools.product(*map(domain, fs)):
+                flat = tuple(x for chunk in nested for x in chunk)
+                values = tuple(A.act(f)(chunk) for f, chunk in zip(fs, nested))
+                record("composition", A.act(composite)(flat), A.act(g)(values),
+                       g, fs, nested)
+    violations.sort()
+    return Report(not violations, "exhaustive", 0, candidates, checked, tuple(violations))
+
+
+def _mono4_moved_table():
+    # the closed mono wirings, six seeded (cc, cc) -> cccc wirings and
+    # twelve seeded one-block wirings between cc and cccc, tabulated; the
+    # one row of the first (cc, cc) -> cccc wiring moves round the cccc
+    # carrier, which four checked composition instances see
+    A = pairing_algebra(MONO, 4)
+    cc, c4 = ("c", "c"), ("c",) * 4
+    rng = random.Random(14)
+    two = rng.sample(enumerate_wirings(MONO, [cc], [c4], max_blocks=2), 6)
+    one = [wd for wd in enumerate_wirings(MONO, [cc, c4], [cc, c4], max_blocks=1)
+           if len(wd.block_sizes) == 1 and {wd.block_types[0], wd.output_word} == {cc, c4}]
+    table = tabulate(A, _closed_mono_wirings() + two + rng.sample(one, 12))
+    moved = two[0]
+    pool = A.elements(c4)
+    entries = []
+    for wd, rows in table.table.items():
+        rows = dict(rows)
+        if wd == moved:
+            (combo, out), = rows.items()
+            rows[combo] = pool[(pool.index(out) + 1) % len(pool)]
+        entries.append((wd, rows))
+    return TableCircuitAlgebra(MONO, 4, table.carriers, entries)
+
+
+def _thinned_ori2_table(seed):
+    # the oriented bound-2 table with a seeded random half of its wirings dropped
+    table = renamed_pairing_table(ORI, 2)
+    rng = random.Random(seed)
+    kept = [(wd, rows) for wd, rows in table.table.items() if rng.random() < 0.5]
+    return TableCircuitAlgebra(ORI, 2, table.carriers, kept)
+
+
+def test_exhaustive_report_matches_the_pairwise_reference_on_a_moved_row():
+    table = _mono4_moved_table()
+    report = check_circuit_algebra(table)
+    assert report == reference_report(table)
+    assert (report.mode, report.candidates, report.checked) == ("exhaustive", 2_252, 210)
+    assert [kind for kind, _ in report.violations] == ["composition"] * 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exhaustive_report_matches_the_pairwise_reference_on_thinned_tables(seed):
+    table = _thinned_ori2_table(seed)
+    report = check_circuit_algebra(table)
+    assert report.mode == "exhaustive"
+    assert report == reference_report(table)
 
 
 # (checked on the clean table, checked on the corrupted one, violation
