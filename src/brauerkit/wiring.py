@@ -30,7 +30,11 @@ Derived operations: block juxtaposition, contraction of two omega-dual
 boundary positions, and the cap unit.  check_circuit_algebra verifies
 the operad-algebra axioms (identity, block equivariance, composition
 square) on the instances on whose every wiring the algebra acts
-(acts_on), and skips the rest; check_derived_axioms runs the
+(acts_on), and skips the rest.  A wiring's profile is its block types
+and output word, and that of gamma(g; f1..fk) is the fs' block types
+side by side with g's output word; acts_on_type refuses only profiles
+on none of whose wirings the algebra acts, so the square passes over
+a pair whose composite's profile it refuses before composing it; check_derived_axioms runs the
 circuit-operad laws of the axioms module on the derived operations,
 relabelling through perm_wiring.  An algebra on downward diagrams
 alone has no cap unit, so there it leaves out the connected unit and
@@ -41,8 +45,9 @@ budget and fall back to seeded sampling otherwise; the axioms.Report
 records mode, seed, and every violation found as a sorted (kind,
 detail) pair.  The exhaustive composition square visits its (g, fs)
 pairs grouped by g's block types, so that each tensor of arguments is
-built once for all the gs that share it; the instances are those of
-the pair-by-pair loop, in another order.
+built once for all the gs that share it, and only for arguments that
+some g's kept composite uses; the instances are those of the
+pair-by-pair loop, in another order.
 """
 
 from __future__ import annotations
@@ -268,6 +273,13 @@ class CircuitAlgebra:
         """Whether the action is defined on wd: always, but for a table."""
         return True
 
+    def acts_on_type(self, block_types, output_word) -> bool:
+        """Whether the action may be defined on some wiring with these
+        block types and this output word.  It is False only where acts_on
+        is False for every wiring of that profile, so a profile it refuses
+        can be passed over before any wiring of it is built."""
+        return True
+
     def act(self, wd: WiringDiagram):
         if wd.palette != self.palette:
             raise PaletteMismatch("wiring diagram over the wrong palette")
@@ -288,6 +300,7 @@ class TableCircuitAlgebra(CircuitAlgebra):
     def __init__(self, palette, bound, carriers, entries):
         super().__init__(palette, bound, carriers, self._lookup)
         self.table = {}
+        self.profiles = set()
         for wd, rows in entries:
             rows = dict(rows)
             for w in wd.block_types + (wd.output_word,):
@@ -304,12 +317,16 @@ class TableCircuitAlgebra(CircuitAlgebra):
             if len(rows) != len(domain):
                 raise MissingActionEntry(f"table for {wd} has spurious rows")
             self.table[wd] = rows
+            self.profiles.add((wd.block_types, wd.output_word))
 
     def listed_wirings(self):
         return tuple(self.table)
 
     def acts_on(self, wd) -> bool:
         return wd in self.table
+
+    def acts_on_type(self, block_types, output_word) -> bool:
+        return (block_types, output_word) in self.profiles
 
     def _lookup(self, wd, inputs):
         rows = self.table.get(wd)
@@ -506,19 +523,29 @@ def perm_wiring(palette: Palette, word, sigma) -> WiringDiagram:
 # checkers
 
 
-def _grouped_composites(universe, pools, palette):
+def _grouped_composites(universe, pools, palette, acts_on_type):
     """The pairs (g, fs) of the composition square, fs drawn from the
-    pools of g's block types, as (fs, [(g, gamma(g; fs)), ...]): grouped
-    by block types, fs outermost, so each tensor of an fs is built once."""
-    by_types = defaultdict(list)
+    pools of g's block types, whose composite's profile passes
+    acts_on_type, as (fs, [(g, gamma(g; fs)), ...]).  The composite's
+    block types are the fs' side by side and its output word is g's, so
+    the profile is known before anything is composed; the gs are grouped
+    by block types and then by output word, so it is tested once per
+    (fs, output word).  fs is outermost, so each tensor of an fs is built
+    once, and only for an fs with some g kept."""
+    by_types = defaultdict(lambda: defaultdict(list))
     for g in universe:
-        by_types[g.block_types].append(g)
-    for types, gs in by_types.items():
+        by_types[g.block_types][g.output_word].append(g)
+    for types, by_output in by_types.items():
         for fs in itertools.product(*(pools[w] for w in types)):
+            inner_types = sum((f.block_types for f in fs), ())
+            kept = [g for word, gs in by_output.items()
+                    if acts_on_type(inner_types, word) for g in gs]
+            if not kept:
+                continue
             inner = _tensor_all(palette, [f.diagram for f in fs])
             blocks = sum((f.block_sizes for f in fs), ())
             yield fs, [(g, WiringDiagram(compose_coloured(inner, g.diagram), blocks))
-                       for g in gs]
+                       for g in kept]
 
 
 def _wd_brief(wd: WiringDiagram) -> str:
@@ -545,12 +572,18 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
 
     An instance is checked, and counted in checked, when A.acts_on holds
     for every wiring it uses (a table acts on its listed wirings alone),
-    decided per wiring before anything is evaluated.  An inner value of
+    decided per wiring before anything is evaluated.  A composition pair
+    (g, fs) whose composite's profile, the fs' block types side by side
+    and g's output word, fails A.acts_on_type is passed over before it
+    is composed: no wiring of that profile is acted on, so the pair
+    would be skipped anyway.  The sampled square makes its draws first,
+    so the draws do not depend on the test.  An inner value of
     the square outside g's swept domain is checked by applying g to it,
     and an action that raises, MissingActionEntry included, propagates.
 
     The exhaustive square takes its pairs from _grouped_composites, which
-    tensors each fs once for all the g with its block types.  pools[w]
+    tensors each fs once for all the g with its block types, and only
+    when some g's composite passes the profile test.  pools[w]
     holds only wirings with output w, so every f fits its block, and
     compose_coloured still checks palettes and types; each pair is
     checked once, as through operad_gamma, and since the violations are
@@ -624,7 +657,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
                         lhs = moved[tuple(inputs[b - 1] for b in sigma)]
                         record("equivariance", lhs, rhs, wd, sigma, inputs)
         acted = [g for g in universe if A.acts_on(g)]
-        for fs, composites in _grouped_composites(acted, pools, A.palette):
+        for fs, composites in _grouped_composites(acted, pools, A.palette, A.acts_on_type):
             if not all(map(A.acts_on, fs)):
                 continue
             inner = [sweep(f).items() for f in fs]
@@ -670,6 +703,8 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
                 f = rng.choice(pools[w])
                 fs.append(f)
                 nested.append(tuple(rng.choice(A.elements(b)) for b in f.block_types))
+            if not A.acts_on_type(sum((f.block_types for f in fs), ()), g.output_word):
+                continue
             composite = operad_gamma(g, fs)
             if all(map(A.acts_on, [g, composite, *fs])):
                 flat = tuple(x for chunk in nested for x in chunk)

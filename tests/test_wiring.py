@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import random
 from dataclasses import replace
+from functools import cache
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauerkit import wiring
 from brauerkit.axioms import Report
@@ -410,12 +413,17 @@ def test_exhaustive_check_tensors_once_per_argument_tuple(monkeypatch):
     pools = {w: [f for f in table.table
                  if f.output_word == w and all(sizes[b] for b in f.block_types)]
              for w in sizes}
-    signatures = {g.block_types for g in table.table}
-    tuples = sum(prod(len(pools[w]) for w in types) for types in signatures)
-    pairs = sum(prod(len(pools[w]) for w in g.block_types) for g in table.table)
+    profiles = {(wd.block_types, wd.output_word) for wd in table.table}
+    pairs = [(g, fs) for g in table.table
+             for fs in itertools.product(*(pools[w] for w in g.block_types))]
+    # the pairs whose composite has a profile the table lists: the fs'
+    # block types side by side, and g's output word
+    kept = [(g, fs) for g, fs in pairs
+            if (sum((f.block_types for f in fs), ()), g.output_word) in profiles]
+    kept_tuples = {fs for _, fs in kept}
     sigmas = sum(factorial(len(g.block_sizes)) for g in table.table
                  if all(sizes[b] for b in g.block_types))
-    assert (tuples, pairs) == (9_121, 99_747)
+    assert (len(pairs), len(kept), sigmas) == (99_747, 7_682, 174)
     calls = {"tensor_coloured": 0, "compose_coloured": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(wiring, name)):
@@ -423,22 +431,31 @@ def test_exhaustive_check_tensors_once_per_argument_tuple(monkeypatch):
             return real(*args)
         monkeypatch.setattr(wiring, name, counted)
     check_circuit_algebra(table)
-    # one composite per pair and one relabelling per block permutation of
-    # an inhabited domain, as before; at most one tensor per argument tuple
-    assert calls["compose_coloured"] == pairs + sigmas == 99_921
-    assert calls["tensor_coloured"] <= tuples
+    # one composite per pair of a listed profile and one relabelling per
+    # block permutation of an inhabited domain; at most one tensor per
+    # argument tuple that some kept pair uses
+    assert calls["compose_coloured"] == len(kept) + sigmas == 7_856
+    assert calls["tensor_coloured"] <= len(kept_tuples)
 
 
 def test_grouped_composites_are_gamma():
-    table = tabulate(pairing_algebra(MONO, 4), _closed_mono_wirings())
+    table = _mono4_moved_table()
     universe = list(table.listed_wirings())
     pools = {w: [f for f in universe if f.output_word == w] for w in table.words()}
-    seen = 0
-    for fs, composites in wiring._grouped_composites(universe, pools, MONO):
-        for g, composite in composites:
-            assert composite == operad_gamma(g, fs)
-            seen += 1
-    assert seen == sum(prod(len(pools[w]) for w in g.block_types) for g in universe)
+    every = {(g, fs): composite for fs, composites in
+             wiring._grouped_composites(universe, pools, MONO, lambda types, word: True)
+             for g, composite in composites}
+    assert all(composite == operad_gamma(g, fs) for (g, fs), composite in every.items())
+    assert len(every) == sum(prod(len(pools[w]) for w in g.block_types) for g in universe)
+    # the table's profile test keeps exactly the pairs of a listed profile,
+    # and so every pair whose composite is listed
+    kept = {(g, fs) for fs, composites in
+            wiring._grouped_composites(universe, pools, MONO, table.acts_on_type)
+            for g, _ in composites}
+    assert kept == {(g, fs) for (g, fs), composite in every.items()
+                    if table.acts_on_type(composite.block_types, composite.output_word)}
+    assert {pair for pair, composite in every.items() if table.acts_on(composite)} <= kept
+    assert len(kept) < len(every)
 
 
 def reference_report(A):
@@ -540,6 +557,27 @@ def test_exhaustive_report_matches_the_pairwise_reference_on_thinned_tables(seed
     report = check_circuit_algebra(table)
     assert report.mode == "exhaustive"
     assert report == reference_report(table)
+
+
+@cache
+def _profile_tables():
+    return (_mono4_moved_table(), _thinned_ori2_table(1), _thinned_ori2_table(2))
+
+
+def test_listed_wirings_pass_the_profile_test():
+    for table in _profile_tables():
+        assert all(table.acts_on_type(wd.block_types, wd.output_word) for wd in table.table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(range(3)))
+def test_acts_on_implies_acts_on_type(rng, which):
+    table = _profile_tables()[which]
+    out = rand_word(rng, table.palette, max_len=table.bound)
+    wd = rand_wiring(rng, table.palette, out, max_blocks=2, max_len=table.bound, bubbles=0)
+    assert not table.acts_on(wd) or table.acts_on_type(wd.block_types, wd.output_word)
+    # an algebra that is not a table acts on every profile
+    assert pairing_algebra(table.palette, table.bound).acts_on_type(wd.block_types, out)
 
 
 # (checked on the clean table, checked on the corrupted one, violation
