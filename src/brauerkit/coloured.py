@@ -364,11 +364,17 @@ def palette_to_json(p: Palette) -> dict:
 
 
 def palette_from_json(obj: dict) -> Palette:
+    if not isinstance(obj, dict):
+        raise PaletteMismatch("palette document is not an object")
+    field = "colours"  # the field being read, which an error names
     try:
-        colours = [decode_label(c) for c in obj["colours"]]
-        swaps = decode_pairs(obj["omega"])
-    except (KeyError, TypeError) as exc:
-        raise PaletteMismatch(f"not a palette object: {obj!r}") from exc
+        colours = [decode_label(c) for c in obj[field]]
+        field = "omega"
+        swaps = decode_pairs(obj[field])
+    except KeyError:
+        raise PaletteMismatch(f"palette document lacks field {field!r}") from None
+    except TypeError as exc:
+        raise PaletteMismatch(f"malformed palette field {field!r}: {exc}") from exc
     return make_palette(colours, swaps)
 
 

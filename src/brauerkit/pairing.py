@@ -209,8 +209,11 @@ def pairing_to_json(p: Pairing) -> dict:
 
 
 def pairing_from_json(obj: dict) -> Pairing:
-    if not isinstance(obj, dict) or "carrier" not in obj or "pairs" not in obj:
-        raise PairingError(f"not a pairing object: {obj!r}")
+    if not isinstance(obj, dict):
+        raise PairingError("pairing document is not an object")
+    for field in ("carrier", "pairs"):
+        if field not in obj:
+            raise PairingError(f"pairing document lacks field {field!r}")
     try:
         carrier = [decode_label(a) for a in obj["carrier"]]
     except TypeError as exc:

@@ -766,7 +766,12 @@ def wiring_from_json(obj: dict) -> WiringDiagram:
 def _read_wiring(obj: dict, read_diagram) -> WiringDiagram:
     if "blocks" not in obj:
         raise BlockMismatch("wiring diagram document lacks field 'blocks'")
-    return make_wiring(read_diagram(obj), map(whole_number, obj["blocks"]))
+    diagram = read_diagram(obj)
+    try:
+        blocks = [whole_number(b) for b in obj["blocks"]]
+    except (TypeError, ValueError) as exc:
+        raise BlockMismatch(f"malformed wiring diagram field 'blocks': {exc}") from exc
+    return make_wiring(diagram, blocks)
 
 
 def _diagram_reader(palette_doc, palette: Palette):

@@ -347,5 +347,11 @@ def test_json_round_trip():
     with pytest.raises(ColouringError):
         coloured_from_json({"m": 0, "n": 0, "pairs": [], "closed": 0})
     for omega in ("xy", [["+"]]):
-        with pytest.raises(PaletteMismatch, match="not a palette object"):
+        with pytest.raises(PaletteMismatch, match="malformed palette field 'omega'"):
             palette_from_json(dict(palette_to_json(ORI), omega=omega))
+    with pytest.raises(PaletteMismatch, match="malformed palette field 'colours'"):
+        palette_from_json(dict(palette_to_json(ORI), colours=[True]))
+    with pytest.raises(PaletteMismatch, match="palette document lacks field 'omega'"):
+        palette_from_json({"colours": ["c"]})
+    with pytest.raises(PaletteMismatch, match="palette document is not an object"):
+        palette_from_json(["c"])

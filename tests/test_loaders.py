@@ -32,6 +32,7 @@ from brauerkit.coloured import (
 )
 from brauerkit.pairing import DuplicateLabel, SelfPair, UncoveredLabel, make_pairing
 from brauerkit.wiring import (
+    BlockMismatch,
     MissingActionEntry,
     algebra_from_json,
     algebra_to_json,
@@ -172,6 +173,21 @@ def test_cbd_compose_on_a_bad_diagram_exits_2(tmp_path, capsys, case):
 def test_ca_check_on_a_bad_entry_exits_2(ori_table_doc, tmp_path, capsys, case):
     path = write_doc(tmp_path, "alg.json", algebra_with_entry(ori_table_doc, bad_doc(case)))
     assert_one_error_line(*cli(capsys, "ca", "check", "--algebra", path))
+
+
+@pytest.mark.parametrize("blocks", [[0.5, 1.5], [True, 1], ["two"], 2])
+def test_bad_block_sizes_are_named(ori_table_doc, tmp_path, capsys, blocks):
+    # the sizes are read before the wiring is made, as a BlockMismatch
+    # that names the field, alone and inside a table document
+    doc = dict(good_wiring_doc(), blocks=blocks)
+    table = algebra_with_entry(ori_table_doc, doc)
+    for loader, arg in ((wiring_from_json, doc), (algebra_from_json, table)):
+        with pytest.raises(BlockMismatch, match="malformed wiring diagram field 'blocks'"):
+            loader(arg)
+    for argv, arg in ((["wd", "gamma", "--outer"], doc), (["ca", "check", "--algebra"], table)):
+        code, out, err = cli(capsys, *argv, write_doc(tmp_path, "doc.json", arg))
+        assert_one_error_line(code, out, err)
+        assert "'blocks'" in err
 
 
 def test_an_entry_over_another_palette(ori_table_doc, tmp_path, capsys):
@@ -327,7 +343,14 @@ def _edit(doc, **fields):
     return doc
 
 
-# case -> (command, edit of the large document, text the error line holds)
+def _palette_doc():
+    return palette_to_json(MONO)
+
+
+LONG_OMEGA = "x" * 40_000
+
+# case -> (command, edit of the large document, text the error line holds);
+# the palette commands read a palette document, the others a wiring document
 LARGE_BAD = {
     "fractional arity": ("bd dual", dict(m=1.9), "'m': not a whole number: 1.9"),
     "no pairs": ("bd dual", dict(pairs=None), "'pairs'"),
@@ -340,17 +363,28 @@ LARGE_BAD = {
     "colouring with a stray label": ("cbd compose", dict(boundary_colour={"x": "c"}),
                                      "names 'x'"),
     "no blocks": ("wd gamma", dict(blocks=None), "'blocks'"),
+    "fractional block": ("wd gamma", dict(blocks=[1000.5, 999.5]),
+                         "'blocks': not a whole number: 1000.5"),
+    "palette omega a string, cbd": ("cbd compose --palette", dict(omega=LONG_OMEGA),
+                                    "malformed palette field 'omega'"),
+    "palette omega a string, ca free": ("ca free", dict(omega=LONG_OMEGA),
+                                        "malformed palette field 'omega'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LARGE_BAD))
 def test_error_line_for_a_large_bad_document_is_short(tmp_path, capsys, case):
     command, fields, text = LARGE_BAD[case]
-    doc = _edit(_large_wiring_doc(), **fields)
+    base = _palette_doc if command in ("cbd compose --palette", "ca free") else _large_wiring_doc
+    doc = _edit(base(), **fields)
     path = write_doc(tmp_path, "big.json", doc)
     assert len(json.dumps(doc)) > 30_000
-    flags = {"bd dual": ["--diagram"], "cbd compose": ["--lhs", path, "--rhs"],
-             "wd gamma": ["--outer"]}[command]
-    code, out, err = cli(capsys, *command.split(), *flags, path)
+    good = write_doc(tmp_path, "good.json", good_wiring_doc())
+    argv = {"bd dual": ["bd", "dual", "--diagram"],
+            "cbd compose": ["cbd", "compose", "--lhs", path, "--rhs"],
+            "wd gamma": ["wd", "gamma", "--outer"],
+            "cbd compose --palette": ["cbd", "compose", "--lhs", good, "--rhs", good, "--palette"],
+            "ca free": ["ca", "free", "--bound", "2", "--palette"]}[command]
+    code, out, err = cli(capsys, *argv, path)
     assert_one_error_line(code, out, err)
     assert text in err and len(err) < 200

@@ -232,6 +232,16 @@ def test_json_round_trip():
     assert json.dumps(pairing_to_json(q), sort_keys=True) == blob
 
 
+@pytest.mark.parametrize("doc, text", [
+    ([["a", "b"]] * 5000, "pairing document is not an object"),
+    ({"carrier": ["a"] * 5000}, "pairing document lacks field 'pairs'"),
+    ({"pairs": [["a", "b"]] * 5000}, "pairing document lacks field 'carrier'")])
+def test_json_error_names_the_field_not_the_document(doc, text):
+    with pytest.raises(PairingError) as err:
+        pairing_from_json(doc)
+    assert str(err.value) == text
+
+
 @pytest.mark.parametrize("field, value", [("pairs", "xy"), ("pairs", [["a"]]),
                                           ("carrier", 5), ("carrier", [{"x": 1}])])
 def test_json_malformed_field_is_named(field, value):
