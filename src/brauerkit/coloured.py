@@ -105,7 +105,8 @@ class Palette:
 def make_palette(colours, swaps=()) -> Palette:
     cols = tuple(sorted(colours, key=label_key))
     if len(set(cols)) != len(cols):
-        raise PaletteMismatch(f"duplicate colours: {colours!r}")
+        twice = next(a for a, b in zip(cols, cols[1:]) if a == b)
+        raise PaletteMismatch(f"duplicate colours: {twice!r} is listed twice")
     seen = set()
     norm = []
     for a, b in swaps:

@@ -62,7 +62,7 @@ def whole_number(x) -> int:
 def decode_pairs(rows):
     # [[a, b], ...] as ((a, b), ...); a row that is not a pair raises
     # TypeError, which the document loaders report as a malformed field
-    for row in rows:
+    for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != 2:
-            raise TypeError(f"{row!r} is not an [a, b] pair")
+            raise TypeError(f"entry {i} is not an [a, b] pair")
     return tuple((decode_label(a), decode_label(b)) for a, b in rows)

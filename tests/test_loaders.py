@@ -369,6 +369,10 @@ LARGE_BAD = {
                                     "malformed palette field 'omega'"),
     "palette omega a string, ca free": ("ca free", dict(omega=LONG_OMEGA),
                                         "malformed palette field 'omega'"),
+    "palette omega row a string": ("ca free", dict(omega=[LONG_OMEGA]),
+                                   "'omega': entry 0 is not an [a, b] pair"),
+    "palette colour listed twice": ("ca free", dict(colours=["c"] * 20_000),
+                                    "duplicate colours: 'c' is listed twice"),
 }
 
 
