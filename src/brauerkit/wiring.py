@@ -34,9 +34,9 @@ square) on the instances on whose every wiring the algebra acts
 and output word, and that of gamma(g; f1..fk) is the fs' block types
 side by side with g's output word; acts_on_type refuses only profiles
 on none of whose wirings the algebra acts, so the square passes over
-a pair whose composite's profile it refuses before composing it; check_derived_axioms runs the
-circuit-operad laws of the axioms module on the derived operations,
-relabelling through perm_wiring.  An algebra on downward diagrams
+a pair whose composite's profile it refuses before composing it.
+check_derived_axioms runs the circuit-operad laws of the axioms module
+on the derived operations, relabelling through perm_wiring.  An algebra on downward diagrams
 alone has no cap unit, so there it leaves out the connected unit and
 its report carries the note "downward only: the connected unit is not
 in scope".  species.species_from_circuit_algebra tabulates the same
@@ -577,14 +577,14 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     and g's output word, fails A.acts_on_type is passed over before it
     is composed: no wiring of that profile is acted on, so the pair
     would be skipped anyway.  The sampled square makes its draws first,
-    so the draws do not depend on the test.  An inner value of
-    the square outside g's swept domain is checked by applying g to it,
-    and an action that raises, MissingActionEntry included, propagates.
+    so the draws do not depend on the test.  An inner value of the
+    square outside g's swept domain is checked by applying g to it, and
+    an action that raises, MissingActionEntry included, propagates.
 
     The exhaustive square takes its pairs from _grouped_composites, which
     tensors each fs once for all the g with its block types, and only
-    when some g's composite passes the profile test.  pools[w]
-    holds only wirings with output w, so every f fits its block, and
+    when some g's composite passes the profile test.  pools[w] holds
+    only wirings with output w, so every f fits its block, and
     compose_coloured still checks palettes and types; each pair is
     checked once, as through operad_gamma, and since the violations are
     sorted and checked is a count, the report does not see the order.
