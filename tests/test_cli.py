@@ -29,9 +29,11 @@ from brauerkit import cli as cli_module
 from brauerkit.cli import run
 from brauerkit.coloured import (
     cap_coloured,
+    coloured_from_json,
     coloured_permutation,
     coloured_to_json,
     cup_coloured,
+    make_coloured,
     monochrome_palette,
     oriented_palette,
     palette_to_json,
@@ -856,6 +858,38 @@ def test_mutated_diagram_documents_exit_cleanly(tmp_path_factory, data):
                             ["bd", "dual", "--diagram", "{doc}"])
     if code != 2:
         assert code == 0 and diagram_from_json(json.loads(out)).closed >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_coloured_documents_exit_cleanly(tmp_path_factory, data):
+    base = make_diagram(2, 2, [("s1", "t2"), ("s2", "t1")], 1)
+    colours = {"s1": "-", "s2": "-", "t1": "+", "t2": "+"}
+    doc = coloured_to_json(make_coloured(ORI, base, colours, [("+", "-")]))
+    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                            ["cbd", "compose", "--lhs", "{doc}", "--rhs", "{doc}"])
+    if code != 2:
+        assert code == 0 and coloured_from_json(json.loads(out)).base.closed >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_wiring_documents_exit_cleanly(tmp_path_factory, data):
+    doc = wiring_to_json(identity_wiring(ORI, ("+", "-")))
+    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                            ["wd", "gamma", "--outer", "{doc}", "--inner", "{doc}"])
+    if code != 2:
+        assert code == 0 and wiring_from_json(json.loads(out)).block_sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_table_documents_exit_cleanly(tmp_path_factory, data):
+    doc = algebra_to_json(corruptible_table_algebra())
+    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                            ["ca", "check", "--json", "--algebra", "{doc}"])
+    if code != 2:
+        assert json.loads(out)["passed"] == (code == 0)
 
 
 def test_species_check_co(tmp_path, capsys):

@@ -30,7 +30,13 @@ from brauerkit.coloured import (
     oriented_palette,
     palette_to_json,
 )
-from brauerkit.pairing import DuplicateLabel, SelfPair, UncoveredLabel, make_pairing
+from brauerkit.pairing import (
+    DuplicateLabel,
+    PairingError,
+    SelfPair,
+    UncoveredLabel,
+    make_pairing,
+)
 from brauerkit.wiring import (
     BlockMismatch,
     MissingActionEntry,
@@ -392,3 +398,142 @@ def test_error_line_for_a_large_bad_document_is_short(tmp_path, capsys, case):
     code, out, err = cli(capsys, *argv, path)
     assert_one_error_line(code, out, err)
     assert text in err and len(err) < 200
+
+
+# ---------------------------------------------------------------------------
+# the error of each field a reader reads, missing and malformed
+
+
+def _pairing_doc():
+    return pairing.pairing_to_json(make_pairing(["a", "b"], [("a", "b")]))
+
+
+# (reader, field, value, class, message); the value None drops the field.
+# Diagram, coloured diagram and wiring fields edit the (+, -) identity wiring
+# document, palette fields its palette, pairing fields a pairing document.
+FIELD_ERRORS = [
+    ("diagram", "m", None, PairingError, "diagram document lacks field 'm'"),
+    ("diagram", "m", 1.5, PairingError,
+     "malformed diagram field 'm': not a whole number: 1.5"),
+    ("diagram", "n", None, PairingError, "diagram document lacks field 'n'"),
+    ("diagram", "n", "two", PairingError,
+     "malformed diagram field 'n': invalid literal for int() with base 10: 'two'"),
+    ("diagram", "pairs", None, PairingError, "diagram document lacks field 'pairs'"),
+    ("diagram", "pairs", 7, PairingError,
+     "malformed diagram field 'pairs': 'int' object is not iterable"),
+    ("diagram", "closed", True, PairingError,
+     "malformed diagram field 'closed': not a whole number: True"),
+    ("coloured diagram", "palette", None, ColouringError,
+     "coloured diagram document lacks field 'palette'"),
+    ("coloured diagram", "palette", 7, PaletteMismatch, "palette document is not an object"),
+    ("coloured diagram", "boundary_colour", None, ColouringError,
+     "coloured diagram document lacks field 'boundary_colour'"),
+    ("coloured diagram", "boundary_colour", ["+"], ColouringError,
+     "malformed coloured diagram field 'boundary_colour': "
+     "'list' object has no attribute 'items'"),
+    ("coloured diagram", "bubbles", 7, ColouringError,
+     "malformed coloured diagram field 'bubbles': 'int' object is not iterable"),
+    ("palette", "colours", None, PaletteMismatch, "palette document lacks field 'colours'"),
+    ("palette", "colours", 7, PaletteMismatch,
+     "malformed palette field 'colours': 'int' object is not iterable"),
+    ("palette", "omega", None, PaletteMismatch, "palette document lacks field 'omega'"),
+    ("palette", "omega", [["+"]], PaletteMismatch,
+     "malformed palette field 'omega': entry 0 is not an [a, b] pair"),
+    ("wiring diagram", "blocks", None, BlockMismatch,
+     "wiring diagram document lacks field 'blocks'"),
+    ("wiring diagram", "blocks", [0.5, 1.5], BlockMismatch,
+     "malformed wiring diagram field 'blocks': not a whole number: 0.5"),
+    ("pairing", "carrier", None, PairingError, "pairing document lacks field 'carrier'"),
+    ("pairing", "carrier", 7, PairingError,
+     "malformed pairing field 'carrier': 'int' object is not iterable"),
+    ("pairing", "pairs", None, PairingError, "pairing document lacks field 'pairs'"),
+    ("pairing", "pairs", [[1]], PairingError,
+     "malformed pairing field 'pairs': entry 0 is not an [a, b] pair"),
+]
+_WIRING_READERS = ("diagram", "coloured diagram", "wiring diagram")
+
+
+def _edited(doc, field, value):
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    return doc
+
+
+_GOOD = "{good}"  # stands for the path of the unedited wiring document
+
+
+def field_docs(case, table_text):
+    """The documents the case edits, each with the loaders that read it,
+    the class and message they raise, and the CLI commands (argv before
+    the document's path) that exit 2 with that message; table_text is
+    the table document whose first entry or palette an edit replaces."""
+    reader, field, value, cls, msg = case
+    if reader == "pairing":
+        return [(_edited(_pairing_doc(), field, value), [pairing.pairing_from_json], cls, msg, [])]
+    if reader == "palette":
+        palette_doc = _edited(palette_to_json(ORI), field, value)
+        wd_doc = dict(good_wiring_doc(), palette=palette_doc)
+        table = json.loads(table_text)
+        table["palette"] = palette_doc
+        return [
+            (palette_doc, [coloured.palette_from_json], cls, msg,
+             [["cbd", "compose", "--lhs", _GOOD, "--rhs", _GOOD, "--palette"]]),
+            (wd_doc, [coloured_from_json, wiring_from_json], cls, msg,
+             [["cbd", "compose", "--rhs", _GOOD, "--lhs"], ["wd", "gamma", "--outer"]]),
+            (algebra_with_entry(table_text, wd_doc), [algebra_from_json], cls, msg,
+             [["ca", "check", "--algebra"]]),
+            (table, [algebra_from_json], cls, msg, [["ca", "check", "--algebra"]]),
+        ]
+    doc = _edited(good_wiring_doc(), field, value)
+    loaders = [diagram_from_json, coloured_from_json, wiring_from_json]
+    commands = [["bd", "dual", "--diagram"], ["cbd", "compose", "--rhs", _GOOD, "--lhs"],
+                ["wd", "gamma", "--outer"]]
+    start = _WIRING_READERS.index(reader)
+    out = [(doc, loaders[start:], cls, msg, commands[start:])]
+    table = algebra_with_entry(table_text, doc)
+    if reader == "diagram":  # a diagram error reaches the table loader wrapped
+        out.append((table, [algebra_from_json], MissingActionEntry,
+                    f"not a circuit algebra object: {msg}", [["ca", "check", "--algebra"]]))
+    else:
+        out.append((table, [algebra_from_json], cls, msg, [["ca", "check", "--algebra"]]))
+    return out
+
+
+@pytest.mark.parametrize("case", FIELD_ERRORS, ids=lambda c: f"{c[0]}.{c[1]}={c[2]!r}")
+def test_each_field_error_is_pinned(ori_table_doc, tmp_path, capsys, case):
+    good = write_doc(tmp_path, "good.json", good_wiring_doc())
+    for doc, loaders, cls, msg, commands in field_docs(case, ori_table_doc):
+        for loader in loaders:
+            with pytest.raises(Exception) as info:
+                loader(json.loads(json.dumps(doc)))
+            assert (type(info.value), str(info.value)) == (cls, msg), loader.__name__
+        path = write_doc(tmp_path, "bad.json", doc)
+        for argv in commands:
+            code, out, err = cli(capsys, *[good if a == _GOOD else a for a in argv], path)
+            assert_one_error_line(code, out, err)
+            assert err == f"error: {msg}\n", argv
+
+
+@pytest.mark.parametrize("field", ["closed", "bubbles"])
+def test_missing_closed_and_bubbles_default_to_none(field):
+    doc = _edited(good_wiring_doc(), field, None)
+    assert wiring_from_json(doc) == identity_wiring(ORI, ("+", "-"))
+
+
+@pytest.mark.parametrize("blocks, text", [(None, "wiring diagram document lacks field 'blocks'"),
+                                          ([0.5], "diagram document lacks field 'm'")],
+                         ids=["no blocks", "malformed blocks"])
+def test_blocks_are_named_before_the_diagram_only_when_missing(ori_table_doc, tmp_path, capsys,
+                                                               blocks, text):
+    # the presence of "blocks" is checked before the diagram is read, and
+    # their sizes after it
+    doc = _edited(_edited(good_wiring_doc(), "m", None), "blocks", blocks)
+    with pytest.raises(Exception, match=f"^{text}$"):
+        wiring_from_json(doc)
+    table = algebra_with_entry(ori_table_doc, doc)
+    for argv, arg in ((["wd", "gamma", "--outer"], doc), (["ca", "check", "--algebra"], table)):
+        code, out, err = cli(capsys, *argv, write_doc(tmp_path, "doc.json", arg))
+        assert_one_error_line(code, out, err)
+        assert err.endswith(f"{text}\n")
