@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .labels import whole_number
+from .labels import read_field, whole_number
 from .pairing import DuplicateLabel, PairingError, SelfPair, UncoveredLabel, all_pairings
 
 
@@ -445,19 +445,12 @@ def diagram_to_json(f: BrauerDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> BrauerDiagram:
-    m = _read_field(obj, "m", whole_number)
-    n = _read_field(obj, "n", whole_number)
-    pairs = _read_field(obj, "pairs", lambda rows: [(str(a), str(b)) for a, b in rows])
-    closed = _read_field(obj, "closed", whole_number, default=0)
+    m = read_field(obj, "m", whole_number, PairingError, "diagram")
+    n = read_field(obj, "n", whole_number, PairingError, "diagram")
+    pairs = read_field(obj, "pairs", _read_pairs, PairingError, "diagram")
+    closed = read_field(obj, "closed", whole_number, PairingError, "diagram", default=0)
     return make_diagram(m, n, pairs, closed)
 
 
-def _read_field(obj, name: str, read, default=None):
-    # read(obj[name]), or read(default) when there is one and obj lacks name;
-    # the error names the field and the reason, not the whole document
-    try:
-        return read(obj[name] if default is None or name in obj else default)
-    except KeyError:
-        raise PairingError(f"diagram document lacks field {name!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise PairingError(f"malformed diagram field {name!r}: {exc}") from exc
+def _read_pairs(rows):
+    return [(str(a), str(b)) for a, b in rows]

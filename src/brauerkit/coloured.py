@@ -35,7 +35,8 @@ from itertools import combinations_with_replacement
 
 from . import brauer
 from .brauer import BrauerDiagram, compose_detailed
-from .labels import decode_label, decode_pairs, encode_label, label_key
+from .labels import (decode_label, decode_labels, decode_pairs, encode_label, label_key,
+                     read_field)
 
 
 class ColouringError(ValueError):
@@ -365,18 +366,17 @@ def palette_to_json(p: Palette) -> dict:
 
 
 def palette_from_json(obj: dict) -> Palette:
-    if not isinstance(obj, dict):
-        raise PaletteMismatch("palette document is not an object")
-    field = "colours"  # the field being read, which an error names
-    try:
-        colours = [decode_label(c) for c in obj[field]]
-        field = "omega"
-        swaps = decode_pairs(obj[field])
-    except KeyError:
-        raise PaletteMismatch(f"palette document lacks field {field!r}") from None
-    except TypeError as exc:
-        raise PaletteMismatch(f"malformed palette field {field!r}: {exc}") from exc
+    colours = read_field(obj, "colours", decode_labels, PaletteMismatch, "palette")
+    swaps = read_field(obj, "omega", decode_pairs, PaletteMismatch, "palette")
     return make_palette(colours, swaps)
+
+
+def _read_colouring(colours):
+    return {label: decode_label(c) for label, c in colours.items()}
+
+
+def _read_bubbles(bubbles):
+    return [tuple(decode_label(c) for c in orb) for orb in bubbles]
 
 
 def coloured_to_json(d: ColouredBrauerDiagram) -> dict:
@@ -394,15 +394,9 @@ def coloured_from_json(obj: dict) -> ColouredBrauerDiagram:
 def read_coloured(obj: dict, read_palette) -> ColouredBrauerDiagram:
     """coloured_from_json, with read_palette reading the "palette" field."""
     base = brauer.diagram_from_json(obj)
-    field = "palette"  # the field being read, which an error names
-    try:
-        palette = read_palette(obj[field])
-        field = "boundary_colour"
-        colours = {label: decode_label(c) for label, c in obj[field].items()}
-        field = "bubbles"
-        bubbles = [tuple(decode_label(c) for c in orb) for orb in obj.get(field, [])]
-    except KeyError:
-        raise ColouringError(f"coloured diagram document lacks field {field!r}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ColouringError(f"malformed coloured diagram field {field!r}: {exc}") from exc
+    palette = read_field(obj, "palette", read_palette, ColouringError, "coloured diagram")
+    colours = read_field(obj, "boundary_colour", _read_colouring, ColouringError,
+                         "coloured diagram")
+    bubbles = read_field(obj, "bubbles", _read_bubbles, ColouringError, "coloured diagram",
+                         default=())
     return make_coloured(palette, base, colours, bubbles)

@@ -466,33 +466,34 @@ def element_arrows(g):
 # connectivity
 
 
+def classes(nodes, links) -> dict:
+    """The classes of the equivalence relation on nodes that the pairs in
+    links generate, as {node: representative}, in the order of nodes.
+    Two nodes share a class exactly when they share a representative;
+    which member represents a class is not part of the contract."""
+    parent = {x: x for x in nodes}
+    for a, b in links:
+        a, b = _root(parent, a), _root(parent, b)
+        if a != b:
+            parent[a] = b
+    return {x: _root(parent, x) for x in parent}
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def connected_components(g):
     """Split along tau-orbits and shared vertices; the empty graph has none."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for e in g.edges:
-        parent[("e", e)] = ("e", e)
-    for v in g.vertices:
-        parent[("v", v)] = ("v", v)
-    for a, b in g.tau_pairs:
-        union(("e", a), ("e", b))
-    for e, v in g.half_edges:
-        union(("e", e), ("v", v))
-
+    nodes = [("e", e) for e in g.edges] + [("v", v) for v in g.vertices]
+    links = [(("e", a), ("e", b)) for a, b in g.tau_pairs]
+    links += [(("e", e), ("v", v)) for e, v in g.half_edges]
     groups = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
+    for node, rep in classes(nodes, links).items():
+        groups.setdefault(rep, []).append(node)
 
     comps = []
     for members in groups.values():

@@ -4,7 +4,10 @@ Labels are opaque tokens: ints, strings, or (for internally generated
 bookkeeping names) tuples of labels.  Python refuses to order ints
 against strings, so every sort in the library goes through label_key,
 which totally orders the union by kind first (ints < strings < tuples),
-then by value.  whole_number reads the counts of a document.
+then by value.  whole_number reads the counts of a document, and
+read_field reads one field of a document for every document reader,
+with the error contract they share: an error names the field and the
+reason, and never echoes the document.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ def whole_number(x) -> int:
     return int(x)
 
 
+def decode_labels(items):
+    return [decode_label(x) for x in items]
+
+
 def decode_pairs(rows):
     # [[a, b], ...] as ((a, b), ...); a row that is not a pair raises
     # TypeError, which the document loaders report as a malformed field
@@ -66,3 +73,25 @@ def decode_pairs(rows):
         if not isinstance(row, (list, tuple)) or len(row) != 2:
             raise TypeError(f"entry {i} is not an [a, b] pair")
     return tuple((decode_label(a), decode_label(b)) for a, b in rows)
+
+
+def read_field(obj, name: str, read, error, kind: str, default=None):
+    """read(obj[name]), or read(default) when there is a default and obj
+    lacks the field.  A document that is not an object, a missing field
+    and a value that read refuses with TypeError, ValueError or
+    AttributeError each raise error, naming the kind of document and the
+    field; an error that read raises itself passes through."""
+    if not isinstance(obj, dict):
+        raise error(f"{kind} document is not an object")
+    if name in obj:
+        value = obj[name]
+    elif default is None:
+        raise error(f"{kind} document lacks field {name!r}")
+    else:
+        value = default
+    try:
+        return read(value)
+    except error:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise error(f"malformed {kind} field {name!r}: {exc}") from exc

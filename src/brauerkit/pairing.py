@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .labels import decode_label, decode_pairs, encode_label, label_key, sort_labels
+from .labels import decode_labels, decode_pairs, encode_label, label_key, read_field, sort_labels
 
 
 class PairingError(ValueError):
@@ -209,17 +209,6 @@ def pairing_to_json(p: Pairing) -> dict:
 
 
 def pairing_from_json(obj: dict) -> Pairing:
-    if not isinstance(obj, dict):
-        raise PairingError("pairing document is not an object")
-    for field in ("carrier", "pairs"):
-        if field not in obj:
-            raise PairingError(f"pairing document lacks field {field!r}")
-    try:
-        carrier = [decode_label(a) for a in obj["carrier"]]
-    except TypeError as exc:
-        raise PairingError(f"malformed pairing field 'carrier': {exc}") from exc
-    try:
-        pairs = decode_pairs(obj["pairs"])
-    except TypeError as exc:
-        raise PairingError(f"malformed pairing field 'pairs': {exc}") from exc
+    carrier = read_field(obj, "carrier", decode_labels, PairingError, "pairing")
+    pairs = read_field(obj, "pairs", decode_pairs, PairingError, "pairing")
     return make_pairing(carrier, pairs)

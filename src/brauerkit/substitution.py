@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     InvalidParameter,
     XGraph,
+    classes,
     connected_components,
     corolla,
     graph_from_json,
@@ -164,33 +165,18 @@ def colimit(gog):
             raise DegenerateSubstitution(
                 f"graph assigned to {v!r} has a stick component")
 
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e in base.edges:
-        parent[("b", e)] = ("b", e)
-    for v, xg in gog.assignment:
-        for x in xg.graph.edges:
-            parent[("s", v, x)] = ("s", v, x)
-
     # a base edge arriving at v continues into the assigned graph along
     # the port labelled by it; its far side continues out of the port
     inverse_rho = {v: {lab: p for p, lab in xg.rho} for v, xg in gog.assignment}
+    links = []
     for a, v in base.half_edges:
         inner = gog.assignment_map[v].graph
         p = inverse_rho[v][a]
-        union(("b", a), ("s", v, inner.tau(p)))
-        union(("b", base.tau(a)), ("s", v, p))
+        links.append((("b", a), ("s", v, inner.tau(p))))
+        links.append((("b", base.tau(a)), ("s", v, p)))
+    nodes = [("b", e) for e in base.edges]
+    nodes += [("s", v, x) for v, xg in gog.assignment for x in xg.graph.edges]
+    root_of = classes(nodes, links)
 
     # base classes keep their bare labels; leftover singletons are the
     # inner orbits of the assignments
@@ -198,22 +184,24 @@ def colimit(gog):
     origin = []
     used = set(base.edges)
     for e in base.edges:
-        edge_label[find(("b", e))] = e
+        edge_label[root_of[("b", e)]] = e
         origin.append((e, ("base", e)))
     for v, xg in gog.assignment:
         for x in xg.graph.edges:
-            root = find(("s", v, x))
+            root = root_of[("s", v, x)]
             if root not in edge_label:
                 lab = _fresh(("sub", v, x), used)
                 edge_label[root] = lab
                 origin.append((lab, ("inner", v, x)))
 
     def partner(root):
+        # every member of a class has its tau-partner in one class, so the
+        # representative's own partner names it
         kind = root[0]
         if kind == "b":
-            return find(("b", base.tau(root[1])))
+            return root_of[("b", base.tau(root[1]))]
         _, v, x = root
-        return find(("s", v, gog.assignment_map[v].graph.tau(x)))
+        return root_of[("s", v, gog.assignment_map[v].graph.tau(x))]
 
     tau = []
     done = set()
@@ -233,7 +221,7 @@ def colimit(gog):
             vertices.append(tag)
             vertex_pairs.append((tag, v))
         for x, w in xg.graph.half_edges:
-            halves.append((edge_label[find(("s", v, x))], ("sub", v, w)))
+            halves.append((edge_label[root_of[("s", v, x)]], ("sub", v, w)))
 
     out = make_graph(edge_label.values(), tau, halves, vertices)
 
@@ -241,7 +229,7 @@ def colimit(gog):
     for v, xg in gog.assignment:
         emb = make_morphism(
             xg.graph, out,
-            {x: edge_label[find(("s", v, x))] for x in xg.graph.edges},
+            {x: edge_label[root_of[("s", v, x)]] for x in xg.graph.edges},
             {w: ("sub", v, w) for w in xg.graph.vertices},
         )
         embeddings.append((v, emb))

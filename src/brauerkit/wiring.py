@@ -84,7 +84,7 @@ from .coloured import (
     tensor_coloured,
 )
 from .graph import InvalidParameter
-from .labels import decode_label, encode_label, label_key, whole_number
+from .labels import decode_label, encode_label, label_key, read_field, whole_number
 
 
 class BlockMismatch(ValueError):
@@ -293,6 +293,14 @@ class CircuitAlgebra:
         action = self.action
         return lambda inputs: action(wd, tuple(inputs))
 
+    def rows(self, wd: WiringDiagram) -> dict:
+        """wd's whole input domain, one element per block in
+        itertools.product order over the blocks' carriers, mapped to the
+        value wd's action gives it."""
+        act = self.act(wd)
+        domain = itertools.product(*(self.elements(w) for w in wd.block_types))
+        return {inputs: act(inputs) for inputs in domain}
+
 
 class TableCircuitAlgebra(CircuitAlgebra):
     """Extensional action tables; completeness is checked at load."""
@@ -452,13 +460,7 @@ def pairing_algebra(palette: Palette, bound: int, downward_only=False) -> Circui
 
 def tabulate(A: CircuitAlgebra, wirings) -> TableCircuitAlgebra:
     carriers = {w: A.elements(w) for w in A.words()}
-    entries = []
-    for wd in wirings:
-        fn = A.act(wd)
-        rows = {}
-        for combo in itertools.product(*(A.elements(w) for w in wd.block_types)):
-            rows[combo] = fn(combo)
-        entries.append((wd, rows))
+    entries = [(wd, A.rows(wd)) for wd in wirings]
     return TableCircuitAlgebra(A.palette, A.bound, carriers, entries)
 
 
@@ -577,9 +579,11 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     and g's output word, fails A.acts_on_type is passed over before it
     is composed: no wiring of that profile is acted on, so the pair
     would be skipped anyway.  The sampled square makes its draws first,
-    so the draws do not depend on the test.  An inner value of the
-    square outside g's swept domain is checked by applying g to it, and
-    an action that raises, MissingActionEntry included, propagates.
+    so the draws do not depend on the test.  The exhaustive branch sweeps
+    each wiring it uses once, through A.rows, and its three phases share
+    the sweep.  An inner value of the square outside g's swept domain is
+    checked by applying g to it, and an action that raises,
+    MissingActionEntry included, propagates.
 
     The exhaustive square takes its pairs from _grouped_composites, which
     tensors each fs once for all the g with its block types, and only
@@ -627,17 +631,9 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
         if lhs != rhs:
             violations.append((kind, _DETAILS[kind](lhs, rhs, *instance)))
 
-    swept = {}
-
-    def sweep(f):
-        # f's whole input domain, chunk -> value in domain order, swept once
-        # for all phases; the unit laws give many composites equal to swept wirings
-        got = swept.get(f)
-        if got is None:
-            act_f = A.act(f)
-            dom = itertools.product(*(A.elements(w) for w in f.block_types))
-            got = swept[f] = {chunk: act_f(chunk) for chunk in dom}
-        return got
+    # each wiring's rows are swept once for all phases; the unit laws give
+    # many composites equal to swept wirings
+    sweep = cache(A.rows)
 
     if candidates <= budget:
         mode = "exhaustive"
@@ -764,14 +760,17 @@ def wiring_from_json(obj: dict) -> WiringDiagram:
 
 
 def _read_wiring(obj: dict, read_diagram) -> WiringDiagram:
-    if "blocks" not in obj:
+    # a wiring without blocks is named so before any error of its diagram,
+    # whose reader names a document that is not an object
+    if isinstance(obj, dict) and "blocks" not in obj:
         raise BlockMismatch("wiring diagram document lacks field 'blocks'")
     diagram = read_diagram(obj)
-    try:
-        blocks = [whole_number(b) for b in obj["blocks"]]
-    except (TypeError, ValueError) as exc:
-        raise BlockMismatch(f"malformed wiring diagram field 'blocks': {exc}") from exc
-    return make_wiring(diagram, blocks)
+    return make_wiring(diagram, read_field(obj, "blocks", _read_blocks, BlockMismatch,
+                                           "wiring diagram"))
+
+
+def _read_blocks(sizes):
+    return [whole_number(b) for b in sizes]
 
 
 def _diagram_reader(palette_doc, palette: Palette):

@@ -537,3 +537,16 @@ def test_blocks_are_named_before_the_diagram_only_when_missing(ori_table_doc, tm
         code, out, err = cli(capsys, *argv, write_doc(tmp_path, "doc.json", arg))
         assert_one_error_line(code, out, err)
         assert err.endswith(f"{text}\n")
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 5, "s", None], ids=["list", "number", "string", "null"])
+@pytest.mark.parametrize("command", ["bd dual", "cbd compose", "wd gamma"])
+def test_a_document_that_is_not_an_object_is_named(tmp_path, capsys, command, doc):
+    # the diagram reader is the first to meet each of these documents
+    good = write_doc(tmp_path, "good.json", good_wiring_doc())
+    argv = {"bd dual": ["bd", "dual", "--diagram"],
+            "cbd compose": ["cbd", "compose", "--rhs", good, "--lhs"],
+            "wd gamma": ["wd", "gamma", "--outer"]}[command]
+    code, out, err = cli(capsys, *argv, write_doc(tmp_path, "bad.json", doc))
+    assert_one_error_line(code, out, err)
+    assert err == "error: diagram document is not an object\n"
