@@ -892,6 +892,38 @@ def test_mutated_table_documents_exit_cleanly(tmp_path_factory, data):
         assert json.loads(out)["passed"] == (code == 0)
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_graph_documents_exit_cleanly(tmp_path_factory, data):
+    doc = graph_to_json(glue(disjoint_union(corolla(3), line(1)), ("l", 1), ("r", 1)))
+    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                            ["graph", "build", "--graph", "{doc}"])
+    if code != 2:
+        assert code == 0 and graph_from_json(json.loads(out)).vertices
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_gog_documents_exit_cleanly(tmp_path_factory, data):
+    doc = gog_to_json(identity_gog(line(2)))
+    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                            ["gog", "colimit", "--gog", "{doc}"])
+    if code != 2:
+        assert code == 0 and graph_from_json(json.loads(out)).edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_species_documents_exit_cleanly(tmp_path_factory, data):
+    w = ("c", "c", "c")
+    doc = species_to_json(make_species(MONO, 3, {w: (0, 1)}, [(w, (1, 0, 2), [(0, 1), (1, 0)])]))
+    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                            ["species", "eval", "--species", "{doc}", "--graph", "corolla:3"])
+    if code != 2:
+        assert code == 0 and int(out) >= 0
+
+
 def test_species_check_co(tmp_path, capsys):
     path = write_doc(tmp_path, "alg.json", algebra_to_json(renamed_pairing_table(MONO)))
     code, out, _ = cli(capsys, "species", "check-co", "--algebra", path,

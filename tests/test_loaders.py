@@ -7,6 +7,9 @@ the class of the exception that every loader raises, and that the CLI
 commands reading such a document (`bd dual`, `cbd compose`, `ca check`)
 exit 2 with one `error:` line.  make_diagram is checked against the
 label-string validator of the pairing module on random pair lists.
+The error a nested reader or a constructor raises inside a table,
+element, graph, graph-of-graphs, species or presheaf document is
+pinned to pass through its reader, and the CLI, as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerkit import coloured, pairing
-from brauerkit.brauer import diagram_from_json, labels, make_diagram
+from brauerkit.brauer import ArityMismatch, diagram_from_json, identity, labels, make_diagram
+from brauerkit.brauer_algebra import ZZ, element_from_json, element_of, element_to_json
 from brauerkit.coloured import (
     ColouringError,
     PaletteMismatch,
@@ -30,6 +34,14 @@ from brauerkit.coloured import (
     oriented_palette,
     palette_to_json,
 )
+from brauerkit.graph import (
+    InvalidParameter,
+    graph_from_json,
+    graph_to_json,
+    line,
+    wheel,
+    xgraph_from_json,
+)
 from brauerkit.pairing import (
     DuplicateLabel,
     PairingError,
@@ -37,6 +49,16 @@ from brauerkit.pairing import (
     UncoveredLabel,
     make_pairing,
 )
+from brauerkit.species import (
+    make_species,
+    nerve_presheaf,
+    presheaf_from_json,
+    presheaf_to_json,
+    species_from_json,
+    species_to_json,
+    terminal_species,
+)
+from brauerkit.substitution import gog_from_json, gog_to_json, identity_gog
 from brauerkit.wiring import (
     BlockMismatch,
     MissingActionEntry,
@@ -550,3 +572,126 @@ def test_a_document_that_is_not_an_object_is_named(tmp_path, capsys, command, do
     code, out, err = cli(capsys, *argv, write_doc(tmp_path, "bad.json", doc))
     assert_one_error_line(code, out, err)
     assert err == "error: diagram document is not an object\n"
+
+
+# ---------------------------------------------------------------------------
+# errors a nested reader or constructor raises pass through every reader as
+# they are: (document builder, loader, class, message, CLI argv with {doc})
+
+
+def _table_with(table_text, edit):
+    doc = json.loads(table_text)
+    edit(doc)
+    return doc
+
+
+def _palette_twice(doc):
+    doc["palette"]["colours"] = doc["palette"]["colours"] + doc["palette"]["colours"][:1]
+
+
+def _entry(wd_doc):
+    def edit(doc):
+        doc["entries"][0]["wd"] = wd_doc
+    return edit
+
+
+def _species_doc(**fields):
+    return dict(species_to_json(make_species(MONO, 3, {("c", "c", "c"): ("g",)})), **fields)
+
+
+def _edge_twice(graph_doc):
+    graph_doc["edges"][1] = graph_doc["edges"][0]
+    return graph_doc
+
+
+def _element_doc(edit):
+    doc = element_to_json(element_of(ZZ, identity(2)))
+    edit(doc)
+    return doc
+
+
+def _set(field, value):
+    def edit(doc):
+        doc[field] = value
+    return edit
+
+
+def _term_pair(doc):
+    doc["terms"][0]["diagram"]["pairs"][0] = ["s1", "s1"]
+
+
+def _term_without_m(doc):
+    del doc["terms"][0]["diagram"]["m"]
+
+
+def _gog_doc(edit):
+    doc = gog_to_json(identity_gog(line(2)))
+    edit(doc)
+    return doc
+
+
+def _presheaf_doc():
+    doc = presheaf_to_json(nerve_presheaf(terminal_species(ORI, 2), [("w", wheel(1))]))
+    _edge_twice(doc["graphs"][0]["graph"])
+    return doc
+
+
+_CA_CHECK = ["ca", "check", "--algebra", "{doc}"]
+_SPECIES_EVAL = ["species", "eval", "--species", "{doc}", "--graph", "corolla:3"]
+_BR_MUL = ["br", "mul", "--lhs", "{doc}", "--rhs", "{doc}", "--ring", "Z", "--delta", "1"]
+_DUPLICATE_EDGES = (InvalidParameter, "duplicate edge labels")
+
+PASS_THROUGH = {
+    "table palette": (lambda t: _table_with(t, _palette_twice), algebra_from_json,
+                      PaletteMismatch, "duplicate colours: '+' is listed twice", _CA_CHECK),
+    "table entry colour": (lambda t: _table_with(t, _entry(bad_doc("colour outside the palette"))),
+                           algebra_from_json, PaletteMismatch,
+                           "colour 'z' at t1 not in palette", _CA_CHECK),
+    "table entry bubbles": (lambda t: _table_with(t, _entry(bad_doc("wrong bubble count"))),
+                            algebra_from_json, ColouringError,
+                            "0 closed components but 1 bubble colours", _CA_CHECK),
+    "table entry colouring": (lambda t: _table_with(t, _entry(bad_doc("colouring missing a label"))),
+                              algebra_from_json, ColouringError,
+                              "boundary colouring leaves t2 uncoloured", _CA_CHECK),
+    "table entry blocks": (lambda t: _table_with(t, _entry(dict(good_wiring_doc(), blocks=[0.5]))),
+                           algebra_from_json, BlockMismatch,
+                           "malformed wiring diagram field 'blocks': not a whole number: 0.5",
+                           _CA_CHECK),
+    "species palette": (lambda t: _species_doc(palette={"colours": ["c", "c"], "omega": []}),
+                        species_from_json, PaletteMismatch,
+                        "duplicate colours: 'c' is listed twice", _SPECIES_EVAL),
+    "species bound": (lambda t: _species_doc(bound="2"), species_from_json, InvalidParameter,
+                      "bound must be a non-negative integer, got '2'", _SPECIES_EVAL),
+    "graph": (lambda t: _edge_twice(graph_to_json(line(1))), graph_from_json,
+              *_DUPLICATE_EDGES, ["graph", "build", "--graph", "{doc}"]),
+    "port-labelled graph": (lambda t: {"graph": _edge_twice(graph_to_json(line(1))),
+                                       "rho": {"1": "a", "4": "b"}},
+                            xgraph_from_json, *_DUPLICATE_EDGES,
+                            ["gog", "terminal", "--graph", "{doc}"]),
+    "graph of graphs base": (lambda t: _gog_doc(lambda d: _edge_twice(d["base"])), gog_from_json,
+                             *_DUPLICATE_EDGES, ["gog", "colimit", "--gog", "{doc}"]),
+    "graph of graphs assignment": (lambda t: _gog_doc(lambda d: _edge_twice(
+        d["assign"]["1"]["graph"])), gog_from_json, *_DUPLICATE_EDGES,
+        ["gog", "colimit", "--gog", "{doc}"]),
+    "presheaf graph": (lambda t: _presheaf_doc(), presheaf_from_json, *_DUPLICATE_EDGES,
+                       ["species", "segal", "--presheaf", "{doc}"]),
+    "element arity": (lambda t: _element_doc(_set("m", 3)), element_from_json, ArityMismatch,
+                      "term arity (2, 2) != element arity (3, 2)", _BR_MUL),
+    "element term pairs": (lambda t: _element_doc(_term_pair), element_from_json, SelfPair,
+                           "pair ('s1', 's1') repeats its label", _BR_MUL),
+    "element term field": (lambda t: _element_doc(_term_without_m), element_from_json,
+                           PairingError, "diagram document lacks field 'm'", _BR_MUL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PASS_THROUGH))
+def test_nested_errors_pass_through_the_readers(ori_table_doc, tmp_path, capsys, case):
+    build, loader, cls, msg, argv = PASS_THROUGH[case]
+    doc = build(ori_table_doc)
+    with pytest.raises(Exception) as info:
+        loader(json.loads(json.dumps(doc)))
+    assert (type(info.value), str(info.value)) == (cls, msg)
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, out, err = cli(capsys, *[path if a == "{doc}" else a for a in argv])
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {msg}\n"
