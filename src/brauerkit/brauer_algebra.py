@@ -27,8 +27,7 @@ from math import prod
 
 from .brauer import (ArityMismatch, BrauerDiagram, compose_detailed, diagram_from_json,
                      diagram_to_json, tensor)
-from .labels import whole_number
-from .pairing import PairingError
+from .labels import read_field, read_rows, whole_number
 
 
 class RingMismatch(ValueError):
@@ -333,13 +332,9 @@ def element_to_json(a: BrElement) -> dict:
 
 
 def element_from_json(obj: dict) -> BrElement:
-    try:
-        ring = ring_by_name(obj["ring"])
-        terms = [(diagram_from_json(t["diagram"]), ring.from_json(t["coeff"]))
-                 for t in obj["terms"]]
-        m, n = whole_number(obj["m"]), whole_number(obj["n"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        if isinstance(exc, PairingError):
-            raise
-        raise MalformedElement(f"malformed element document: {exc}") from exc
+    ring = read_field(obj, "ring", ring_by_name, MalformedElement, "element")
+    terms = read_rows(obj, "terms", (("diagram", diagram_from_json), ("coeff", ring.from_json)),
+                      MalformedElement, "element")
+    m = read_field(obj, "m", whole_number, MalformedElement, "element")
+    n = read_field(obj, "n", whole_number, MalformedElement, "element")
     return make_element(ring, m, n, terms)

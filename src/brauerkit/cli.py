@@ -156,7 +156,7 @@ def _load_xgraph(arg):
     document `{"graph": ..., "rho": {...}}` keeps full control."""
     if _is_path(arg):
         doc = _read_doc(arg)
-        if "graph" in doc:
+        if isinstance(doc, dict) and "graph" in doc:
             return xgraph_from_json(doc)
         g = graph_from_json(doc)
     else:

@@ -376,7 +376,7 @@ def _read_colouring(colours):
 
 
 def _read_bubbles(bubbles):
-    return [tuple(decode_label(c) for c in orb) for orb in bubbles]
+    return [decode_labels(orb) for orb in bubbles]
 
 
 def coloured_to_json(d: ColouredBrauerDiagram) -> dict:

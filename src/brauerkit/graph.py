@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .labels import decode_label, decode_pairs, encode_label, label_key, sort_labels
+from .labels import (decode_label, decode_labels, decode_pairs, encode_label, label_key,
+                     read_field, read_rows, sort_labels)
 
 
 class InvalidParameter(ValueError):
@@ -878,14 +879,11 @@ def graph_to_json(g):
 
 
 def graph_from_json(data):
-    try:
-        edges = [decode_label(e) for e in data["edges"]]
-        tau = decode_pairs(data["tau"])
-        halves = [(decode_label(h["edge"]), decode_label(h["vertex"]))
-                  for h in data["half_edges"]]
-        vertices = [decode_label(v) for v in data["vertices"]]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameter(f"malformed graph document: {exc}") from exc
+    edges = read_field(data, "edges", decode_labels, InvalidParameter, "graph")
+    tau = read_field(data, "tau", decode_pairs, InvalidParameter, "graph")
+    halves = read_rows(data, "half_edges", (("edge", decode_label), ("vertex", decode_label)),
+                       InvalidParameter, "graph")
+    vertices = read_field(data, "vertices", decode_labels, InvalidParameter, "graph")
     return make_graph(edges, tau, halves, vertices)
 
 
@@ -899,13 +897,15 @@ def xgraph_to_json(xg):
 
 
 def xgraph_from_json(doc):
-    g = graph_from_json(doc["graph"])
-    rho = doc.get("rho")
-    if rho is None:
+    g = read_field(doc, "graph", graph_from_json, InvalidParameter, "port-labelled graph")
+    if doc.get("rho") is None:
         return make_xgraph(g, None)
-    if not isinstance(rho, dict):
-        raise InvalidParameter(f"rho must map ports to labels, got {rho!r}")
-    return make_xgraph(g, {decode_label(json.loads(k)): decode_label(v) for k, v in rho.items()})
+    return make_xgraph(g, read_field(doc, "rho", _read_rho, InvalidParameter,
+                                     "port-labelled graph"))
+
+
+def _read_rho(rho):
+    return {decode_label(json.loads(k)): decode_label(v) for k, v in rho.items()}
 
 
 def _dot_id(prefix, label):

@@ -4,10 +4,13 @@ Labels are opaque tokens: ints, strings, or (for internally generated
 bookkeeping names) tuples of labels.  Python refuses to order ints
 against strings, so every sort in the library goes through label_key,
 which totally orders the union by kind first (ints < strings < tuples),
-then by value.  whole_number reads the counts of a document, and
-read_field reads one field of a document for every document reader,
-with the error contract they share: an error names the field and the
-reason, and never echoes the document.
+then by value.  whole_number reads the counts of a document.  Every
+document reader reads its fields with read_field, and a list of row
+objects with read_rows; an error names the kind of document, the field
+and the reason, and never echoes the document.  An error of a class
+this package defines passes through them as it is, as its raiser has
+named its field; a builtin TypeError, ValueError or AttributeError
+(json's JSONDecodeError too) is reported as a malformed field.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def whole_number(x) -> int:
 
 
 def decode_labels(items):
-    return [decode_label(x) for x in items]
+    return tuple(map(decode_label, items))
 
 
 def decode_pairs(rows):
@@ -78,9 +81,9 @@ def decode_pairs(rows):
 def read_field(obj, name: str, read, error, kind: str, default=None):
     """read(obj[name]), or read(default) when there is a default and obj
     lacks the field.  A document that is not an object, a missing field
-    and a value that read refuses with TypeError, ValueError or
+    and a value that read refuses with a builtin TypeError, ValueError or
     AttributeError each raise error, naming the kind of document and the
-    field; an error that read raises itself passes through."""
+    field; an error of a class this package defines passes through."""
     if not isinstance(obj, dict):
         raise error(f"{kind} document is not an object")
     if name in obj:
@@ -91,7 +94,16 @@ def read_field(obj, name: str, read, error, kind: str, default=None):
         value = default
     try:
         return read(value)
-    except error:
-        raise
     except (TypeError, ValueError, AttributeError) as exc:
+        if type(exc).__module__.partition(".")[0] == __package__:
+            raise
         raise error(f"malformed {kind} field {name!r}: {exc}") from exc
+
+
+def read_rows(obj, name: str, fields, error, kind: str, default=None):
+    """The row objects listed in obj[name], each as the tuple of its
+    (field, read) fields, read with read_field under the kind "<kind> row"."""
+    rows = read_field(obj, name, iter, error, kind, default)
+    kind += " row"
+    return [tuple([read_field(row, field, read, error, kind) for field, read in fields])
+            for row in rows]

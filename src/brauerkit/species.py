@@ -61,7 +61,8 @@ from .graph import (
     x_certificate,
     x_iso,
 )
-from .labels import decode_label, decode_pairs, encode_label, label_key, sort_labels
+from .labels import (decode_label, decode_labels, decode_pairs, encode_label, label_key,
+                     read_field, read_rows, sort_labels)
 from .wiring import ArityBoundExceeded, ColourMismatch, MissingActionEntry, _algebra_ops
 
 
@@ -1135,23 +1136,18 @@ def species_to_json(S):
 
 
 def species_from_json(obj):
-    try:
-        palette = palette_from_json(obj["palette"])
-        bound = obj["bound"]
-        tables = [
-            (tuple(decode_label(c) for c in row["word"]),
-             tuple(decode_label(e) for e in row["elements"]))
-            for row in obj["tables"]
-        ]
-        actions = [
-            (tuple(decode_label(c) for c in row["word"]),
-             tuple(row["perm"]),
-             decode_pairs(row["map"]))
-            for row in obj.get("sigma", [])
-        ]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameter(f"malformed species document: {exc}") from exc
+    palette = read_field(obj, "palette", palette_from_json, InvalidParameter, "species")
+    bound = read_field(obj, "bound", _as_is, InvalidParameter, "species")  # make_species checks it
+    tables = read_rows(obj, "tables", (("word", decode_labels), ("elements", decode_labels)),
+                       InvalidParameter, "species")
+    actions = read_rows(obj, "sigma", (("word", decode_labels), ("perm", tuple),
+                                       ("map", decode_pairs)),
+                        InvalidParameter, "species", default=())
     return make_species(palette, bound, tables, actions)
+
+
+def _as_is(value):
+    return value
 
 
 def presheaf_to_json(P):
@@ -1184,28 +1180,17 @@ def presheaf_to_json(P):
 
 
 def presheaf_from_json(obj):
-    try:
-        graphs = tuple(
-            (decode_label(row["id"]), graph_from_json(row["graph"]))
-            for row in obj["graphs"]
-        )
-        values = tuple(
-            (decode_label(row["id"]),
-             tuple(decode_label(e) for e in row["elements"]))
-            for row in obj["values"]
-        )
-        restrictions = tuple(
-            (decode_label(row["graph"]), row["kind"], decode_label(row["anchor"]),
-             decode_label(row["shape"]), decode_pairs(row["map"]))
-            for row in obj["restrictions"]
-        )
-        arrows = tuple(
-            (decode_label(row["graph"]),
-             (decode_label(row["edge"]), decode_label(row["vertex"])),
-             decode_label(row["source"]), decode_label(row["target"]),
-             decode_pairs(row["map"]))
-            for row in obj.get("arrows", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameter(f"malformed presheaf document: {exc}") from exc
-    return PresheafTable(graphs, values, restrictions, arrows)
+    graphs = read_rows(obj, "graphs", (("id", decode_label), ("graph", graph_from_json)),
+                       InvalidParameter, "presheaf")
+    values = read_rows(obj, "values", (("id", decode_label), ("elements", decode_labels)),
+                       InvalidParameter, "presheaf")
+    restrictions = read_rows(obj, "restrictions", (
+        ("graph", decode_label), ("kind", _as_is), ("anchor", decode_label),
+        ("shape", decode_label), ("map", decode_pairs)), InvalidParameter, "presheaf")
+    arrows = read_rows(obj, "arrows", (
+        ("graph", decode_label), ("edge", decode_label), ("vertex", decode_label),
+        ("source", decode_label), ("target", decode_label), ("map", decode_pairs)),
+        InvalidParameter, "presheaf", default=())
+    return PresheafTable(tuple(graphs), tuple(values), tuple(restrictions),
+                         tuple((gid, (e, v), src, tgt, mapping)
+                               for gid, e, v, src, tgt, mapping in arrows))

@@ -39,7 +39,7 @@ from .graph import (
     xgraph_from_json,
     xgraph_to_json,
 )
-from .labels import decode_label, encode_label, label_key, sort_labels
+from .labels import decode_label, encode_label, label_key, read_field, sort_labels
 
 
 class DegenerateSubstitution(ValueError):
@@ -450,14 +450,13 @@ def gog_to_json(gog):
 
 
 def gog_from_json(data):
-    try:
-        base = graph_from_json(data["base"])
-        assign = {}
-        for key, entry in data["assign"].items():
-            assign[decode_label(json.loads(key))] = xgraph_from_json(entry)
-    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
-        raise InvalidParameter(f"malformed graph-of-graphs document: {exc}") from exc
+    base = read_field(data, "base", graph_from_json, InvalidParameter, "graph-of-graphs")
+    assign = read_field(data, "assign", _read_assign, InvalidParameter, "graph-of-graphs")
     return make_gog(base, assign)
+
+
+def _read_assign(assign):
+    return {decode_label(json.loads(k)): xgraph_from_json(xg) for k, xg in assign.items()}
 
 
 def record_to_json(rec):

@@ -57,7 +57,7 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -65,7 +65,6 @@ from .axioms import CIRCUIT_LAWS, Report, connected_unit, run_laws
 from .brauer import BrauerDiagram, is_downward
 from .coloured import (
     ColouredBrauerDiagram,
-    ColouringError,
     Palette,
     TypeMismatch,
     PaletteMismatch,
@@ -84,7 +83,8 @@ from .coloured import (
     tensor_coloured,
 )
 from .graph import InvalidParameter
-from .labels import decode_label, encode_label, label_key, read_field, whole_number
+from .labels import (decode_label, decode_labels, encode_label, label_key, read_field,
+                     read_rows, whole_number)
 
 
 class BlockMismatch(ValueError):
@@ -756,10 +756,10 @@ def wiring_to_json(wd: WiringDiagram) -> dict:
 
 
 def wiring_from_json(obj: dict) -> WiringDiagram:
-    return _read_wiring(obj, coloured_from_json)
+    return _read_wiring(coloured_from_json, obj)
 
 
-def _read_wiring(obj: dict, read_diagram) -> WiringDiagram:
+def _read_wiring(read_diagram, obj: dict) -> WiringDiagram:
     # a wiring without blocks is named so before any error of its diagram,
     # whose reader names a document that is not an object
     if isinstance(obj, dict) and "blocks" not in obj:
@@ -770,7 +770,7 @@ def _read_wiring(obj: dict, read_diagram) -> WiringDiagram:
 
 
 def _read_blocks(sizes):
-    return [whole_number(b) for b in sizes]
+    return list(map(whole_number, sizes))
 
 
 def _diagram_reader(palette_doc, palette: Palette):
@@ -787,6 +787,8 @@ def _diagram_reader(palette_doc, palette: Palette):
         return palette if other == palette else other
 
     def read_diagram(doc):
+        if not isinstance(doc, dict):
+            return read_coloured(doc, read_palette)  # which names the document
         # unlike ==, repr tells 1, 1.0 and True apart, as the readers do
         key = repr({k: v for k, v in doc.items() if k != "blocks"})
         if key not in diagrams:
@@ -801,7 +803,7 @@ def _word_key(word) -> str:
 
 
 def _word_unkey(key: str) -> tuple:
-    return tuple(decode_label(c) for c in json.loads(key))
+    return decode_labels(json.loads(key))
 
 
 def algebra_to_json(A: TableCircuitAlgebra) -> dict:
@@ -828,22 +830,22 @@ def algebra_to_json(A: TableCircuitAlgebra) -> dict:
 def algebra_from_json(obj: dict) -> TableCircuitAlgebra:
     """Inverse of algebra_to_json; reads the same document shape.  The
     table is validated complete at load time."""
-    try:
-        palette = palette_from_json(obj["palette"])
-        bound = whole_number(obj["bound"])
-        carriers = {_word_unkey(k): tuple(decode_label(x) for x in xs)
-                    for k, xs in obj["carriers"].items()}
-        read_diagram = _diagram_reader(obj["palette"], palette)
-        entries = []
-        for entry in obj["entries"]:
-            wd = _read_wiring(entry["wd"], read_diagram)
-            rows = {}
-            for row in entry["table"]:
-                *ins, out = row
-                rows[tuple(decode_label(x) for x in ins)] = decode_label(out)
-            entries.append((wd, rows))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        if isinstance(exc, (ColouringError, BlockMismatch, MissingActionEntry)):
-            raise
-        raise MissingActionEntry(f"not a circuit algebra object: {exc}") from exc
+    palette = read_field(obj, "palette", palette_from_json, MissingActionEntry, "circuit algebra")
+    bound = read_field(obj, "bound", whole_number, MissingActionEntry, "circuit algebra")
+    carriers = read_field(obj, "carriers", _read_carriers, MissingActionEntry, "circuit algebra")
+    read_wiring = partial(_read_wiring, _diagram_reader(obj["palette"], palette))
+    entries = read_rows(obj, "entries", (("wd", read_wiring), ("table", _read_table)),
+                        MissingActionEntry, "circuit algebra")
     return TableCircuitAlgebra(palette, bound, carriers, entries)
+
+
+def _read_carriers(carriers):
+    return {_word_unkey(k): decode_labels(xs) for k, xs in carriers.items()}
+
+
+def _read_table(rows):
+    table = {}
+    for row in rows:
+        *ins, out = row
+        table[decode_labels(ins)] = decode_label(out)
+    return table

@@ -192,7 +192,7 @@ def test_br_mul_on_a_malformed_term_exits_2(tmp_path, capsys):
                          "--ring", "Z[t]", "--delta", "t")
     assert code == 2 and out == ""
     assert err.splitlines() == [err.rstrip("\n")]
-    assert err.startswith("error: malformed element document")
+    assert err == "error: element row document is not an object\n"
 
 
 def q_element_doc():
@@ -983,8 +983,7 @@ def test_species_map_that_is_not_pairs_exits_2(species_docs, tmp_path, capsys, b
     for kind, argv in runs.items():
         code, out, err = cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.splitlines() == [err.strip()] and "Traceback" not in err
-        assert f"malformed {kind} document" in err
+        assert err == f"error: malformed {kind} row field 'map': entry 0 is not an [a, b] pair\n"
     # a typed error from inside the document passes through as it is
     species["palette"]["colours"] = ["c", "c"]
     code, _, err = cli(capsys, "species", "eval", "--species",

@@ -627,8 +627,9 @@ def test_json_rejects_garbage():
         graph_from_json({"edges": [1, 2]})
     doc = graph_to_json(line(1))
     for tau in ("xy", [["x"]]):
-        with pytest.raises(InvalidParameter, match="malformed graph document"):
+        with pytest.raises(InvalidParameter) as info:
             graph_from_json(dict(doc, tau=tau))
+        assert str(info.value) == "malformed graph field 'tau': entry 0 is not an [a, b] pair"
 
 
 def test_xgraph_json_round_trip():
@@ -640,8 +641,10 @@ def test_xgraph_json_round_trip():
         doc = xgraph_to_json(xg)
         assert ("rho" in doc) == (xg.rho is not None)
         assert xgraph_from_json(doc) == xg
-    with pytest.raises(InvalidParameter, match="rho must map ports to labels"):
+    with pytest.raises(InvalidParameter) as info:
         xgraph_from_json({"graph": graph_to_json(line(1)), "rho": [1]})
+    assert str(info.value) == ("malformed port-labelled graph field 'rho': "
+                               "'list' object has no attribute 'items'")
 
 
 def test_dot_output():

@@ -106,8 +106,7 @@ def _swap_free(doc):
 
 
 # case -> (edit of the (+, -) identity wiring document, the class make_diagram
-# or make_coloured raises); diagram errors reach algebra_from_json wrapped in
-# MissingActionEntry, colouring errors pass through it as they are
+# or make_coloured raises); both pass through algebra_from_json as they are
 DIAGRAM_CASES = {
     "self-pair": (_set_pair(0, ["s1", "s1"]), SelfPair),
     "label used twice": (_set_pair(1, ["s1", "t2"]), DuplicateLabel),
@@ -154,6 +153,10 @@ def algebra_with_entry(doc_text, wd_doc):
     return doc
 
 
+def _entry(wd_doc):
+    return lambda table_text: algebra_with_entry(table_text, wd_doc)
+
+
 def test_the_unedited_document_loads():
     doc = good_wiring_doc()
     assert wiring_from_json(doc) == identity_wiring(ORI, ("+", "-"))
@@ -179,8 +182,8 @@ def test_colouring_errors_keep_their_class(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_algebra_loader_error_classes(ori_table_doc, case):
-    want = CASES[case][1] if case in COLOURING_CASES else MissingActionEntry
-    assert raised(algebra_from_json, algebra_with_entry(ori_table_doc, bad_doc(case))) is want
+    table = algebra_with_entry(ori_table_doc, bad_doc(case))
+    assert raised(algebra_from_json, table) is CASES[case][1]
 
 
 @pytest.mark.parametrize("case", sorted(DIAGRAM_CASES))
@@ -513,14 +516,9 @@ def field_docs(case, table_text):
     commands = [["bd", "dual", "--diagram"], ["cbd", "compose", "--rhs", _GOOD, "--lhs"],
                 ["wd", "gamma", "--outer"]]
     start = _WIRING_READERS.index(reader)
-    out = [(doc, loaders[start:], cls, msg, commands[start:])]
-    table = algebra_with_entry(table_text, doc)
-    if reader == "diagram":  # a diagram error reaches the table loader wrapped
-        out.append((table, [algebra_from_json], MissingActionEntry,
-                    f"not a circuit algebra object: {msg}", [["ca", "check", "--algebra"]]))
-    else:
-        out.append((table, [algebra_from_json], cls, msg, [["ca", "check", "--algebra"]]))
-    return out
+    return [(doc, loaders[start:], cls, msg, commands[start:]),
+            (algebra_with_entry(table_text, doc), [algebra_from_json], cls, msg,
+             [["ca", "check", "--algebra"]])]
 
 
 @pytest.mark.parametrize("case", FIELD_ERRORS, ids=lambda c: f"{c[0]}.{c[1]}={c[2]!r}")
@@ -574,25 +572,50 @@ def test_a_document_that_is_not_an_object_is_named(tmp_path, capsys, command, do
     assert err == "error: diagram document is not an object\n"
 
 
+
+def _without_bound(table_text):
+    doc = json.loads(table_text)
+    del doc["bound"]
+    return doc
+
+
+# case -> (table document, the class algebra_from_json raises, its message)
+TABLE_DOCUMENTS = {
+    "number": (lambda t: 5, MissingActionEntry, "circuit algebra document is not an object"),
+    "no bound": (_without_bound, MissingActionEntry,
+                 "circuit algebra document lacks field 'bound'"),
+    "entry a number": (_entry(5), PairingError,
+                       "diagram document is not an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_DOCUMENTS))
+def test_a_table_document_error_is_named(ori_table_doc, tmp_path, capsys, case):
+    build, cls, msg = TABLE_DOCUMENTS[case]
+    doc = build(ori_table_doc)
+    with pytest.raises(Exception) as info:
+        algebra_from_json(doc)
+    assert (type(info.value), str(info.value)) == (cls, msg)
+    code, out, err = cli(capsys, "ca", "check", "--algebra", write_doc(tmp_path, "alg.json", doc))
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {msg}\n"
+
+
+def test_a_graph_that_is_not_an_object_is_named(tmp_path, capsys):
+    code, out, err = cli(capsys, "gog", "similar", "--left", write_doc(tmp_path, "g.json", 5),
+                         "--right", "line:2")
+    assert_one_error_line(code, out, err)
+    assert err == "error: graph document is not an object\n"
+
 # ---------------------------------------------------------------------------
 # errors a nested reader or constructor raises pass through every reader as
 # they are: (document builder, loader, class, message, CLI argv with {doc})
 
 
-def _table_with(table_text, edit):
+def _palette_twice(table_text):
     doc = json.loads(table_text)
-    edit(doc)
+    doc["palette"]["colours"] += doc["palette"]["colours"][:1]
     return doc
-
-
-def _palette_twice(doc):
-    doc["palette"]["colours"] = doc["palette"]["colours"] + doc["palette"]["colours"][:1]
-
-
-def _entry(wd_doc):
-    def edit(doc):
-        doc["entries"][0]["wd"] = wd_doc
-    return edit
 
 
 def _species_doc(**fields):
@@ -642,19 +665,17 @@ _BR_MUL = ["br", "mul", "--lhs", "{doc}", "--rhs", "{doc}", "--ring", "Z", "--de
 _DUPLICATE_EDGES = (InvalidParameter, "duplicate edge labels")
 
 PASS_THROUGH = {
-    "table palette": (lambda t: _table_with(t, _palette_twice), algebra_from_json,
-                      PaletteMismatch, "duplicate colours: '+' is listed twice", _CA_CHECK),
-    "table entry colour": (lambda t: _table_with(t, _entry(bad_doc("colour outside the palette"))),
-                           algebra_from_json, PaletteMismatch,
-                           "colour 'z' at t1 not in palette", _CA_CHECK),
-    "table entry bubbles": (lambda t: _table_with(t, _entry(bad_doc("wrong bubble count"))),
-                            algebra_from_json, ColouringError,
-                            "0 closed components but 1 bubble colours", _CA_CHECK),
-    "table entry colouring": (lambda t: _table_with(t, _entry(bad_doc("colouring missing a label"))),
-                              algebra_from_json, ColouringError,
-                              "boundary colouring leaves t2 uncoloured", _CA_CHECK),
-    "table entry blocks": (lambda t: _table_with(t, _entry(dict(good_wiring_doc(), blocks=[0.5]))),
-                           algebra_from_json, BlockMismatch,
+    "table palette": (_palette_twice, algebra_from_json, PaletteMismatch,
+                      "duplicate colours: '+' is listed twice", _CA_CHECK),
+    "table entry colour": (_entry(bad_doc("colour outside the palette")), algebra_from_json,
+                           PaletteMismatch, "colour 'z' at t1 not in palette", _CA_CHECK),
+    "table entry bubbles": (_entry(bad_doc("wrong bubble count")), algebra_from_json,
+                            ColouringError, "0 closed components but 1 bubble colours", _CA_CHECK),
+    "table entry colouring": (_entry(bad_doc("colouring missing a label")), algebra_from_json,
+                              ColouringError, "boundary colouring leaves t2 uncoloured",
+                              _CA_CHECK),
+    "table entry blocks": (_entry(dict(good_wiring_doc(), blocks=[0.5])), algebra_from_json,
+                           BlockMismatch,
                            "malformed wiring diagram field 'blocks': not a whole number: 0.5",
                            _CA_CHECK),
     "species palette": (lambda t: _species_doc(palette={"colours": ["c", "c"], "omega": []}),
