@@ -572,7 +572,6 @@ def test_a_document_that_is_not_an_object_is_named(tmp_path, capsys, command, do
     assert err == "error: diagram document is not an object\n"
 
 
-
 def _without_bound(table_text):
     doc = json.loads(table_text)
     del doc["bound"]
@@ -584,8 +583,7 @@ TABLE_DOCUMENTS = {
     "number": (lambda t: 5, MissingActionEntry, "circuit algebra document is not an object"),
     "no bound": (_without_bound, MissingActionEntry,
                  "circuit algebra document lacks field 'bound'"),
-    "entry a number": (_entry(5), PairingError,
-                       "diagram document is not an object"),
+    "entry a number": (_entry(5), PairingError, "diagram document is not an object"),
 }
 
 
@@ -606,6 +604,7 @@ def test_a_graph_that_is_not_an_object_is_named(tmp_path, capsys):
                          "--right", "line:2")
     assert_one_error_line(code, out, err)
     assert err == "error: graph document is not an object\n"
+
 
 # ---------------------------------------------------------------------------
 # errors a nested reader or constructor raises pass through every reader as
