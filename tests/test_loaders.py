@@ -356,6 +356,32 @@ def test_ca_check_reads_each_diagram_once_without_the_pairing_module(tmp_path, c
     assert calls == {"make_pairing": 0, "make_coloured": len(distinct)}
 
 
+def _closed_false(wd_doc):
+    wd_doc["closed"] = False
+
+
+def _colours_true(wd_doc):
+    wd_doc["palette"]["colours"] = [True]
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_closed_false, "malformed diagram field 'closed': not a whole number: False"),
+    (_colours_true, "malformed palette field 'colours': booleans are not valid labels")],
+    ids=["closed false", "colours true"])
+def test_a_repeated_diagram_is_read_by_its_own_values(tmp_path, capsys, edit, line):
+    # entry 5 lists entry 0's diagram under other blocks; edited, it is read
+    # on its own values, even where they are == to entry 0's (False == 0)
+    doc = algebra_to_json(renamed_pairing_table(MONO, 4))
+    first, repeat = ({k: v for k, v in doc["entries"][i]["wd"].items() if k != "blocks"}
+                     for i in (0, 5))
+    assert first == repeat and doc["entries"][0]["wd"]["closed"] == 0
+    edit(doc["entries"][5]["wd"])
+    path = write_doc(tmp_path, "alg.json", doc)
+    code, out, err = cli(capsys, "ca", "check", "--algebra", path)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {line}\n"
+
+
 # ---------------------------------------------------------------------------
 # error lines name the field and the reason, not the whole document
 

@@ -346,6 +346,89 @@ def test_checked_counts_the_instances_on_acted_wirings(build, checked):
     assert report.checked == brute_checked(A, universe) == checked
 
 
+def per_wiring_reference(A, universe, seed, budget):
+    """(candidates, checked) of check_circuit_algebra(A, seed, budget,
+    universe=universe), with its counts and its draw lists set up wiring
+    by wiring: checked is brute_checked's count when the check is
+    exhaustive, and otherwise that of the sampled draws replayed."""
+    words = list(A.words())
+    sizes = {w: len(A.elements(w)) for w in words}
+    universe = [wd for wd in universe
+                if all(w in sizes for w in wd.block_types) and wd.output_word in sizes]
+    by_output = {w: [wd for wd in universe if wd.output_word == w] for w in words}
+    pools = {w: [f for f in by_output[w] if all(sizes[b] for b in f.block_types)]
+             for w in words}
+    eq_count = sum(factorial(len(wd.block_sizes)) * prod(sizes[w] for w in wd.block_types)
+                   for wd in universe)
+    slot_total = {w: sum(prod(sizes[b] for b in f.block_types) for f in by_output[w])
+                  for w in words}
+    comp_count = sum(prod(slot_total[w] for w in g.block_types) for g in universe)
+    candidates = sum(sizes.values()) + eq_count + comp_count
+    if candidates <= budget:
+        return candidates, brute_checked(A, universe)
+    rng, checked, samples = random.Random(seed), 0, 400
+    inhabited = [w for w in words if sizes[w]]
+    for _ in range(samples if inhabited else 0):
+        w = rng.choice(inhabited)
+        rng.choice(A.elements(w))
+        checked += A.acts_on(identity_wiring(A.palette, w))
+    usable = [wd for wd in universe if all(sizes[w] for w in wd.block_types)]
+    for _ in range(samples if usable else 0):
+        wd = rng.choice(usable)
+        sigma = list(range(1, len(wd.block_sizes) + 1))
+        rng.shuffle(sigma)
+        for w in wd.block_types:
+            rng.choice(A.elements(w))
+        checked += A.acts_on(wd) and A.acts_on(sigma_action(wd, sigma))
+    comp_ok = [g for g in universe if all(pools[w] for w in g.block_types)]
+    for _ in range(samples if comp_ok else 0):
+        g = rng.choice(comp_ok)
+        fs = []
+        for w in g.block_types:
+            fs.append(rng.choice(pools[w]))
+            for b in fs[-1].block_types:
+                rng.choice(A.elements(b))
+        checked += (A.acts_on_type(sum((f.block_types for f in fs), ()), g.output_word)
+                    and all(map(A.acts_on, [g, operad_gamma(g, fs), *fs])))
+    return candidates, checked
+
+
+def _outside_universe():
+    # the mono bound-2 table's wirings shuffled among wirings whose block
+    # or output word is ccc, which has no carrier at bound 2
+    T, listed = _mono2_table(lambda wd: True)
+    words = [("c",), ("c",) * 3]
+    universe = listed + enumerate_wirings(MONO, words, words, max_blocks=2, max_points=6)
+    random.Random(3).shuffle(universe)
+    return T, universe
+
+
+# (build, [(budget, seed)]): the mono bound-4 table as the benchmark checks
+# it, the oriented bound-2 table sampled, the mono bound-2 table (its
+# carrier at c is empty) and a universe with words outside the carriers
+REFERENCE_CASES = {
+    "mono 4": (lambda: _listed(renamed_pairing_table(MONO, 4)), [(100_000, 0), (100_000, 5)]),
+    "ori 2 sampled": (lambda: _listed(renamed_pairing_table(ORI, 2)), [(0, 0), (0, 5)]),
+    "empty carrier": (lambda: _mono2_table(lambda wd: True), [(100_000, 0), (0, 0), (0, 5)]),
+    "outside words": (_outside_universe, [(100_000, 0), (0, 0), (0, 5)]),
+}
+
+
+def _listed(T):
+    return T, list(T.listed_wirings())
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_counts_match_the_per_wiring_reference(case):
+    build, runs = REFERENCE_CASES[case]
+    A, universe = build()
+    for budget, seed in runs:
+        report = check_circuit_algebra(A, seed=seed, budget=budget, universe=universe)
+        assert report.mode == ("exhaustive" if report.candidates <= budget else "sampled")
+        assert (report.candidates, report.checked) == \
+            per_wiring_reference(A, universe, seed, budget)
+
+
 def test_act_refuses_wrong_palette_and_long_words():
     A = pairing_algebra(MONO, 4)
     with pytest.raises(PaletteMismatch):
