@@ -54,10 +54,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -116,6 +117,25 @@ class BudgetExceeded(ValueError):
 WIRING_BUDGET = 20_000
 
 
+class _once:
+    """A property computed on its first read and then kept in the
+    instance's __dict__, which later reads find before this descriptor.
+    functools.cached_property does the same, but on Python 3.11 it takes
+    a lock on every first read, which costs as much as the value here."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class WiringDiagram:
     diagram: ColouredBrauerDiagram
@@ -125,7 +145,7 @@ class WiringDiagram:
     def palette(self) -> Palette:
         return self.diagram.palette
 
-    @cached_property
+    @_once
     def block_types(self) -> tuple:
         word = input_type(self.diagram)
         out, at = [], 0
@@ -134,7 +154,7 @@ class WiringDiagram:
             at += size
         return tuple(out)
 
-    @cached_property
+    @_once
     def output_word(self) -> tuple:
         return output_type(self.diagram)
 
@@ -203,6 +223,8 @@ def sigma_action(f: WiringDiagram, sigma) -> WiringDiagram:
     k = len(f.block_sizes)
     if sorted(images) != list(range(1, k + 1)):
         raise BlockMismatch(f"{images!r} is not a permutation of 1..{k}")
+    if images == tuple(range(1, k + 1)):  # the identity block order moves nothing
+        return f
     new_sizes = tuple(f.block_sizes[b - 1] for b in images)
     word = tuple(c for b in images for c in f.block_types[b - 1])
     routed = coloured_permutation(f.palette, _concat_permutation(images, f.block_sizes), word)
@@ -593,6 +615,13 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     checked once, as through operad_gamma, and since the violations are
     sorted and checked is a count, the report does not see the order.
 
+    The set-up reads a wiring only through its profile: whether its words
+    have carriers, its domain size and so the candidates, whether it can
+    fill a block (pools) or be drawn.  These are worked out once per
+    distinct profile and weighted by the number of wirings that share it;
+    the lists of wirings keep universe order, so the sampled draws do not
+    depend on how the set-up is computed.
+
     A check that could check nothing is refused: samples below 1 and a
     negative budget raise InvalidParameter."""
     if samples < 1:
@@ -604,22 +633,27 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     if universe is None:
         universe = (list(A.listed_wirings()) if hasattr(A, "listed_wirings")
                     else enumerate_wirings(A.palette, words, words))
-    universe = [wd for wd in universe
-                if all(w in sizes for w in wd.block_types) and wd.output_word in sizes]
-    by_output = defaultdict(list)
-    for wd in universe:
-        by_output[wd.output_word].append(wd)
+    profiles = [(wd.block_types, wd.output_word) for wd in universe]
+    shares = Counter(profiles)
+    # the size of each profile's input domain, for the profiles whose words
+    # all have carriers; the wirings of any other profile are left out
+    domain = {p: prod(sizes[w] for w in p[0]) for p in shares
+              if p[1] in sizes and all(w in sizes for w in p[0])}
+    listed = [(wd, p) for wd, p in zip(universe, profiles) if p in domain]
+    universe = [wd for wd, _ in listed]
     # the wirings that can fill a block of type w: output w, every block
     # inhabited; built once, in universe order, for every phase below
-    pools = {w: [f for f in by_output[w] if all(sizes[b] for b in f.block_types)]
-             for w in words}
+    pools = {w: [] for w in words}
+    for wd, p in listed:
+        if domain[p]:
+            pools[p[1]].append(wd)
 
     id_count = sum(sizes.values())
-    eq_count = sum(factorial(len(wd.block_sizes)) * prod(sizes[w] for w in wd.block_types)
-                   for wd in universe)
-    slot_total = {w: sum(prod(sizes[b] for b in f.block_types) for f in by_output[w])
-                  for w in words}
-    comp_count = sum(prod(slot_total[w] for w in g.block_types) for g in universe)
+    eq_count = sum(shares[p] * factorial(len(p[0])) * n for p, n in domain.items())
+    slot_total = defaultdict(int)
+    for p, n in domain.items():
+        slot_total[p[1]] += shares[p] * n
+    comp_count = sum(shares[p] * prod(slot_total[w] for w in p[0]) for p in domain)
     candidates = id_count + eq_count + comp_count
 
     violations = []
@@ -680,7 +714,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
             idw = identity_wiring(A.palette, w)
             if A.acts_on(idw):
                 record("identity", A.act(idw)((x,)), x, w)
-        usable = [wd for wd in universe if all(sizes[w] for w in wd.block_types)]
+        usable = [wd for wd, p in listed if domain[p]]
         for _ in range(samples if usable else 0):
             wd = rng.choice(usable)
             sigma = list(range(1, len(wd.block_sizes) + 1))
@@ -691,7 +725,8 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
             if A.acts_on(wd) and A.acts_on(moved_wd):
                 lhs = A.act(moved_wd)(tuple(inputs[b - 1] for b in sigma))
                 record("equivariance", lhs, A.act(wd)(inputs), wd, sigma, inputs)
-        comp_ok = [g for g in universe if all(pools[w] for w in g.block_types)]
+        fillable = {p for p in domain if all(pools[w] for w in p[0])}
+        comp_ok = [g for g, p in listed if p in fillable]
         for _ in range(samples if comp_ok else 0):
             g = rng.choice(comp_ok)
             fs, nested = [], []
@@ -773,15 +808,27 @@ def _read_blocks(sizes):
     return list(map(whole_number, sizes))
 
 
+def _document_key(doc) -> bytes:
+    # marshal's version 2 writes each value with its type and no sharing
+    # references, so two documents get the same bytes exactly when they
+    # hold the same keys in the same order and equal values of the same
+    # types: unlike ==, it tells 1, 1.0 and True apart, as the readers do
+    return marshal.dumps(doc, 2)
+
+
 def _diagram_reader(palette_doc, palette: Palette):
     """read_diagram for the wiring documents of one table document.  It
     reads each distinct diagram, a wiring document without its blocks,
-    once; a diagram whose palette equals the table's gets the table's
-    palette object, so palette comparisons are identity checks."""
-    palette_key, diagrams = repr(palette_doc), {}
+    once, keyed by _document_key: a key is the same only for documents
+    the readers cannot tell apart, so a diagram read once stands for
+    every document with its key.  A diagram whose palette document has
+    the table palette's key, or whose palette equals the table's, gets
+    the table's palette object, so palette comparisons are identity
+    checks."""
+    palette_key, diagrams = _document_key(palette_doc), {}
 
     def read_palette(doc):
-        if repr(doc) == palette_key:
+        if _document_key(doc) == palette_key:
             return palette
         other = palette_from_json(doc)
         return palette if other == palette else other
@@ -789,8 +836,7 @@ def _diagram_reader(palette_doc, palette: Palette):
     def read_diagram(doc):
         if not isinstance(doc, dict):
             return read_coloured(doc, read_palette)  # which names the document
-        # unlike ==, repr tells 1, 1.0 and True apart, as the readers do
-        key = repr({k: v for k, v in doc.items() if k != "blocks"})
+        key = _document_key({k: v for k, v in doc.items() if k != "blocks"})
         if key not in diagrams:
             diagrams[key] = read_coloured(doc, read_palette)
         return diagrams[key]
