@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .brauer import (
     cap_n,
@@ -61,7 +61,7 @@ from .graph import (
     xgraph_from_json,
     xgraph_to_json,
 )
-from .labels import decode_label, encode_label, sort_labels
+from .labels import decode_label, encode_label, read_field, sort_labels
 from .species import (
     check_modular_axioms,
     evaluate,
@@ -462,14 +462,20 @@ def _cmd_gog_assoc_check(args):
     doc = _read_doc(args.inners)
     if not isinstance(doc, dict):
         raise InvalidParameter(f"--inners must be a JSON object, got {type(doc).__name__}")
-    inners = {decode_label(json.loads(k)): gog_from_json(v)
-              for k, v in doc.items()}
+    inners = dict(read_field(doc, key, partial(_read_inner, key), InvalidParameter, "inners")
+                  for key in doc)
     verdict = check_substitution_associativity(outer, inners)
     if args.json:
         _emit({"associative": verdict})
     else:
         print("associative" if verdict else "FAIL: two-stage colimits disagree")
     return 0 if verdict else 1
+
+
+def _read_inner(key, doc):
+    # a field of the --inners document: its key is a vertex label as JSON
+    # text, as in a graph of graphs' "assign", and its value a graph of graphs
+    return decode_label(json.loads(key)), gog_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import itertools
@@ -624,6 +625,18 @@ def test_gog_assoc_check_inners_not_an_object_exits_2(tmp_path, capsys, inners):
     assert err.startswith("error: --inners must be a JSON object")
 
 
+@pytest.mark.parametrize("key, message", [
+    ("x", "malformed inners field 'x': Expecting value: line 1 column 1 (char 0)"),
+    ("true", "malformed inners field 'true': booleans are not valid labels")],
+    ids=["not json", "boolean"])
+def test_gog_assoc_check_names_a_bad_inners_key(tmp_path, capsys, key, message):
+    gog = gog_to_json(identity_gog(line(2)))
+    opath = write_doc(tmp_path, "outer.json", gog)
+    ipath = write_doc(tmp_path, "inners.json", {key: gog})
+    code, out, err = cli(capsys, "gog", "assoc-check", "--outer", opath, "--inners", ipath)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # species
 
@@ -775,7 +788,9 @@ _WRONG_TYPED = st.one_of(
     st.lists(st.integers(0, 2), max_size=3),
     st.dictionaries(st.sampled_from(["tuple", "id"]), st.integers(0, 2), max_size=2),
 )
-_OUTSIDE_LABEL = st.sampled_from(["outside", 10 ** 6, {"tuple": ["outside"]}])
+# a fresh copy per draw: a later drop or retype in the same example edits
+# the drawn label in place, and must not edit the strategy's own value
+_OUTSIDE_LABEL = st.sampled_from(["outside", 10 ** 6, {"tuple": ["outside"]}]).map(copy.deepcopy)
 _ID_FIELDS = {"id", "shape", "source", "target"}
 
 
@@ -806,6 +821,15 @@ def _mutate(data, doc):
             path = data.draw(st.sampled_from(entries))
             _at(doc, path)[data.draw(st.integers(0, 1))] = data.draw(_OUTSIDE_LABEL)
     return doc
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_a_mutated_outside_label_leaves_the_next_draw_unchanged(data):
+    tuple_label = _OUTSIDE_LABEL.filter(lambda x: isinstance(x, dict))
+    first = data.draw(tuple_label)
+    first["tuple"][0] = 7  # as a retype of the label's one entry would
+    assert data.draw(tuple_label) == {"tuple": ["outside"]}
 
 
 @pytest.fixture(scope="module")
