@@ -403,6 +403,10 @@ def _outside_universe():
     return T, universe
 
 
+def _listed(T):
+    return T, list(T.listed_wirings())
+
+
 # (build, [(budget, seed)]): the mono bound-4 table as the benchmark checks
 # it, the oriented bound-2 table sampled, the mono bound-2 table (its
 # carrier at c is empty) and a universe with words outside the carriers
@@ -412,10 +416,6 @@ REFERENCE_CASES = {
     "empty carrier": (lambda: _mono2_table(lambda wd: True), [(100_000, 0), (0, 0), (0, 5)]),
     "outside words": (_outside_universe, [(100_000, 0), (0, 0), (0, 5)]),
 }
-
-
-def _listed(T):
-    return T, list(T.listed_wirings())
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
