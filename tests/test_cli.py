@@ -341,6 +341,35 @@ def test_ca_check_pass_and_corrupted(tmp_path, capsys):
     assert not report["passed"] and report["violations"]
 
 
+# the identity wiring on cccc as a violation detail prints it
+ID_CCCC = ('{"blocks": [4], "boundary_colour": {"s1": "c", "s2": "c", "s3": "c", "s4": "c", '
+           '"t1": "c", "t2": "c", "t3": "c", "t4": "c"}, "bubbles": [], "closed": 0, "m": 4, '
+           '"n": 4, "pairs": [["s1", "t1"], ["s2", "t2"], ["s3", "t3"], ["s4", "t4"]], '
+           '"palette": {"colours": ["c"], "omega": []}}')
+
+
+def test_ca_check_text_lists_each_violation(tmp_path, capsys):
+    # the identities of pairing_algebra(MONO, 4), with the cccc identity's
+    # first two outputs swapped
+    A = pairing_algebra(MONO, 4)
+    doc = algebra_to_json(renamed(tabulate(A, [identity_wiring(MONO, w) for w in A.words()])))
+    rows = next(entry["table"] for entry in doc["entries"] if len(entry["table"]) > 1)
+    assert rows == [[0, 0], [1, 1], [2, 2]]
+    rows[0][-1], rows[1][-1] = 1, 0
+    code, out, err = cli(capsys, "ca", "check", "--algebra", write_doc(tmp_path, "bad.json", doc))
+    composition = f"violation [composition] g={ID_CCCC} fs=['{ID_CCCC}'] inputs="
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "circuit-algebra axioms: exhaustive, 15 instances checked",
+        f"{composition}((0,),): 1 != 0",
+        f"{composition}((1,),): 0 != 1",
+        "violation [identity] on ('c', 'c', 'c', 'c'): 0 acted to 1",
+        "violation [identity] on ('c', 'c', 'c', 'c'): 1 acted to 0",
+        "FAIL",
+    ]
+    assert out.endswith("FAIL\n")
+
+
 def free_carrier_count(gen_arity, bound, word_len, bubble_cap=1):
     """Closed form for the truncated free algebra on one monochrome
     generator (max_blocks = bound): k generator blocks give a shape
@@ -500,6 +529,16 @@ def test_graph_elements_listing(capsys):
     assert code == 0
     kinds = [ln.split()[0] for ln in out.splitlines()]
     assert kinds == ["stick", "stick", "corolla", "corolla"]
+    assert cli(capsys, "graph", "elements", "--graph", "wheel:2", "--json") == (
+        0, '[{"kind":"stick","anchor":1},{"kind":"stick","anchor":2},'
+           '{"kind":"corolla","anchor":1},{"kind":"corolla","anchor":2}]\n', "")
+
+
+def test_graph_iso_text(capsys):
+    assert cli(capsys, "graph", "iso", "--graph", "corolla:2", "--with", "line:1") == (
+        0, "isomorphic\n", "")
+    assert cli(capsys, "graph", "iso", "--graph", "corolla:2", "--with", "wheel:1") == (
+        1, "not isomorphic\n", "")
 
 
 def test_graph_glue_bad_port_exit_2(capsys):
@@ -528,6 +567,16 @@ def test_graph_dot_jk_graph(capsys):
     code, out, _ = cli(capsys, "graph", "dot", "--graph", "wheel:1")
     assert code == 0
     assert out.startswith("graph diagram {") and "--" in out
+
+
+def test_graph_dot_on_a_graph_document(tmp_path, capsys):
+    path = write_doc(tmp_path, "wheel1.json", graph_to_json(wheel(1)))
+    assert cli(capsys, "graph", "dot", "--graph", path) == (0, (
+        'graph diagram {\n'
+        '  node [shape=circle];\n'
+        '  "v:1" [label="1"];\n'
+        '  "v:1" -- "v:1" [label="(1, 2)"];\n'
+        '}\n'), "")
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +661,8 @@ def test_gog_assoc_check(tmp_path, capsys):
     code, out, _ = cli(capsys, "gog", "assoc-check", "--outer", opath,
                        "--inners", ipath)
     assert code == 0 and out.strip() == "associative"
+    assert cli(capsys, "gog", "assoc-check", "--outer", opath, "--inners", ipath,
+               "--json") == (0, '{"associative":true}\n', "")
 
 
 @pytest.mark.parametrize("inners", [[1, 2], "x"], ids=["list", "string"])
@@ -677,6 +728,8 @@ def test_species_free_component(species_docs, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 3 == len(doc["elements"])
+    assert cli(capsys, "species", "free-component", "--species", species_docs["species"],
+               "--ports", "2", "--v-max", "2", "--e-max", "5") == (0, "3\n", "")
 
 
 def test_species_segal_pass(species_docs, capsys):

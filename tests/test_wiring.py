@@ -20,10 +20,12 @@ from brauerkit.coloured import (
     coloured_identity,
     coloured_permutation,
     compose_coloured,
+    input_type,
     make_coloured,
     make_palette,
     monochrome_palette,
     oriented_palette,
+    output_type,
 )
 from brauerkit.wiring import (
     ArityBoundExceeded,
@@ -544,6 +546,37 @@ def test_grouped_composites_are_gamma():
     assert len(kept) < len(every)
 
 
+def _profile_of_diagram(wd):
+    # the block types and output word read off wd's diagram
+    word, ends = input_type(wd.diagram), list(itertools.accumulate(wd.block_sizes))
+    return (tuple(word[end - size:end] for end, size in zip(ends, wd.block_sizes)),
+            output_type(wd.diagram))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([MONO, ORI]))
+def test_each_builder_gives_the_profile_of_its_diagram(rng, palette):
+    g = rand_wiring(rng, palette, rand_word(rng, palette))
+    fs = [rand_wiring(rng, palette, w, max_blocks=2) for w in g.block_types]
+    sigma = list(range(1, len(g.block_sizes) + 1))
+    rng.shuffle(sigma)
+    for wd in (g, *fs, wiring_from_json(wiring_to_json(g)), operad_gamma(g, fs),
+               sigma_action(g, sigma)):
+        assert (wd.block_types, wd.output_word) == _profile_of_diagram(wd)
+
+
+def test_grouped_composites_give_the_profile_of_their_diagram():
+    table = renamed_pairing_table(ORI, 2)
+    universe = list(table.listed_wirings())
+    pools = {w: [f for f in universe if f.output_word == w] for w in table.words()}
+    composites = [composite for _, pairs in
+                  wiring._grouped_composites(universe, pools, ORI, table.acts_on_type)
+                  for _, composite in pairs]
+    assert len(composites) > 7_000
+    for wd in composites:
+        assert (wd.block_types, wd.output_word) == _profile_of_diagram(wd)
+
+
 def reference_report(A):
     """check_circuit_algebra's exhaustive report on a table, instance by
     instance: every (g, fs) pair of the square is composed through
@@ -865,7 +898,7 @@ def test_diagrams_agree_across_equal_palettes():
                                 bubble_cap=1, max_points=6)
     assert any(wd.diagram.bubbles for wd in wirings)
     for wd in wirings:
-        direct = WiringDiagram(replace(wd.diagram, palette=twin), wd.block_sizes)
+        direct = make_wiring(replace(wd.diagram, palette=twin), wd.block_sizes)
         loaded = wiring_from_json(wiring_to_json(wd))
         for copy in (direct, loaded):
             assert copy.palette is not ORI
