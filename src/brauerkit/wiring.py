@@ -2,7 +2,11 @@
 
 A wiring diagram is a coloured Brauer diagram whose source boundary
 is split into typed blocks; it is an operation with one input slot
-per block.  operad_gamma substitutes diagrams into slots by tensoring
+per block.  Its profile, the block types and the output word, is its
+arity in the operad; every builder stores it with the diagram, since
+each already knows it: make_wiring cuts the diagram's input word by
+the block sizes, and operad_gamma and sigma_action take it from their
+arguments.  operad_gamma substitutes diagrams into slots by tensoring
 them side by side and composing into the outer diagram, so the operad
 structure is inherited from the monoidal category and its laws hold
 on the nose.
@@ -30,11 +34,11 @@ Derived operations: block juxtaposition, contraction of two omega-dual
 boundary positions, and the cap unit.  check_circuit_algebra verifies
 the operad-algebra axioms (identity, block equivariance, composition
 square) on the instances on whose every wiring the algebra acts
-(acts_on), and skips the rest.  A wiring's profile is its block types
-and output word, and that of gamma(g; f1..fk) is the fs' block types
-side by side with g's output word; acts_on_type refuses only profiles
-on none of whose wirings the algebra acts, so the square passes over
-a pair whose composite's profile it refuses before composing it.
+(acts_on), and skips the rest.  The profile of gamma(g; f1..fk) is
+the fs' block types side by side with g's output word; acts_on_type
+refuses only profiles on none of whose wirings the algebra acts, so
+the square passes over a pair whose composite's profile it refuses
+before composing it.
 check_derived_axioms runs the circuit-operad laws of the axioms module
 on the derived operations, relabelling through perm_wiring.  An algebra on downward diagrams
 alone has no cap unit, so there it leaves out the connected unit and
@@ -57,7 +61,7 @@ import json
 import marshal
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from math import factorial, prod
 from types import SimpleNamespace
@@ -117,46 +121,22 @@ class BudgetExceeded(ValueError):
 WIRING_BUDGET = 20_000
 
 
-class _once:
-    """A property computed on its first read and then kept in the
-    instance's __dict__, which later reads find before this descriptor.
-    functools.cached_property does the same, but on Python 3.11 it takes
-    a lock on every first read, which costs as much as the value here."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WiringDiagram:
+    """A coloured Brauer diagram with its sources cut into blocks.  Each
+    builder fills in the profile, block_types and output_word, from what
+    it knows; equality, hashing and repr see diagram and block_sizes
+    alone.  dataclasses.replace would copy a stale profile: build a
+    changed wiring with make_wiring."""
+
     diagram: ColouredBrauerDiagram
     block_sizes: tuple
+    block_types: tuple = field(compare=False, repr=False)
+    output_word: tuple = field(compare=False, repr=False)
 
     @property
     def palette(self) -> Palette:
         return self.diagram.palette
-
-    @_once
-    def block_types(self) -> tuple:
-        word = input_type(self.diagram)
-        out, at = [], 0
-        for size in self.block_sizes:
-            out.append(word[at:at + size])
-            at += size
-        return tuple(out)
-
-    @_once
-    def output_word(self) -> tuple:
-        return output_type(self.diagram)
 
 
 def make_wiring(diagram: ColouredBrauerDiagram, block_sizes) -> WiringDiagram:
@@ -167,7 +147,9 @@ def make_wiring(diagram: ColouredBrauerDiagram, block_sizes) -> WiringDiagram:
         raise BlockMismatch(
             f"blocks {sizes!r} sum to {sum(sizes)}, diagram has {diagram.base.m} inputs"
         )
-    return WiringDiagram(diagram, sizes)
+    word = input_type(diagram)
+    types = tuple(word[end - size:end] for end, size in zip(itertools.accumulate(sizes), sizes))
+    return WiringDiagram(diagram, sizes, types, output_type(diagram))
 
 
 def empty_coloured(palette: Palette) -> ColouredBrauerDiagram:
@@ -194,8 +176,9 @@ def operad_gamma(g: WiringDiagram, fs) -> WiringDiagram:
             raise TypeMismatch(f"block expects {want!r}, argument yields {f.output_word!r}")
     # the blocks of the fs cover the composite's sources, as make_wiring checks
     blocks = sum((f.block_sizes for f in fs), ())
+    types = sum((f.block_types for f in fs), ())
     inner = _tensor_all(g.palette, [f.diagram for f in fs])
-    return WiringDiagram(compose_coloured(inner, g.diagram), blocks)
+    return WiringDiagram(compose_coloured(inner, g.diagram), blocks, types, g.output_word)
 
 
 def _tensor_all(palette: Palette, diagrams) -> ColouredBrauerDiagram:
@@ -225,10 +208,11 @@ def sigma_action(f: WiringDiagram, sigma) -> WiringDiagram:
         raise BlockMismatch(f"{images!r} is not a permutation of 1..{k}")
     if images == tuple(range(1, k + 1)):  # the identity block order moves nothing
         return f
-    new_sizes = tuple(f.block_sizes[b - 1] for b in images)
-    word = tuple(c for b in images for c in f.block_types[b - 1])
-    routed = coloured_permutation(f.palette, _concat_permutation(images, f.block_sizes), word)
-    return make_wiring(compose_coloured(routed, f.diagram), new_sizes)
+    sizes = tuple(f.block_sizes[b - 1] for b in images)
+    types = tuple(f.block_types[b - 1] for b in images)
+    routed = coloured_permutation(f.palette, _concat_permutation(images, f.block_sizes),
+                                  sum(types, ()))
+    return WiringDiagram(compose_coloured(routed, f.diagram), sizes, types, f.output_word)
 
 
 def enumerate_wirings(palette: Palette, block_words, out_words,
@@ -568,7 +552,8 @@ def _grouped_composites(universe, pools, palette, acts_on_type):
                 continue
             inner = _tensor_all(palette, [f.diagram for f in fs])
             blocks = sum((f.block_sizes for f in fs), ())
-            yield fs, [(g, WiringDiagram(compose_coloured(inner, g.diagram), blocks))
+            yield fs, [(g, WiringDiagram(compose_coloured(inner, g.diagram), blocks,
+                                         inner_types, g.output_word))
                        for g in kept]
 
 
