@@ -102,8 +102,10 @@ def read_field(obj, name: str, read, error, kind: str, default=None):
 
 def read_rows(obj, name: str, fields, error, kind: str, default=None):
     """The row objects listed in obj[name], each as the tuple of its
-    (field, read) fields, read with read_field under the kind "<kind> row"."""
-    rows = read_field(obj, name, iter, error, kind, default)
-    kind += " row"
-    return [tuple([read_field(row, field, read, error, kind) for field, read in fields])
-            for row in rows]
+    (field, read) fields, read with read_field under the kind
+    "<kind> '<name>' row <index>", which names the list and the row."""
+    out = []
+    for i, row in enumerate(read_field(obj, name, iter, error, kind, default)):
+        row_kind = f"{kind} {name!r} row {i}"
+        out.append(tuple([read_field(row, field, read, error, row_kind) for field, read in fields]))
+    return out

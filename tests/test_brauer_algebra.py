@@ -271,11 +271,11 @@ def test_element_json_round_trip():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("terms", [5], "element row document is not an object"),
+    ("terms", [5], "element 'terms' row 0 document is not an object"),
     ("terms", 5, "malformed element field 'terms': 'int' object is not iterable"),
     ("m", "x", "malformed element field 'm': invalid literal for int() with base 10: 'x'"),
     ("ring", 5, "malformed element field 'ring': unknown ring: 5"),
-    ("terms", [{"coeff": 1}], "element row document lacks field 'diagram'"),
+    ("terms", [{"coeff": 1}], "element 'terms' row 0 document lacks field 'diagram'"),
     ("m", 2.5, "malformed element field 'm': not a whole number: 2.5"),
     ("n", True, "malformed element field 'n': not a whole number: True"),
 ], ids=["terms-value0", "terms-5", "m-x", "ring-5", "terms-value4", "m-2.5", "n-True"])

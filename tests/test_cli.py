@@ -193,7 +193,7 @@ def test_br_mul_on_a_malformed_term_exits_2(tmp_path, capsys):
                          "--ring", "Z[t]", "--delta", "t")
     assert code == 2 and out == ""
     assert err.splitlines() == [err.rstrip("\n")]
-    assert err == "error: element row document is not an object\n"
+    assert err == "error: element 'terms' row 0 document is not an object\n"
 
 
 def q_element_doc():
@@ -1048,19 +1048,20 @@ def test_species_map_that_is_not_pairs_exits_2(species_docs, tmp_path, capsys, b
     with open(species_docs["species"]) as fh:
         species = json.load(fh)
     species["sigma"] = [{"word": ["c", "c", "c"], "perm": [1, 0, 2], "map": bad_map}]
-    with open(species_docs["presheaf"]) as fh:
-        presheaf = json.load(fh)
-    presheaf["restrictions"][0]["map"] = bad_map
-    runs = {
-        "species": ["species", "eval", "--species",
-                    write_doc(tmp_path, "species.json", species), "--graph", "corolla:3"],
-        "presheaf": ["species", "segal", "--presheaf",
-                     write_doc(tmp_path, "presheaf.json", presheaf)],
-    }
+    runs = {"species 'sigma' row 0": ["species", "eval", "--species",
+                                      write_doc(tmp_path, "species.json", species),
+                                      "--graph", "corolla:3"]}
+    # the presheaf's restrictions and arrows rows both have a "map"
+    for field, row in (("restrictions", 0), ("arrows", 1)):
+        with open(species_docs["presheaf"]) as fh:
+            presheaf = json.load(fh)
+        presheaf[field][row]["map"] = bad_map
+        runs[f"presheaf {field!r} row {row}"] = [
+            "species", "segal", "--presheaf", write_doc(tmp_path, f"{field}.json", presheaf)]
     for kind, argv in runs.items():
         code, out, err = cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == f"error: malformed {kind} row field 'map': entry 0 is not an [a, b] pair\n"
+        assert err == f"error: malformed {kind} field 'map': entry 0 is not an [a, b] pair\n"
     # a typed error from inside the document passes through as it is
     species["palette"]["colours"] = ["c", "c"]
     code, _, err = cli(capsys, "species", "eval", "--species",
