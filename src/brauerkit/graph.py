@@ -374,25 +374,20 @@ def glue(g, e1, e2):
     if g.tau(e1) == e2:
         return g
 
-    # two merge classes: {e1, tau e2} and {e2, tau e1}; each keeps its
-    # smaller label, and the two classes form one new orbit
-    class_a = (e1, g.tau(e2))
-    class_b = (e2, g.tau(e1))
-    rep = {}
-    for cls in (class_a, class_b):
-        r = min(cls, key=label_key)
-        for e in cls:
-            rep[e] = r
-
-    def image(e):
-        return rep.get(e, e)
-
-    merged = set(class_a) | set(class_b)
-    edges = [e for e in g.edges if e not in merged] + [rep[e1], rep[e2]]
-    tau = [(a, b) for a, b in g.tau_pairs if a not in merged]
+    # each merge class becomes its least label, and the two form one new orbit
+    rep = {e: least for least, cls in merge_classes(g, e1, e2) for e in cls}
+    edges = [e for e in g.edges if e not in rep] + [rep[e1], rep[e2]]
+    tau = [(a, b) for a, b in g.tau_pairs if a not in rep]
     tau.append((rep[e1], rep[e2]))
-    halves = [(image(e), v) for e, v in g.half_edges]
+    halves = [(rep.get(e, e), v) for e, v in g.half_edges]
     return _graph(edges, tau, halves, g.vertices)
+
+
+def merge_classes(g, e1, e2):
+    """The two classes of edges that glue(g, e1, e2) merges, {e1, tau e2}
+    and {e2, tau e1}, each as (its least label, which the glued graph
+    keeps; its two members)."""
+    return [(min(cls, key=label_key), cls) for cls in ((e1, g.tau(e2)), (e2, g.tau(e1)))]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .graph import (
     graph_to_json,
     make_graph,
     make_xgraph,
+    merge_classes,
     port_labels,
     x_certificate,
     x_iso,
@@ -834,15 +835,13 @@ def contract_free_element(S, x, v_max, e_max, element, px, py):
         )
     glued = glue(old, p1, p2)
 
-    # pull back along the glue map glued -> old: the merge classes
-    # {p1, tau p2} and {p2, tau p1} keep their smaller label, which goes
-    # back to the member at its own vertex; kappa agrees on the two
-    # members of each, so it descends
+    # pull back along the glue map glued -> old: each merge class keeps its
+    # least label, which goes back to the member at its own vertex; kappa
+    # agrees on the two members of each, so it descends
     back = {}
-    for cls in ((p1, old.tau(p2)), (p2, old.tau(p1))):
-        rep = min(cls, key=label_key)
-        at = glued.edge_vertex.get(rep)
-        back[rep] = next(e for e in cls if old.edge_vertex.get(e) == at)
+    for least, cls in merge_classes(old, p1, p2):
+        at = glued.edge_vertex.get(least)
+        back[least] = next(e for e in cls if old.edge_vertex.get(e) == at)
     f = GraphMorphism(glued, old, tuple((e, back.get(e, e)) for e in glued.edges),
                       tuple((v, v) for v in glued.vertices))
     structure = pull_back(S, structure, f)
