@@ -134,11 +134,13 @@ def make_gog(base, assignment):
 
 def identity_gog(g):
     """Assign to every vertex its own corolla with the identity labelling."""
-    assign = {}
-    for v in g.vertices:
-        incident = g.vertex_edges(v)
-        assign[v] = make_xgraph(corolla(incident), {e: e for e in incident})
-    return make_gog(g, assign)
+    return make_gog(g, {v: _identity_corolla(g, v) for v in g.vertices})
+
+
+def _identity_corolla(g, v):
+    # the corolla of v's incident edges, each port labelled by its edge
+    incident = g.vertex_edges(v)
+    return make_xgraph(corolla(incident), {e: e for e in incident})
 
 
 def _fresh(candidate, used):
@@ -395,8 +397,12 @@ def check_substitution_associativity(outer, inners):
         assign2[v] = make_xgraph(inner_colim, dict(xg.rho))
     right = colimit(make_gog(outer.base, assign2))[0]
 
-    if set(left.ports) != set(right.ports):
-        return False
+    return set(left.ports) == set(right.ports) and _iso_on_own_ports(left, right)
+
+
+def _iso_on_own_ports(left, right):
+    # whether two graphs with the same ports are isomorphic as X-graphs
+    # that label each port by itself
     lx = make_xgraph(left, {p: p for p in left.ports})
     rx = make_xgraph(right, {p: p for p in right.ports})
     return x_iso(lx, rx) is not None
@@ -419,8 +425,7 @@ def check_deletion_coherence(source, w, deleted_gog):
     assign = {}
     for v in source.vertices:
         if v in wset:
-            incident = source.vertex_edges(v)
-            assign[v] = make_xgraph(corolla(incident), {e: e for e in incident})
+            assign[v] = _identity_corolla(source, v)
         else:
             # survivors keep their incident edges through the deletion,
             # so the assignment transfers unchanged
@@ -432,9 +437,7 @@ def check_deletion_coherence(source, w, deleted_gog):
     right = colimit(deleted_gog)[0]
 
     if set(left.ports) == set(right.ports):
-        lx = make_xgraph(left, {p: p for p in left.ports})
-        rx = make_xgraph(right, {p: p for p in right.ports})
-        return x_iso(lx, rx) is not None
+        return _iso_on_own_ports(left, right)
     # a collapsed isolated vertex names its fresh stick after a tagged
     # image on the left, so fall back to unlabelled comparison
     return iso(left, right) is not None
