@@ -147,9 +147,11 @@ def make_wiring(diagram: ColouredBrauerDiagram, block_sizes) -> WiringDiagram:
         raise BlockMismatch(
             f"blocks {sizes!r} sum to {sum(sizes)}, diagram has {diagram.base.m} inputs"
         )
-    word = input_type(diagram)
-    types = tuple(word[end - size:end] for end, size in zip(itertools.accumulate(sizes), sizes))
-    return WiringDiagram(diagram, sizes, types, output_type(diagram))
+    word, types, at = input_type(diagram), [], 0
+    for size in sizes:
+        types.append(word[at:at + size])
+        at += size
+    return WiringDiagram(diagram, sizes, tuple(types), output_type(diagram))
 
 
 def empty_coloured(palette: Palette) -> ColouredBrauerDiagram:
