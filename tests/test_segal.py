@@ -16,6 +16,7 @@ from brauerkit.species import (
     build_free_species,
     make_species,
     nerve_presheaf,
+    pull_back,
     segal_check,
     terminal_species,
 )
@@ -83,10 +84,12 @@ def test_redirected_leg_shares_a_family_pinned():
     )
 
 
-@pytest.mark.parametrize("shape, k, n", [("line", 8, 512), ("wheel", 8, 256), ("line", 10, 2048)])
+@pytest.mark.parametrize("shape, k, n", [("line", 8, 512), ("wheel", 8, 256), ("line", 10, 2048),
+                                         ("line", 12, 8192), ("wheel", 12, 4096)])
 def test_join_reaches_graphs_the_product_cannot_list(shape, k, n):
     # the leg product of line(10) on the terminal oriented bound-2
-    # species has 2^31 families, the limit 2^11
+    # species has 2^31 families, the limit 2^11; line(12) and wheel(12)
+    # are the longest nerves built here
     P = nerve_presheaf(SPECIES["terminal"], [("g", SHAPES[shape](k))])
     assert segal_check(P).results == (("g", True, f"{n} elements against a limit of {n}"),)
 
@@ -231,6 +234,16 @@ def _corrupt(P, rng, how):
         i = rng.randrange(len(es))
         values = P.values[:r] + ((gid, es[:i] + es[i + 1:]),) + P.values[r + 1:]
         return dataclasses.replace(P, values=values)
+    if how == "send two leg entries outside":
+        # two distinct images that no shape lists; they must stay apart
+        rows = P.restrictions
+        candidates = [r for r, row in enumerate(rows) if len(row[-1]) >= 2]
+        if not candidates:
+            return P
+        r = rng.choice(candidates)
+        for i, outside in zip(rng.sample(range(len(rows[r][-1])), 2), (("out", 0), ("out", 1))):
+            rows = _replace_entry(rows, r, i, (rows[r][-1][i][0], outside))
+        return dataclasses.replace(P, restrictions=rows)
     field = "arrows" if how.endswith("arrow entry") else "restrictions"
     rows = getattr(P, field)
     candidates = [(r, i) for r, row in enumerate(rows) for i in range(len(row[-1]))]
@@ -250,7 +263,7 @@ def _corrupt(P, rng, how):
 
 
 CORRUPTIONS = (None, "drop a value", "rewrite an arrow entry", "drop an arrow entry",
-               "redirect a leg entry")
+               "redirect a leg entry", "send two leg entries outside")
 
 
 @settings(max_examples=120, deadline=None)
@@ -264,3 +277,32 @@ def test_join_agrees_with_the_product(seed, how):
     assert join == _outcome(lambda: product_segal(P, ["g"]))
     if how is None:
         assert join[0] is True
+
+
+# ---------------------------------------------------------------------------
+# the nerve's entries against pull_back
+
+NERVE_SPECIES = {"oriented": terminal_species(ORI, 4), "abz": terminal_species(ABZ, 4),
+                 "free": SPECIES["free"]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(NERVE_SPECIES)))
+def test_nerve_entries_are_pull_backs(seed, name):
+    S = NERVE_SPECIES[name]
+    rng = random.Random(seed)
+    g = random_connected_graph(rng)
+    while any(g.valency(v) > S.bound for v in g.vertices):
+        g = random_connected_graph(rng)
+    P = nerve_presheaf(S, [("g", g)])
+    els = elements(g)
+    assert len(P.restrictions) == len(els)
+    for (gid, kind, anchor, sid, mapping), el in zip(P.restrictions, els):
+        assert (gid, kind, anchor, P.graph_map[sid]) == ("g", el.kind, el.anchor, el.shape)
+        assert mapping == tuple((s, pull_back(S, s, el.into)) for s in P.value_map["g"])
+    ars = element_arrows(g)
+    assert len(P.arrows) == len(ars)
+    for (gid, he, src, tgt, mapping), ar in zip(P.arrows, ars):
+        assert (gid, he, P.graph_map[src], P.graph_map[tgt]) == \
+            ("g", ar.half_edge, ar.map.target, ar.map.source)
+        assert mapping == tuple((s, pull_back(S, s, ar.map)) for s in P.value_map[src])
