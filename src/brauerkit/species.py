@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
 
 from .axioms import (
@@ -371,19 +372,28 @@ def pull_back(S, structure, f):
     colour_items, vertex_items = structure
     kappa = dict(colour_items)
     alpha = dict(vertex_items)
-    source, target = f.source, f.target
-    edge_map = f.edge_map
-    out_alpha = []
+    edge_images, vertex_rows = _pull_back_plan(f)
+    return (
+        tuple((e, kappa[t]) for e, t in zip(f.source.edges, edge_images)),
+        tuple((u, S.transport(tuple(kappa[e] for e in t_edges), theta, alpha[v]))
+              for u, v, t_edges, theta in vertex_rows),
+    )
+
+
+def _pull_back_plan(f):
+    """What f^* reads of a structure on f.target: the image of each
+    source edge, in source edge order, and per source vertex u the row
+    (u, image v, v's edges, theta), where theta lists the position among
+    v's edges of the image of each of u's edges."""
+    source, target, edge_map = f.source, f.target, f.edge_map
+    vertex_rows = []
     for u in source.vertices:
         v = f.vertex_map[u]
         t_edges = target.vertex_edges(v)
         pos = {e: i for i, e in enumerate(t_edges)}
         theta = tuple(pos[edge_map[e]] for e in source.vertex_edges(u))
-        out_alpha.append((u, S.transport(tuple(kappa[e] for e in t_edges), theta, alpha[v])))
-    return (
-        tuple((e, kappa[edge_map[e]]) for e in source.edges),
-        tuple(out_alpha),
-    )
+        vertex_rows.append((u, v, t_edges, theta))
+    return tuple(edge_map[e] for e in source.edges), tuple(vertex_rows)
 
 
 def transport_structure(S, witness, structure):
@@ -924,7 +934,14 @@ class SegalReport:
 
 def nerve_presheaf(S, named_graphs):
     """Evaluate S on the listed graphs and tabulate every cone leg and
-    element arrow, adding shape graphs as support entries."""
+    element arrow, adding shape graphs as support entries.
+
+    Each cone leg and arrow map is planned once (see _planned_pull_backs)
+    and applied to the values of its target by tuple indexing: the
+    values come from evaluate, which lists colours in the graph's edge
+    order and names in its vertex order.  Every entry equals
+    pull_back(S, value, map), and values that agree on what a map reads
+    share one image."""
     named = [(gid, g) for gid, g in named_graphs]
     entry_ids = [gid for gid, _ in named]
     if len(set(entry_ids)) != len(entry_ids):
@@ -935,6 +952,7 @@ def nerve_presheaf(S, named_graphs):
     for gid, g in named:
         by_graph.setdefault(g, gid)
     counter = itertools.count()
+    local = {}  # graph id -> each value's colours and names in one flat tuple
 
     def ensure(shape):
         if shape in by_graph:
@@ -945,21 +963,24 @@ def nerve_presheaf(S, named_graphs):
         values[sid] = evaluate(S, shape)
         return sid
 
+    def restricted(gid, f):
+        if gid not in local:
+            local[gid] = [tuple(map(_second, colour_items + vertex_items))
+                          for colour_items, vertex_items in values[gid]]
+        return tuple(zip(values[gid], _planned_pull_backs(S, f, local[gid])))
+
     restrictions = []
     arrows = []
     for gid, g in named:
-        els = elements(g)
         shape_ids = []
-        for el in els:
+        for el in elements(g):
             sid = ensure(el.shape)
             shape_ids.append(sid)
-            mapping = tuple((st, pull_back(S, st, el.into)) for st in values[gid])
-            restrictions.append((gid, el.kind, el.anchor, sid, mapping))
+            restrictions.append((gid, el.kind, el.anchor, sid, restricted(gid, el.into)))
         for ar in element_arrows(g):
             src = shape_ids[ar.corolla_index]
             tgt = shape_ids[ar.stick_index]
-            mapping = tuple((st, pull_back(S, st, ar.map)) for st in values[src])
-            arrows.append((gid, ar.half_edge, src, tgt, mapping))
+            arrows.append((gid, ar.half_edge, src, tgt, restricted(src, ar.map)))
 
     return PresheafTable(
         tuple(table.items()),
@@ -969,13 +990,42 @@ def nerve_presheaf(S, named_graphs):
     )
 
 
-_UNDEFINED = object()  # a cone leg's image of an element it does not map
+def _planned_pull_backs(S, f, flats):
+    """pull_back(S, value, f) for each value on f.target, given flat: its
+    colours in f.target's edge order, then its names in its vertex
+    order.  The plan fixes once which entries f^* reads and where each
+    goes, and each image is worked out once per combination of read
+    entries, so S.transport runs once per local state.  f's source must
+    not be the empty graph, which reads nothing."""
+    edge_images, vertex_rows = _pull_back_plan(f)
+    target = f.target
+    at = {e: i for i, e in enumerate(target.edges)}
+    name_at = {v: len(at) + j for j, v in enumerate(target.vertices)}
+    edges = tuple(zip(f.source.edges, (at[e] for e in edge_images)))
+    vertices = tuple((u, name_at[v], tuple(at[e] for e in t_edges), theta)
+                     for u, v, t_edges, theta in vertex_rows)
+    read = itemgetter(*sorted({i for _, i in edges}
+                              | {i for _, _, word, _ in vertices for i in word}
+                              | {i for _, i, _, _ in vertices}))
+    keys = list(map(read, flats))
+    images = {
+        key: (tuple((e, flat[i]) for e, i in edges),
+              tuple((u, S.transport(tuple(flat[i] for i in word), theta, flat[name]))
+                    for u, name, word, theta in vertices))
+        for key, flat in dict(zip(keys, flats)).items()
+    }
+    return map(images.__getitem__, keys)
 
 
-def _equalizer_join(value_sets, arrow_rows):
-    """The families of the product of value_sets that every arrow row
-    (stick index, corolla index, map) equalizes, as a set of tuples in
-    leg order.
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _equalizer_join(sizes, arrow_rows):
+    """The families of the product of range(size) over sizes that every
+    arrow row (stick index, corolla index, map) equalizes, as a set of
+    tuples in leg order.  A map lists the image of each of the corolla's
+    values: a stick value, a negative number for a value outside the
+    stick's, or None where it is undefined.
 
     The legs are placed one at a time in breadth-first order along the
     rows.  A stick placed next to a corolla takes the value the corolla's
@@ -983,7 +1033,7 @@ def _equalizer_join(value_sets, arrow_rows):
     a stick meets only its values that the row's map sends to the stick's
     value; any further row between placed legs is checked as it closes.
     A leg with no placed neighbour takes its whole value set."""
-    n = len(value_sets)
+    n = len(sizes)
     rows_at = [[] for _ in range(n)]
     for row in arrow_rows:
         rows_at[row[0]].append(row)
@@ -1008,26 +1058,26 @@ def _equalizer_join(value_sets, arrow_rows):
     slot = {}
     partial = [()]
     for leg in order:
-        values = value_sets[leg]
+        size = sizes[leg]
         rows = [row for row in rows_at[leg] if row[0] in slot or row[1] in slot]
         if not rows:
-            partial = [fam + (v,) for fam in partial for v in values]
+            partial = [fam + (v,) for fam in partial for v in range(size)]
         else:
             si, ci, mapping = rows.pop()
             if leg == si:
                 p = slot[ci]
                 partial = [fam + (s,) for fam in partial
-                           if (s := mapping.get(fam[p])) in values]
+                           if (s := mapping[fam[p]]) is not None and s >= 0]
             else:
                 p = slot[si]
                 index = {}
-                for c in values:
-                    index.setdefault(mapping.get(c), []).append(c)
+                for c, s in enumerate(mapping):
+                    index.setdefault(s, []).append(c)
                 partial = [fam + (c,) for fam in partial for c in index.get(fam[p], ())]
         slot[leg] = len(slot)
         for si, ci, mapping in rows:
             i, j = slot[si], slot[ci]
-            partial = [fam for fam in partial if mapping.get(fam[j]) == fam[i]]
+            partial = [fam for fam in partial if mapping[fam[j]] == fam[i]]
     slots = [slot[leg] for leg in range(n)]
     return {tuple(fam[j] for j in slots) for fam in partial}
 
@@ -1036,68 +1086,106 @@ def segal_check(P, graphs=None):
     """Per listed graph: rebuild the value set as the limit of its stick
     and corolla values and test that the cone legs are jointly bijective.
 
+    Each value list is numbered once, and every cone leg and arrow map
+    read becomes a column of numbers, so the limit and the image are
+    compared as tuples of integers.  An image outside its shape's value
+    list gets a negative number of its own, one per distinct value, so
+    two such images stay apart exactly when they differ.
+
     The limit is computed by an equalizer join along the element arrows
     (see _equalizer_join), leg by leg in breadth-first order; it is the
     same set of families as the product of all leg value sets filtered
-    by the arrow maps, without listing that product.  A value list that
-    repeats an element is refused.
+    by the arrow maps, without listing that product.
+
+    A table whose rows repeat a graph id, a value list, a restriction
+    key (graph, kind, anchor) or an arrow key (graph, half-edge) is
+    refused, and so is a value list or a map it reads that lists an
+    element twice.
 
     With no list given, every graph with at least one cone leg is
     checked, and so is the empty graph, whose cone is empty; support
     shapes have no cone and are left out.  A checked graph missing any
     of its legs raises MissingRestriction."""
+    graph_rows = _keyed(P.graphs, 1, "graph id")
+    value_rows = _keyed(P.values, 1, "the value list of")
+    cone = _keyed(P.restrictions, 3, "restriction")
+    arrow_maps = _keyed(P.arrows, 2, "arrow")
     if graphs is None:
         with_legs = {row[0] for row in P.restrictions}
         ids = [gid for gid, g in P.graphs
                if gid in with_legs or not (g.tau_pairs or g.vertices)]
     else:
         ids = list(graphs)
-    value_sets = {}
+    numbers = {}
+    outside = {}  # a value outside the list a map reads -> its negative number
 
-    def value_set(gid):
-        if gid not in value_sets:
-            es = P.value_map[gid]
-            value_sets[gid] = set(es)
-            if len(value_sets[gid]) != len(es):
+    def numbered(gid):
+        """gid's value list and {value: its position}."""
+        if gid not in numbers:
+            listed = tuple(value_rows[gid][1])
+            index = {e: i for i, e in enumerate(listed)}
+            if len(index) != len(listed):
                 raise InvalidParameter(f"the value list of {gid!r} repeats an element")
-        return value_sets[gid]
+            numbers[gid] = listed, index
+        return numbers[gid]
+
+    def column(what, mapping, domain, codomain):
+        """The number of the image of each of domain's values under
+        mapping, in value order, or None where mapping has no entry."""
+        listed, index = numbered(domain)
+        into = numbered(codomain)[1]
+        keys = tuple(map(_first, mapping))
+        images = list(map(into.get, map(_second, mapping)))
+        if None in images:
+            images = [outside.setdefault(b, ~len(outside)) if j is None else j
+                      for (_, b), j in zip(mapping, images)]
+        if keys == listed:  # listed in value order, as nerve_presheaf lists it
+            return images
+        out = [None] * len(listed)
+        unlisted = set()
+        for a, j in zip(keys, images):
+            i = index.get(a)
+            if a in unlisted if i is None else out[i] is not None:
+                raise InvalidParameter(f"the map of {what} lists {a!r} twice")
+            if i is None:
+                unlisted.add(a)
+            else:
+                out[i] = j
+        return out
 
     results = []
     for gid in ids:
-        if gid not in P.graph_map:
+        if gid not in graph_rows:
             raise InvalidParameter(f"unknown graph id {gid!r}")
-        if gid not in P.value_map:
+        if gid not in value_rows:
             raise MissingRestriction(f"graph {gid!r} has no value set")
-        value_set(gid)
-        g = P.graph_map[gid]
-        els = elements(g)
+        n = len(numbered(gid)[0])
+        g = graph_rows[gid][1]
         legs = []
-        for el in els:
+        for el in elements(g):
             key = (gid, el.kind, el.anchor)
-            if key not in P.cone_map:
+            if key not in cone:
                 raise MissingRestriction(f"no cone leg for {key!r}")
-            sid, mapping = P.cone_map[key]
-            if sid not in P.value_map:
+            sid, mapping = cone[key][3:]
+            if sid not in value_rows:
                 raise MissingRestriction(f"shape {sid!r} has no value set")
-            legs.append((value_set(sid), mapping))
+            numbered(sid)
+            legs.append((key, sid, mapping))
         arrow_rows = []
         for ar in element_arrows(g):
             key = (gid, ar.half_edge)
-            if key not in P.arrow_map:
+            if key not in arrow_maps:
                 raise MissingRestriction(f"no arrow map for {key!r}")
-            _, _, mapping = P.arrow_map[key]
-            arrow_rows.append((ar.stick_index, ar.corolla_index, mapping))
+            arrow_rows.append((ar.stick_index, ar.corolla_index,
+                               column(f"arrow {key!r}", arrow_maps[key][4],
+                                      legs[ar.corolla_index][1], legs[ar.stick_index][1])))
 
-        limit = _equalizer_join([values for values, _ in legs], arrow_rows)
+        limit = _equalizer_join([len(numbered(sid)[0]) for _, sid, _ in legs], arrow_rows)
 
-        image = []
-        for alpha in P.value_map[gid]:
-            fam = tuple(mapping.get(alpha, _UNDEFINED) for _, mapping in legs)
-            if _UNDEFINED in fam:
-                raise MissingRestriction(
-                    f"cone leg at {gid!r} undefined on one element"
-                )
-            image.append(fam)
+        columns = [column(f"restriction {key!r}", mapping, gid, sid) for key, sid, mapping in legs]
+        if any(None in c for c in columns):
+            raise MissingRestriction(f"cone leg at {gid!r} undefined on one element")
+        image = list(zip(*columns)) if columns else [()] * n
 
         image_set = set(image)
         injective = len(image_set) == len(image)
@@ -1110,6 +1198,18 @@ def segal_check(P, graphs=None):
             detail += "; the canonical map misses the limit"
         results.append((gid, ok, detail))
     return SegalReport(all(ok for _, ok, _ in results), tuple(results))
+
+
+def _keyed(rows, width, what):
+    """{key: row} over rows keyed by their first field, or by their first
+    width fields as a tuple, refusing a key listed twice."""
+    out = {}
+    for row in rows:
+        key = row[0] if width == 1 else tuple(row[:width])
+        if key in out:
+            raise InvalidParameter(f"{what} {key!r} is listed twice")
+        out[key] = row
+    return out
 
 
 # ---------------------------------------------------------------------------

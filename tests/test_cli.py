@@ -818,6 +818,53 @@ def test_species_segal_incomplete_cone_exits_2(tmp_path, capsys):
     assert err.startswith("error: no cone leg") and len(err.splitlines()) == 1
 
 
+def _rotated(row):
+    """A copy of a restriction or arrow row whose images are rotated by one."""
+    row = copy.deepcopy(row)
+    images = [b for _, b in row["map"]]
+    row["map"] = [[a, b] for (a, _), b in zip(row["map"], images[1:] + images[:1])]
+    return row
+
+
+def _repeat(doc, case, first):
+    """doc with one key of the given case listed twice, the copy before or
+    after the original."""
+    if case == "map":
+        row = doc["restrictions"][0]
+        (a, _), (_, b) = row["map"][0], row["map"][-1]
+        row["map"] = [[a, b]] + row["map"] if first else row["map"] + [[a, b]]
+        return doc
+    field, extra = {
+        "graph": ("graphs", lambda: copy.deepcopy(doc["graphs"][0])),
+        "values": ("values", lambda: {"id": "l", "elements": doc["values"][0]["elements"][:3]}),
+        "restriction": ("restrictions", lambda: _rotated(doc["restrictions"][0])),
+        "arrow": ("arrows", lambda: _rotated(doc["arrows"][0])),
+    }[case]
+    doc[field] = [extra()] + doc[field] if first else doc[field] + [extra()]
+    return doc
+
+
+REPEATED_KEY_ERRORS = {
+    "graph": "error: graph id 'l' is listed twice",
+    "values": "error: the value list of 'l' is listed twice",
+    "restriction": "error: restriction ('l', 'stick', 1) is listed twice",
+    "arrow": "error: arrow ('l', (2, 1)) is listed twice",
+    "map": "error: the map of restriction ('l', 'stick', 1) lists "
+           "(((1, '+'), (2, '-'), (3, '+'), (4, '-'), (5, '+'), (6, '-')), "
+           "((1, '*'), (2, '*'))) twice",
+}
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("case", sorted(REPEATED_KEY_ERRORS))
+def test_species_segal_repeated_key_exits_2(tmp_path, capsys, case, first):
+    # the verdict on a repeated key used to depend on which copy came last
+    doc = presheaf_to_json(nerve_presheaf(terminal_species(ORI, 2), [("l", line(2))]))
+    path = write_doc(tmp_path, "nerve.json", _repeat(doc, case, first))
+    code, out, err = cli(capsys, "species", "segal", "--presheaf", path)
+    assert (code, out, err) == (2, "", REPEATED_KEY_ERRORS[case] + "\n")
+
+
 def _json_paths(node, path=()):
     yield path
     if isinstance(node, dict):
