@@ -952,7 +952,7 @@ def nerve_presheaf(S, named_graphs):
     for gid, g in named:
         by_graph.setdefault(g, gid)
     counter = itertools.count()
-    local = {}  # graph id -> each value's colours and names in one flat tuple
+    flat = {}  # graph id -> each value's colours, then names, in one tuple
 
     def ensure(shape):
         if shape in by_graph:
@@ -964,10 +964,10 @@ def nerve_presheaf(S, named_graphs):
         return sid
 
     def restricted(gid, f):
-        if gid not in local:
-            local[gid] = [tuple(map(_second, colour_items + vertex_items))
-                          for colour_items, vertex_items in values[gid]]
-        return tuple(zip(values[gid], _planned_pull_backs(S, f, local[gid])))
+        if gid not in flat:
+            flat[gid] = [tuple(map(_second, colour_items + vertex_items))
+                         for colour_items, vertex_items in values[gid]]
+        return tuple(zip(values[gid], _planned_pull_backs(S, f, flat[gid])))
 
     restrictions = []
     arrows = []
