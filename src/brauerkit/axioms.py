@@ -122,6 +122,15 @@ def _cross(ops, u, v):
             if u[x] == ops.omega(v[y])]
 
 
+def _word_triples(ops):
+    """The triples (u, v, w) of ops.words of total length at most ops.bound,
+    in itertools.product order: each pool keeps the words that still fit."""
+    b = ops.bound
+    fits = [[w for w in ops.words if len(w) <= k] for k in range(b + 1)]
+    return [(u, v, w) for u in fits[b] for v in fits[b - len(u)]
+            for w in fits[b - len(u) - len(v)]]
+
+
 def _multiply(ops, u, x, v, y):
     # the modular operad's multiplication: contract x of u with y of v in a ⊠ b
     box, zeta = ops.box(u, v), ops.zeta(u + v, x, len(u) + y)
@@ -134,9 +143,7 @@ def _multiply(ops, u, x, v, y):
 
 def product_associativity(ops):
     el = ops.elements
-    cases = [((u, v, w), (el(u), el(v), el(w)))
-             for u, v, w in itertools.product(ops.words, repeat=3)
-             if len(u) + len(v) + len(w) <= ops.bound]
+    cases = [((u, v, w), (el(u), el(v), el(w))) for u, v, w in _word_triples(ops)]
 
     def sides(t):
         u, v, w = t
@@ -219,8 +226,7 @@ def multiplication_associativity(ops):
     """M1: associativity across a two-step chain u - v - w."""
     el = ops.elements
     cases = [((u, v, w, p, q), (el(u), el(v), el(w)))
-             for u, v, w in itertools.product(ops.words, repeat=3)
-             if len(u) + len(v) + len(w) <= ops.bound
+             for u, v, w in _word_triples(ops)
              for p in _cross(ops, u, v) for q in _cross(ops, v, w) if q[0] != p[1]]
 
     def sides(t):

@@ -335,13 +335,16 @@ def terminal_species(palette, bound):
 
 def evaluate(S, g):
     """All S-structures on g: an omega-compatible colouring of the edges
-    together with an arity-table element per vertex."""
+    together with an arity-table element per vertex.  Each vertex's edges
+    are looked up once, and S's elements once per word, for the call."""
     for v in g.vertices:
         if g.valency(v) > S.bound:
             raise ArityBoundExceeded(
                 f"vertex {v!r} has valency {g.valency(v)}, bound is {S.bound}"
             )
     omega = S.palette.omega
+    vertex_rows = [(v, g.vertex_edges(v)) for v in g.vertices]
+    names_at = {}  # word -> S.elements(word)
     out = []
     for combo in itertools.product(S.palette.colours, repeat=len(g.tau_pairs)):
         kappa = {}
@@ -349,9 +352,11 @@ def evaluate(S, g):
             kappa[a] = c
             kappa[b] = omega(c)
         options = []
-        for v in g.vertices:
-            word = tuple(kappa[e] for e in g.vertex_edges(v))
-            names = S.elements(word)
+        for v, edges in vertex_rows:
+            word = tuple(kappa[e] for e in edges)
+            names = names_at.get(word)
+            if names is None:
+                names = names_at[word] = S.elements(word)
             if not names:
                 options = None
                 break

@@ -40,10 +40,14 @@ refuses only profiles on none of whose wirings the algebra acts, so
 the square passes over a pair whose composite's profile it refuses
 before composing it.
 check_derived_axioms runs the circuit-operad laws of the axioms module
-on the derived operations, relabelling through perm_wiring.  An algebra on downward diagrams
-alone has no cap unit, so there it leaves out the connected unit and
-its report carries the note "downward only: the connected unit is not
-in scope".  species.species_from_circuit_algebra tabulates the same
+on the derived operations, relabelling through perm_wiring.  The laws
+meet one (operation, arguments) pair many times, so each check keeps a
+memo of the ⊠, ζ and relabelling values it has worked out, and frees
+it when it returns; species_from_circuit_algebra applies each
+operation once per argument tuple and keeps none.  An algebra on
+downward diagrams alone has no cap unit, so there it leaves out the
+connected unit and its report carries the note "downward only: the
+connected unit is not in scope".  species.species_from_circuit_algebra tabulates the same
 operations.  Checks run exhaustively when the instance count fits the
 budget and fall back to seeded sampling otherwise; the axioms.Report
 records mode, seed, and every violation found as a sorted (kind,
@@ -741,7 +745,9 @@ def _relabelling(A: CircuitAlgebra, word, sigma):
 
 def _algebra_ops(A: CircuitAlgebra):
     # the operations A derives from wiring diagrams, as the laws of the axioms
-    # module take them (0-based positions), each built once per key and ops object
+    # module take them (0-based positions), each built once per key and ops object;
+    # check_derived_axioms memoises their values, the lift applies each once per
+    # argument tuple and so keeps no value memo
     prepared = cache(lambda make, *key: make(A, *key))
     return SimpleNamespace(
         words=[w for w in A.words() if A.elements(w)], elements=A.elements,
@@ -753,12 +759,29 @@ def _algebra_ops(A: CircuitAlgebra):
     )
 
 
+def _value_memo(op):
+    # op(*key) prepares one function of the elements per key; each gets a memo
+    return cache(lambda *key: cache(op(*key)))
+
+
 def check_derived_axioms(A: CircuitAlgebra, seed=0, budget=100_000,
                          samples=300) -> Report:
     """The circuit-operad laws on the derived product, contractions and
     units.  An algebra on downward diagrams alone has no cap to build
-    ε_c from, so there the connected unit is left out and a note says so."""
+    ε_c from, so there the connected unit is left out and a note says so.
+
+    Each ⊠, ζ and relabelling value is worked out once per check: the
+    laws apply an operation to one argument tuple many times (on
+    pairing_algebra(ORI, 6), 16,448 action calls for 1,505 distinct
+    (wiring, inputs) pairs without the memo), so the prepared operations
+    are wrapped in a memo keyed by their element arguments, made here
+    and freed when the check returns.  The elements are hashed for it,
+    and equal elements share a value, as in check_circuit_algebra's
+    sweep.  species_from_circuit_algebra applies each operation once per
+    argument tuple, so a memo there would cost time and memory and save
+    nothing."""
     ops = _algebra_ops(A)
+    ops.box, ops.zeta, ops.relabel = map(_value_memo, (ops.box, ops.zeta, ops.relabel))
     laws = CIRCUIT_LAWS
     notes = ()
     if A.downward_only:

@@ -14,6 +14,7 @@ from brauerkit.graph import InvalidParameter, element_arrows, elements, empty, l
 from brauerkit.species import (
     MissingRestriction,
     build_free_species,
+    evaluate,
     make_species,
     nerve_presheaf,
     pull_back,
@@ -284,6 +285,42 @@ def test_join_agrees_with_the_product(seed, how):
 
 NERVE_SPECIES = {"oriented": terminal_species(ORI, 4), "abz": terminal_species(ABZ, 4),
                  "free": SPECIES["free"]}
+
+
+def reference_evaluate(S, g):
+    # evaluate's loop before it read each vertex's edges and each word's
+    # elements once per call
+    omega = S.palette.omega
+    out = []
+    for combo in itertools.product(S.palette.colours, repeat=len(g.tau_pairs)):
+        kappa = {}
+        for (a, b), c in zip(g.tau_pairs, combo):
+            kappa[a] = c
+            kappa[b] = omega(c)
+        options = []
+        for v in g.vertices:
+            names = S.elements(tuple(kappa[e] for e in g.vertex_edges(v)))
+            if not names:
+                options = None
+                break
+            options.append([(v, n) for n in names])
+        if options is None:
+            continue
+        colour_items = tuple((e, kappa[e]) for e in g.edges)
+        for assign in itertools.product(*options):
+            out.append((colour_items, tuple(assign)))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(NERVE_SPECIES)))
+def test_evaluate_matches_the_reference_loop(seed, name):
+    S = NERVE_SPECIES[name]
+    rng = random.Random(seed)
+    g = random_connected_graph(rng)
+    while any(g.valency(v) > S.bound for v in g.vertices):
+        g = random_connected_graph(rng)
+    assert evaluate(S, g) == reference_evaluate(S, g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,8 +8,8 @@ from math import comb
 
 import pytest
 
-from brauerkit import labels, species
-from brauerkit.axioms import connected_unit, external_unit, run_laws
+from brauerkit import labels, species, wiring
+from brauerkit.axioms import _word_triples, connected_unit, external_unit, run_laws
 from brauerkit.coloured import make_palette, monochrome_palette, oriented_palette
 from brauerkit.graph import (
     InvalidParameter,
@@ -388,6 +388,32 @@ def test_lift_pinned(name):
     S, C = species_from_circuit_algebra(build())
     data = (S.tables, S.actions, C.boxtimes, C.contraction, C.epsilon, C.external_unit)
     assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
+
+
+WORD_TRIPLE_OPS = {
+    "pairing ori 6": lambda: wiring._algebra_ops(pairing_algebra(ORI, 6)),
+    "pairing mono 8": lambda: wiring._algebra_ops(pairing_algebra(MONO, 8)),
+    "lift mono 4": lambda: species._table_ops(
+        *species_from_circuit_algebra(pairing_algebra(MONO, 4))),
+    # the words out of length order, so that no pool is a prefix of the next
+    "pairing ori 6 shuffled": lambda: _shuffled_words(
+        wiring._algebra_ops(pairing_algebra(ORI, 6))),
+}
+
+
+def _shuffled_words(ops):
+    random.Random(6).shuffle(ops.words)
+    return ops
+
+
+@pytest.mark.parametrize("name", sorted(WORD_TRIPLE_OPS))
+def test_word_triples_keep_the_product_order(name):
+    # sampled draws index a law's cases, so the pruned sweep must list the
+    # triples of the product-and-filter comprehension in its order
+    ops = WORD_TRIPLE_OPS[name]()
+    expected = [(u, v, w) for u, v, w in itertools.product(ops.words, repeat=3)
+                if len(u) + len(v) + len(w) <= ops.bound]
+    assert _word_triples(ops) == expected
 
 
 def find_connected_units(S, C):

@@ -1,7 +1,8 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple, replace
 from functools import cache
 from math import factorial, prod
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerkit import wiring
-from brauerkit.axioms import Report
+from brauerkit.axioms import CIRCUIT_LAWS, Report, connected_unit, run_laws
 from brauerkit.brauer import make_diagram
 from brauerkit.coloured import (
     PaletteMismatch,
@@ -781,6 +782,77 @@ def test_downward_check_leaves_out_the_connected_unit():
     assert report.passed and report.notes == (DOWNWARD_NOTE,)
     # an algebra on every wiring diagram keeps the connected unit, unnoted
     assert check_derived_axioms(pairing_algebra(MONO, 4)).notes == ()
+
+
+def reference_derived_report(A, seed=0, budget=100_000, samples=300):
+    # check_derived_axioms without its value memo: the same laws and note
+    # on the operations of _algebra_ops, which build each value anew
+    laws, notes = CIRCUIT_LAWS, ()
+    if A.downward_only:
+        laws = [law for law in laws if law is not connected_unit]
+        notes = (DOWNWARD_NOTE,)
+    return run_laws([law(wiring._algebra_ops(A)) for law in laws], seed, budget, samples,
+                    notes)
+
+
+def _mono6_pair():
+    # pairing_algebra(MONO, 6) and a copy on the same carriers, and so the
+    # same element objects, whose contraction of positions 1, 2 of a
+    # six-point pairing is shifted to the next pairing of four points
+    A = pairing_algebra(MONO, 6)
+    bad_wd = contraction_wiring(MONO, ("c",) * 6, 1, 2)
+    pool = A.elements(("c",) * 4)
+
+    def action(wd, inputs):
+        out = A.action(wd, inputs)
+        return pool[(pool.index(out) + 1) % 3] if wd == bad_wd else out
+
+    return A, CircuitAlgebra(MONO, 6, A.carriers, action)
+
+
+DERIVED_CASES = {
+    "mono 4": (lambda: pairing_algebra(MONO, 4), {}),
+    "ori 4": (lambda: pairing_algebra(ORI, 4), {}),
+    "mono 4 downward": (lambda: pairing_algebra(MONO, 4, downward_only=True), {}),
+    "ori 4 downward": (lambda: pairing_algebra(ORI, 4, downward_only=True), {}),
+    "corrupted mono 6": (lambda: _mono6_pair()[1], {}),
+    "corrupted mono 6 sampled": (lambda: _mono6_pair()[1], {"budget": 0, "seed": 3}),
+    "free sampled": (lambda: FreeCircuitAlgebra(MONO, 3, {("c", "c"): ("g",)},
+                                                max_blocks=2, bubble_cap=0),
+                     {"budget": 0, "seed": 1, "samples": 60}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_CASES))
+def test_value_memo_changes_no_report(name):
+    build, kwargs = DERIVED_CASES[name]
+    report = check_derived_axioms(build(), **kwargs)
+    assert astuple(report) == astuple(reference_derived_report(build(), **kwargs))
+    assert report.passed == (not name.startswith("corrupted"))
+
+
+def test_each_derived_value_is_computed_once():
+    A = pairing_algebra(ORI, 4)
+    calls, action = Counter(), A.action
+
+    def counted(wd, inputs):
+        calls[wd, inputs] += 1
+        return action(wd, inputs)
+
+    A.action = counted
+    assert check_derived_axioms(A).passed
+    assert calls and max(calls.values()) == 1
+
+
+def test_value_memo_lasts_one_check():
+    # the two algebras share their element objects, so a memo kept past
+    # a check would hand the second check the first one's values
+    clean, bad = _mono6_pair()
+    expected = {A: astuple(reference_derived_report(A)) for A in (clean, bad)}
+    assert expected[clean] != expected[bad]
+    for order in ((bad, clean), (clean, bad)):
+        for A in order:
+            assert astuple(check_derived_axioms(A)) == expected[A]
 
 
 def test_contraction_frozen_coherence():
