@@ -6,14 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauerkit.brauer import (
+    BrauerDiagram,
     cap,
     compose,
+    compose_detailed,
     cup,
     identity,
     make_diagram,
     open_diagrams,
+    sigma_2,
     tensor,
 )
 from brauerkit.brauer_algebra import (
@@ -21,6 +27,7 @@ from brauerkit.brauer_algebra import (
     ZPOLY,
     ZZ,
     ArityMismatch,
+    BrElement,
     MalformedElement,
     RingMismatch,
     algebra_dimension,
@@ -400,3 +407,165 @@ def test_rationals_refuse_exponents_past_the_bound(text):
     with pytest.raises(ValueError, match="decimal exponent past 4300"):
         QQ.parse(text)
 
+
+
+# ---------------------------------------------------------------------------
+# powers, and products summed by bilinearity, against the pairwise loop
+
+
+def kfold_power(ring, a, k):
+    """a**k as k multiplications, the loop Ring.power replaced."""
+    out = ring.one()
+    for _ in range(k):
+        out = ring.mul(out, a)
+    return out
+
+
+def reference_br_compose(a, b, delta):
+    """The pairwise product: one term per pair of basis diagrams, each
+    scaled by delta once per loop born in that composition."""
+    ring = a.ring
+
+    def terms():
+        for f, cf in a.terms:
+            for g, cg in b.terms:
+                h, cycles = compose_detailed(f, g)
+                yield (BrauerDiagram(h.m, h.n, h.partner),
+                       ring.mul(ring.mul(cf, cg), kfold_power(ring, delta, len(cycles))))
+
+    return make_element(ring, a.m, b.n, terms())
+
+
+POWER_RINGS = [ZZ, QQ, integers_mod(2), integers_mod(7), ZPOLY]
+
+
+@pytest.mark.parametrize("ring", POWER_RINGS, ids=lambda ring: ring.name)
+def test_power_by_squaring_matches_the_kfold_loop(ring):
+    rng = random.Random(113)
+    for a in [ring.zero(), ring.one()] + [_sample(ring, rng) for _ in range(6)]:
+        for k in range(41):
+            assert _typed(ring.power(a, k)) == _typed(kfold_power(ring, a, k))
+
+
+def _arities(data, count):
+    """count arities of one parity in 0..5, so that neighbours bound a
+    Brauer diagram."""
+    first = data.draw(st.integers(0, 5))
+    return [first] + [data.draw(st.sampled_from(range(first % 2, 6, 2)))
+                      for _ in range(count - 1)]
+
+
+def _drawn_element(data, rng, ring, m, n):
+    """Up to eight random terms.  Built by make_element, or by hand with
+    loops on its basis diagrams, coefficients as sampled (a Z[t] one may
+    have trailing zeros) and some terms repeated with the opposite sign."""
+    count = data.draw(st.integers(0, 8))
+    terms = [(_random_open(rng, m, n), _sample(ring, rng)) for _ in range(count)]
+    if not data.draw(st.booleans()):
+        return make_element(ring, m, n, terms)
+    terms += [(d, ring.neg(c)) for d, c in terms[:data.draw(st.integers(0, count))]]
+    return BrElement(ring, m, n, tuple((BrauerDiagram(m, n, d.partner, rng.randint(0, 2)), c)
+                                       for d, c in terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_matches_the_pairwise_loop(data):
+    ring = data.draw(st.sampled_from(POWER_RINGS))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m, n, p = _arities(data, 3)
+    a, b = _drawn_element(data, rng, ring, m, n), _drawn_element(data, rng, ring, n, p)
+    deltas = [ring.zero(), ring.one(), _sample(ring, rng)]
+    if ring is ZPOLY:
+        deltas += [(0, 1, 0), (2, 0)]  # not in canonical form
+    delta = data.draw(st.sampled_from(deltas))
+    assert br_compose(a, b, delta) == reference_br_compose(a, b, delta)
+
+
+def test_product_drops_coefficients_that_cancel():
+    # the swap stacked on a cup is the cup again, so (id - swap) cup = 0
+    a = br_add(element_of(ZZ, identity(2)), element_of(ZZ, sigma_2(), -1))
+    assert br_compose(a, element_of(ZZ, cup()), 3) == br_zero(ZZ, 2, 0)
+
+
+def _random_poly(rng):
+    coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+    if not any(coeffs):
+        coeffs[0] = 1
+    return _strip_zeros(coeffs)
+
+
+def _strip_zeros(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _br4_element(ring, rng, terms=60):
+    """terms distinct open basis diagrams of Br_4 with small Z[t]
+    coefficients, as the benchmark's diagrams workload draws them."""
+    basis = {}
+    while len(basis) < terms:
+        basis.setdefault(_random_open(rng, 4, 4), _random_poly(rng))
+    return make_element(ring, 4, 4, basis)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sixty_term_br4_product_matches_the_pairwise_loop(seed):
+    rng = random.Random(seed)
+    a, b = _br4_element(ZPOLY, rng), _br4_element(ZPOLY, rng)
+    t = ZPOLY.t()
+    product = br_compose(a, b, t)
+    assert product == reference_br_compose(a, b, t)
+    assert len(product.terms) <= algebra_dimension(4)
+
+
+# ---------------------------------------------------------------------------
+# Z[t] against sympy
+
+T = sympy.Symbol("t")
+_POLYS = st.lists(st.integers(-20, 20), max_size=5).map(tuple)  # trailing zeros allowed
+
+
+def _to_sympy(c):
+    return sympy.Poly(list(reversed(c)) or [0], T)
+
+
+def _from_sympy(poly):
+    return _strip_zeros(int(x) for x in reversed(poly.all_coeffs()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLYS, _POLYS, st.integers(0, 12))
+def test_zpoly_arithmetic_matches_sympy(a, b, k):
+    A, B = _to_sympy(a), _to_sympy(b)
+    canonical = _from_sympy(A)
+    assert ZPOLY.add(a, b) == _from_sympy(A + B)
+    assert ZPOLY.neg(canonical) == _from_sympy(-A)
+    assert ZPOLY.mul(a, b) == _from_sympy(A * B)
+    assert ZPOLY.power(a, k) == _from_sympy(A ** k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_coefficients_match_sympy(data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m, n, p = _arities(data, 3)
+
+    def element(x, y):
+        count = data.draw(st.integers(0, 6))
+        return make_element(ZPOLY, x, y, [(_random_open(rng, x, y), data.draw(_POLYS))
+                                          for _ in range(count)])
+
+    a, b = element(m, n), element(n, p)
+    delta = data.draw(_POLYS)
+    want = {}
+    for f, cf in a.terms:
+        for g, cg in b.terms:
+            h = compose(f, g)  # f and g are open, so h.closed counts the born loops
+            d = BrauerDiagram(h.m, h.n, h.partner)
+            term = _to_sympy(cf) * _to_sympy(cg) * _to_sympy(delta) ** h.closed
+            want[d] = want.get(d, _to_sympy(())) + term
+    got = dict(br_compose(a, b, delta).terms)
+    assert got == {d: _from_sympy(c) for d, c in want.items() if not c.is_zero}

@@ -59,7 +59,7 @@ from brauerkit.species import (
     species_to_json,
     terminal_species,
 )
-from brauerkit.substitution import gog_to_json, identity_gog
+from brauerkit.substitution import colimit, gog_from_json, gog_to_json, identity_gog
 from brauerkit.wiring import (
     algebra_to_json,
     identity_wiring,
@@ -72,6 +72,7 @@ from brauerkit.wiring import (
 )
 
 from genutil import assert_one_error_line, cli, renamed, renamed_pairing_table, write_doc
+from test_brauer_algebra import reference_br_compose
 
 MONO = monochrome_palette()
 ORI = oriented_palette()
@@ -939,8 +940,9 @@ def small_nerve_doc():
 
 def run_mutated(data, doc_text, tmp_path_factory, argv):
     """Mutate the document one to three times, run argv on it with {doc}
-    standing for its path, and return the exit code and the output; an
-    exit 2 must print one error line and nothing else."""
+    standing for its path, and return the exit code, the output and the
+    mutated document as read back from its file; an exit 2 must print
+    one error line and nothing else."""
     doc = json.loads(doc_text)
     for _ in range(data.draw(st.integers(1, 3))):
         doc = _mutate(data, doc)
@@ -951,14 +953,20 @@ def run_mutated(data, doc_text, tmp_path_factory, argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert_one_error_line(code, out.getvalue(), err.getvalue())
-    return code, out.getvalue()
+    with open(path) as fh:
+        return code, out.getvalue(), json.load(fh)
+
+
+def as_json(obj):
+    """obj as the JSON output that prints it reads back."""
+    return json.loads(json.dumps(obj))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mutated_nerve_documents_exit_cleanly(small_nerve_doc, tmp_path_factory, data):
-    code, out = run_mutated(data, small_nerve_doc, tmp_path_factory,
-                            ["species", "segal", "--json", "--presheaf", "{doc}"])
+    code, out, _ = run_mutated(data, small_nerve_doc, tmp_path_factory,
+                               ["species", "segal", "--json", "--presheaf", "{doc}"])
     if code != 2:
         assert json.loads(out)["passed"] == (code == 0)
 
@@ -966,19 +974,22 @@ def test_mutated_nerve_documents_exit_cleanly(small_nerve_doc, tmp_path_factory,
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mutated_element_documents_exit_cleanly(tmp_path_factory, data):
-    code, out = run_mutated(data, json.dumps(q_element_doc()), tmp_path_factory,
-                            ["br", "mul", "--lhs", "{doc}", "--rhs", "{doc}",
-                             "--ring", "Q", "--delta", "1/2"])
+    code, out, doc = run_mutated(data, json.dumps(q_element_doc()), tmp_path_factory,
+                                 ["br", "mul", "--lhs", "{doc}", "--rhs", "{doc}",
+                                  "--ring", "Q", "--delta", "1/2"])
     if code != 2:
-        assert code == 0 and element_from_json(json.loads(out)).ring == QQ
+        a = element_from_json(doc)
+        assert code == 0 and a.ring == QQ
+        assert json.loads(out) == as_json(element_to_json(
+            reference_br_compose(a, a, Fraction(1, 2))))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mutated_diagram_documents_exit_cleanly(tmp_path_factory, data):
     doc = diagram_to_json(make_diagram(2, 4, [("s1", "t3"), ("s2", "t1"), ("t2", "t4")], 1))
-    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
-                            ["bd", "dual", "--diagram", "{doc}"])
+    code, out, _ = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                               ["bd", "dual", "--diagram", "{doc}"])
     if code != 2:
         assert code == 0 and diagram_from_json(json.loads(out)).closed >= 0
 
@@ -989,8 +1000,8 @@ def test_mutated_coloured_documents_exit_cleanly(tmp_path_factory, data):
     base = make_diagram(2, 2, [("s1", "t2"), ("s2", "t1")], 1)
     colours = {"s1": "-", "s2": "-", "t1": "+", "t2": "+"}
     doc = coloured_to_json(make_coloured(ORI, base, colours, [("+", "-")]))
-    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
-                            ["cbd", "compose", "--lhs", "{doc}", "--rhs", "{doc}"])
+    code, out, _ = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                               ["cbd", "compose", "--lhs", "{doc}", "--rhs", "{doc}"])
     if code != 2:
         assert code == 0 and coloured_from_json(json.loads(out)).base.closed >= 0
 
@@ -999,8 +1010,8 @@ def test_mutated_coloured_documents_exit_cleanly(tmp_path_factory, data):
 @given(st.data())
 def test_mutated_wiring_documents_exit_cleanly(tmp_path_factory, data):
     doc = wiring_to_json(identity_wiring(ORI, ("+", "-")))
-    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
-                            ["wd", "gamma", "--outer", "{doc}", "--inner", "{doc}"])
+    code, out, _ = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                               ["wd", "gamma", "--outer", "{doc}", "--inner", "{doc}"])
     if code != 2:
         assert code == 0 and wiring_from_json(json.loads(out)).block_sizes
 
@@ -1009,8 +1020,8 @@ def test_mutated_wiring_documents_exit_cleanly(tmp_path_factory, data):
 @given(st.data())
 def test_mutated_table_documents_exit_cleanly(tmp_path_factory, data):
     doc = algebra_to_json(corruptible_table_algebra())
-    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
-                            ["ca", "check", "--json", "--algebra", "{doc}"])
+    code, out, _ = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                               ["ca", "check", "--json", "--algebra", "{doc}"])
     if code != 2:
         assert json.loads(out)["passed"] == (code == 0)
 
@@ -1020,20 +1031,22 @@ def test_mutated_table_documents_exit_cleanly(tmp_path_factory, data):
 @given(st.data())
 def test_mutated_graph_documents_exit_cleanly(tmp_path_factory, data):
     doc = graph_to_json(glue(disjoint_union(corolla(3), line(1)), ("l", 1), ("r", 1)))
-    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
-                            ["graph", "build", "--graph", "{doc}"])
+    code, out, doc = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                                 ["graph", "build", "--graph", "{doc}"])
     if code != 2:
         assert code == 0 and graph_to_json(graph_from_json(json.loads(out))) == json.loads(out)
+        assert json.loads(out) == as_json(graph_to_json(graph_from_json(doc)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mutated_gog_documents_exit_cleanly(tmp_path_factory, data):
     doc = gog_to_json(identity_gog(line(2)))
-    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
-                            ["gog", "colimit", "--gog", "{doc}"])
+    code, out, doc = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                                 ["gog", "colimit", "--gog", "{doc}"])
     if code != 2:
         assert code == 0 and graph_to_json(graph_from_json(json.loads(out))) == json.loads(out)
+        assert json.loads(out) == as_json(graph_to_json(colimit(gog_from_json(doc))[0]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1041,8 +1054,8 @@ def test_mutated_gog_documents_exit_cleanly(tmp_path_factory, data):
 def test_mutated_species_documents_exit_cleanly(tmp_path_factory, data):
     w = ("c", "c", "c")
     doc = species_to_json(make_species(MONO, 3, {w: (0, 1)}, [(w, (1, 0, 2), [(0, 1), (1, 0)])]))
-    code, out = run_mutated(data, json.dumps(doc), tmp_path_factory,
-                            ["species", "eval", "--species", "{doc}", "--graph", "corolla:3"])
+    code, out, _ = run_mutated(data, json.dumps(doc), tmp_path_factory,
+                               ["species", "eval", "--species", "{doc}", "--graph", "corolla:3"])
     if code != 2:
         assert code == 0 and int(out) >= 0
 
