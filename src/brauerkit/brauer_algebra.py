@@ -13,8 +13,10 @@ and differs only in that form and in how values are read and written.
 Z[t] has its own class: polynomial elements are tuples of coefficients
 by degree with no trailing zeros, so equality is tuple equality and the
 zero polynomial is ().  Elements are built by make_element alone, which
-sums the coefficients of each diagram, so sums and products only list
-their terms.
+sums the coefficients of each diagram, so sums and scalings only list
+their terms.  A product first sums by bilinearity (see br_compose): it
+lists one term per composite diagram and born loop count, and
+make_element merges the loop counts.
 """
 
 from __future__ import annotations
@@ -51,9 +53,16 @@ class Ring:
     name = "?"
 
     def power(self, a, k: int):
+        """a**k by repeated squaring; k must not be negative."""
+        if k < 0:
+            raise ValueError(f"negative exponent: {k}")
         out = self.one()
-        for _ in range(k):
-            out = self.mul(out, a)
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
         return out
 
     def eq(self, a, b):
@@ -260,20 +269,34 @@ def br_scale(coeff, a: BrElement) -> BrElement:
 
 
 def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
-    """Bilinear extension of stacking; each born loop scales by delta."""
+    """Bilinear extension of stacking; each born loop scales by delta.
+
+    Sums by bilinearity: for each term c_f f of a, the coefficients c_g
+    of b's terms are first summed per (composite, born loop count), so
+    each group costs one product with c_f.  delta**k is raised once per
+    loop count k, and make_element sums the loop counts of one diagram.
+    Loops that f or g already carry are not counted.
+    """
     _check_rings(a, b)
     if a.n != b.m:
         raise ArityMismatch(f"cannot stack {a.m}->{a.n} onto {b.m}->{b.n}")
     ring = a.ring
-
-    def terms():
-        for f, cf in a.terms:
-            for g, cg in b.terms:
-                h, cycles = compose_detailed(f, g)
-                yield (BrauerDiagram(h.m, h.n, h.partner),
-                       ring.mul(ring.mul(cf, cg), ring.power(delta, len(cycles))))
-
-    return make_element(ring, a.m, b.n, terms())
+    add, mul = ring.add, ring.mul
+    total = {}  # (partner, k) -> coefficient of delta**k
+    for f, cf in a.terms:
+        groups = {}
+        for g, cg in b.terms:
+            h, cycles = compose_detailed(f, g)
+            key = (h.partner, len(cycles))
+            prev = groups.get(key)
+            groups[key] = cg if prev is None else add(prev, cg)
+        for key, cg in groups.items():
+            c = mul(cf, cg)
+            prev = total.get(key)
+            total[key] = c if prev is None else add(prev, c)
+    powers = {k: ring.power(delta, k) for k in {k for _, k in total}}
+    return make_element(ring, a.m, b.n, [(BrauerDiagram(a.m, b.n, partner), mul(c, powers[k]))
+                                         for (partner, k), c in total.items()])
 
 
 def br_tensor(a: BrElement, b: BrElement) -> BrElement:

@@ -447,6 +447,13 @@ def test_power_by_squaring_matches_the_kfold_loop(ring):
             assert _typed(ring.power(a, k)) == _typed(kfold_power(ring, a, k))
 
 
+@pytest.mark.parametrize("ring, a, k", [(ZZ, 2, -1), (ZPOLY, (0, 1), -2), (Z5, 3, -1)],
+                         ids=["Z", "Z[t]", "Z/5"])
+def test_power_refuses_negative_exponents(ring, a, k):
+    with pytest.raises(ValueError, match="negative exponent"):
+        ring.power(a, k)
+
+
 def _arities(data, count):
     """count arities of one parity in 0..5, so that neighbours bound a
     Brauer diagram."""
@@ -519,6 +526,27 @@ def test_sixty_term_br4_product_matches_the_pairwise_loop(seed):
     product = br_compose(a, b, t)
     assert product == reference_br_compose(a, b, t)
     assert len(product.terms) <= algebra_dimension(4)
+
+
+class _CountingPolynomials(type(ZPOLY)):
+    """Z[t] that records the exponent of each power it raises."""
+
+    def __init__(self):
+        self.exponents = []
+
+    def power(self, a, k):
+        self.exponents.append(k)
+        return super().power(a, k)
+
+
+def test_one_power_per_loop_count():
+    ring = _CountingPolynomials()
+    rng = random.Random(7)
+    a, b = _br4_element(ring, rng), _br4_element(ring, rng)
+    br_compose(a, b, ring.t())
+    # stacking two Br_4 diagrams closes at most two loops
+    assert sorted(ring.exponents) == sorted(set(ring.exponents))
+    assert set(ring.exponents) <= {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
