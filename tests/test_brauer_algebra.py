@@ -575,6 +575,24 @@ def test_zpoly_arithmetic_matches_sympy(a, b, k):
     assert ZPOLY.power(a, k) == _from_sympy(A ** k)
 
 
+@pytest.mark.parametrize("a, b", [
+    ((1, 2, 3), (4,)),          # unequal lengths, either way round
+    ((4,), (1, 2, 3)),
+    ((1, 2, 3), (0, 5, -3)),    # the top coefficient cancels
+    ((1, 2, 3), (0, -2, -3)),   # the top two cancel
+    ((1, 2, 3), (-1, -2, -3)),  # everything cancels
+    ((), (0, 7)),               # the zero polynomial on either side
+    ((0, 7), ()),
+    ((), ()),
+    ((1, 0, 0), (2,)),          # trailing zeros on either operand
+    ((2,), (1, 0, 0)),
+    ((0, 0), (0,)),
+    ((1, -1, 0), (0, 1, 0, 0)),
+], ids=str)
+def test_zpoly_add_pinned_against_sympy(a, b):
+    assert ZPOLY.add(a, b) == _from_sympy(_to_sympy(a) + _to_sympy(b))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_product_coefficients_match_sympy(data):
