@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .brauer import (ArityMismatch, BrauerDiagram, compose_detailed, diagram_from_json,
+from .brauer import (ArityMismatch, BrauerDiagram, _loops, _walk, diagram_from_json,
                      diagram_to_json, tensor)
 from .labels import read_field, read_rows, whole_number
 
@@ -41,7 +41,10 @@ class MalformedElement(ValueError):
 
 
 def _strip(coeffs):
-    coeffs = list(coeffs)
+    """Coefficients without trailing zeros, as a tuple; a list is
+    stripped in place, anything else is copied to a list first."""
+    if not isinstance(coeffs, list):
+        coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -148,10 +151,12 @@ class _IntPolynomials(Ring):
         return (0, 1)
 
     def add(self, a, b):
-        width = max(len(a), len(b))
-        a = a + (0,) * (width - len(a))
-        b = b + (0,) * (width - len(b))
-        return _strip(x + y for x, y in zip(a, b))
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)  # the shorter operand is added into the longer one
+        for i, y in enumerate(b):
+            out[i] += y
+        return _strip(out)
 
     def neg(self, a):
         return tuple(-x for x in a)
@@ -227,6 +232,8 @@ class BrElement:
 def make_element(ring: Ring, m: int, n: int, terms) -> BrElement:
     """The element summing c d over the (diagram d, coefficient c) pairs
     of `terms`, or over the items of a mapping d -> c."""
+    if m < 0 or n < 0:
+        raise ArityMismatch(f"negative arity: {(m, n)!r}")
     if isinstance(terms, Mapping):
         terms = terms.items()
     acc = {}
@@ -252,7 +259,7 @@ def element_of(ring: Ring, d: BrauerDiagram, coeff=None) -> BrElement:
 
 
 def br_zero(ring: Ring, m: int, n: int) -> BrElement:
-    return BrElement(ring, m, n, ())
+    return make_element(ring, m, n, ())
 
 
 def br_add(a: BrElement, b: BrElement) -> BrElement:
@@ -275,6 +282,9 @@ def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
     of b's terms are first summed per (composite, born loop count), so
     each group costs one product with c_f.  delta**k is raised once per
     loop count k, and make_element sums the loop counts of one diagram.
+    Each pair of basis diagrams is one strand walk over their partner
+    tuples, which gives the composite's partner tuple, and its born
+    loops are counted from that walk: no diagram is built per pair.
     Loops that f or g already carry are not counted.
     """
     _check_rings(a, b)
@@ -282,12 +292,15 @@ def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
         raise ArityMismatch(f"cannot stack {a.m}->{a.n} onto {b.m}->{b.n}")
     ring = a.ring
     add, mul = ring.add, ring.mul
+    m, mid, n = a.m, a.n, b.n
+    right = [(g.partner, cg) for g, cg in b.terms]
     total = {}  # (partner, k) -> coefficient of delta**k
     for f, cf in a.terms:
+        pf = f.partner
         groups = {}
-        for g, cg in b.terms:
-            h, cycles = compose_detailed(f, g)
-            key = (h.partner, len(cycles))
+        for pg, cg in right:
+            out, seen = _walk(pf, pg, m, mid, n)
+            key = (tuple(out), 0 if all(seen) else len(_loops(pf, pg, m, seen)))
             prev = groups.get(key)
             groups[key] = cg if prev is None else add(prev, cg)
         for key, cg in groups.items():
@@ -295,8 +308,8 @@ def br_compose(a: BrElement, b: BrElement, delta) -> BrElement:
             prev = total.get(key)
             total[key] = c if prev is None else add(prev, c)
     powers = {k: ring.power(delta, k) for k in {k for _, k in total}}
-    return make_element(ring, a.m, b.n, [(BrauerDiagram(a.m, b.n, partner), mul(c, powers[k]))
-                                         for (partner, k), c in total.items()])
+    return make_element(ring, m, n, [(BrauerDiagram(m, n, partner), mul(c, powers[k]))
+                                     for (partner, k), c in total.items()])
 
 
 def br_tensor(a: BrElement, b: BrElement) -> BrElement:

@@ -12,12 +12,14 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brauerkit.brauer import (
     ArityMismatch,
     WordSyntaxError,
+    _loops,
+    _walk,
     boundary_cospan,
     boundary_key,
     cap,
@@ -384,6 +386,47 @@ def test_compose_tensor_dual_against_label_oracle(stack):
     assert _involutive(t) and _involutive(dual(t))
     assert {frozenset(p) for p in t.pairs} == {frozenset(p) for p in shifted}
     assert dual(dual(f)) == f and dual(dual(t)) == t
+
+
+def _walked(f, g):
+    """(partner tuple, born loop count, whether every seam point was met)
+    of g stacked below f, from the strand walk as br_compose reads it."""
+    pf, pg = f.partner, g.partner
+    out, seen = _walk(pf, pg, f.m, f.n, g.n)
+    met = all(seen)
+    return tuple(out), len(_loops(pf, pg, f.m, seen)), met
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stackable(max_strands=8))
+@example((identity(0), identity(0), None))
+@example((cup(), cap(), None))       # k = 0
+@example((cap(), cup(), None))       # m = n = 0, one loop
+@example((cap_n(3), cup_n(3), None))  # three loops and nothing else
+def test_walk_gives_the_detailed_composite(stack):
+    f, g, _ = stack
+    partner, loops, met = _walked(f, g)
+    h, cycles = compose_detailed(f, g)
+    pairs, _, want_cycles = _reference_stack(f, g)
+    assert partner == h.partner and {frozenset(p) for p in h.pairs} == pairs
+    assert loops == len(cycles) == len(want_cycles) == h.closed - f.closed - g.closed
+    assert met == (loops == 0)
+
+
+@pytest.mark.parametrize("strands", [64, 256])
+def test_walk_at_many_strands(strands):
+    """Random open parts beside eight nested arcs on either side of the
+    seam, which close at least eight loops."""
+    rng = random.Random(strands)
+    f = tensor(_random_open(rng, strands - 16, strands - 16), cap_n(8))
+    g = tensor(_random_diagram(rng, strands - 16, strands - 16), cup_n(8))
+    partner, loops, met = _walked(f, g)
+    h, cycles = compose_detailed(f, g)
+    pairs, closed, want_cycles = _reference_stack(f, g)
+    assert (f.n, h.m, h.n) == (strands, strands - 16, strands - 16)
+    assert partner == h.partner and {frozenset(p) for p in h.pairs} == pairs
+    assert loops == len(cycles) == len(want_cycles) >= 8 and not met
+    assert cycles == want_cycles and h.closed == closed
 
 
 _PALETTE = make_palette(["a", "b", "x", "y"], [("x", "y")])

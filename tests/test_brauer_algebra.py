@@ -255,6 +255,16 @@ def test_ring_and_arity_mismatch():
         make_element(ZZ, 0, 0, {make_diagram(0, 0, [], closed=1): 1})
 
 
+@pytest.mark.parametrize("m, n", [(-1, -1), (-1, 2), (2, -1)])
+def test_negative_arities_are_refused(m, n):
+    with pytest.raises(ArityMismatch, match="negative arity"):
+        make_element(ZZ, m, n, [])
+    with pytest.raises(ArityMismatch, match="negative arity"):
+        br_zero(ZZ, m, n)
+    with pytest.raises(ArityMismatch, match="negative arity"):
+        element_from_json({"ring": "Z", "m": m, "n": n, "terms": []})
+
+
 def test_ring_by_name():
     assert ring_by_name("Z") is ZZ
     assert ring_by_name("Q") is QQ

@@ -197,6 +197,14 @@ def test_br_mul_on_a_malformed_term_exits_2(tmp_path, capsys):
     assert err == "error: element 'terms' row 0 document is not an object\n"
 
 
+def test_br_mul_negative_arity_exits_2(tmp_path, capsys):
+    el = write_doc(tmp_path, "el.json", {"ring": "Z", "m": -1, "n": -1, "terms": []})
+    code, out, err = cli(capsys, "br", "mul", "--lhs", el, "--rhs", el,
+                         "--ring", "Z", "--delta", "2")
+    assert code == 2 and out == ""
+    assert err == "error: negative arity: (-1, -1)\n"
+
+
 def q_element_doc():
     a = element_of(QQ, sigma_2(), Fraction(1, 2))
     return element_to_json(br_add(a, element_of(QQ, identity(2), Fraction(-3))))
