@@ -40,11 +40,9 @@ class MalformedElement(ValueError):
     pass
 
 
-def _strip(coeffs):
-    """Coefficients without trailing zeros, as a tuple; a list is
-    stripped in place, anything else is copied to a list first."""
-    if not isinstance(coeffs, list):
-        coeffs = list(coeffs)
+def _strip(coeffs: list) -> tuple:
+    """The list of coefficients as a tuple without trailing zeros; the
+    zeros are popped from the list itself."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -180,7 +178,7 @@ class _IntPolynomials(Ring):
         if text.startswith("["):
             import json
 
-            return _strip(whole_number(c) for c in json.loads(text))
+            return _strip([whole_number(c) for c in json.loads(text)])
         return self.from_int(whole_number(text))
 
     def to_json(self, a):
@@ -188,7 +186,7 @@ class _IntPolynomials(Ring):
 
     def from_json(self, obj):
         if isinstance(obj, list):
-            return _strip(whole_number(c) for c in obj)
+            return _strip([whole_number(c) for c in obj])
         return self.from_int(whole_number(obj))
 
 
