@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from functools import partial
 from math import comb
 
 import pytest
@@ -312,28 +313,30 @@ def test_algebra_action_direction():
     assert all(S.act_name(w, comp, n) != n for n in S.elements(w))
 
 
-def test_operad_product_corruption_detected():
-    S, C = species_from_circuit_algebra(pairing_algebra(MONO, 4))
-    key = ((), ("c", "c", "c", "c"))
-    rows = dict(C.box_map[key])
-    k0 = next(iter(rows))
-    rows[k0] = (rows[k0] + 1) % 3
+def _corrupted_row(palette, bound, table, key, change):
+    """The lift of pairing_algebra(palette, bound), rebuilt from dicts with
+    the first row of C's `table` ("box" or "zeta") at `key` changed."""
+    S, C = species_from_circuit_algebra(pairing_algebra(palette, bound))
     box = {k: dict(v) for k, v in C.box_map.items()}
-    box[key] = rows
-    bad = make_operad_structure(box, {k: dict(v) for k, v in C.zeta_map.items()},
-                                dict(C.epsilon_map), C.external_unit)
-    report = validate_circuit_operad(S, bad)
-    assert not report.passed
-    kinds = {v[0] for v in report.violations}
-    assert kinds & {"product-associativity", "product-contraction",
-                    "product-equivariance", "external-unit"}
-    assert all(isinstance(v[1], str) and v[1] for v in report.violations)
+    zeta = {k: dict(v) for k, v in C.zeta_map.items()}
+    rows = (box if table == "box" else zeta)[key]
+    k0 = next(iter(rows))
+    rows[k0] = change(rows[k0])
+    return S, make_operad_structure(box, zeta, dict(C.epsilon_map), C.external_unit)
 
 
-def test_product_contraction_corruption_detected_by_every_checker():
-    # the contraction of positions 1, 2 of a six-point pairing is shifted
-    # to the next element of the three pairings of four points, so
-    # contracting before or after a product disagree
+def _product_row_mono4():
+    return _corrupted_row(MONO, 4, "box", ((), ("c", "c", "c", "c")), lambda v: (v + 1) % 3)
+
+
+def _contraction_row_mono4():
+    return _corrupted_row(MONO, 4, "zeta", (("c", "c", "c", "c"), 0, 1), lambda v: "junk")
+
+
+def _shifted_contraction_mono6(downward_only=False):
+    """pairing_algebra(MONO, 6) with the contraction of positions 1, 2 of
+    a six-point pairing shifted to the next of the three pairings of four
+    points."""
     A = pairing_algebra(MONO, 6)
     bad_wd = contraction_wiring(MONO, ("c",) * 6, 1, 2)
     pool = A.elements(("c",) * 4)
@@ -343,8 +346,21 @@ def test_product_contraction_corruption_detected_by_every_checker():
         out = A.action(wd, inputs)
         return pool[(pool.index(out) + 1) % 3] if wd == bad_wd else out
 
-    bad = CircuitAlgebra(MONO, 6, A.carriers, action)
-    bad_down = CircuitAlgebra(MONO, 6, A.carriers, action, downward_only=True)
+    return CircuitAlgebra(MONO, 6, A.carriers, action, downward_only=downward_only)
+
+
+def test_operad_product_corruption_detected():
+    report = validate_circuit_operad(*_product_row_mono4())
+    assert not report.passed
+    kinds = {v[0] for v in report.violations}
+    assert kinds & {"product-associativity", "product-contraction",
+                    "product-equivariance", "external-unit"}
+    assert all(isinstance(v[1], str) and v[1] for v in report.violations)
+
+
+def test_product_contraction_corruption_detected_by_every_checker():
+    # contracting before or after a product disagree
+    bad, bad_down = _shifted_contraction_mono6(), _shifted_contraction_mono6(True)
     for report in (check_derived_axioms(bad), check_derived_axioms(bad_down),
                    validate_circuit_operad(*species_from_circuit_algebra(bad))):
         assert not report.passed
@@ -352,18 +368,22 @@ def test_product_contraction_corruption_detected_by_every_checker():
 
 
 def test_operad_contraction_corruption_detected():
-    S, C = species_from_circuit_algebra(pairing_algebra(MONO, 4))
-    key = (("c", "c", "c", "c"), 0, 1)
-    rows = dict(C.zeta_map[key])
-    k0 = next(iter(rows))
-    rows[k0] = "junk"
-    zeta = {k: dict(v) for k, v in C.zeta_map.items()}
-    zeta[key] = rows
-    bad = make_operad_structure({k: dict(v) for k, v in C.box_map.items()},
-                                zeta, dict(C.epsilon_map), C.external_unit)
-    report = validate_circuit_operad(S, bad)
+    report = validate_circuit_operad(*_contraction_row_mono4())
     assert not report.passed
     assert any(v[0] == "contraction-typing" for v in report.violations)
+
+
+def report_outcome(check, S, C):
+    """The astuple of check(S, C)'s report, or the class name and message
+    of what it raised."""
+    try:
+        return dataclasses.astuple(check(S, C))
+    except Exception as e:  # the outcome is what is pinned
+        return type(e).__name__, str(e)
+
+
+def _lift(palette, bound):
+    return lambda: species_from_circuit_algebra(pairing_algebra(palette, bound))
 
 
 # sha256 of repr((S.tables, S.actions, C.boxtimes, C.contraction,
@@ -513,6 +533,87 @@ def test_typing_pass_reports_each_corruption(what):
     report = validate_circuit_operad(*_corrupt_ori4(what))
     assert not report.passed and report.checked == 0
     assert report.violations == (TYPING_VIOLATIONS[what],)
+
+
+def _shifted_contraction_mono6_lift():
+    return species_from_circuit_algebra(_shifted_contraction_mono6())
+
+
+def _contraction_row_ori6():
+    # S(++--) has two elements, which the transports of this row move
+    return _corrupted_row(ORI, 6, "zeta", (("+", "+", "+", "-", "-", "-"), 0, 3), lambda v: 99)
+
+
+# sha256 of repr(report_outcome(...)) of validate_circuit_operad and of
+# check_modular_axioms, recorded before the prepared products and
+# contractions read tables composed with their transports; the typing
+# cases are the corruptions of _corrupt_ori4
+REPORT_PINS = {
+    "lift mono 4": (_lift(MONO, 4),
+        "9acac9f17bfdac87db4e991be601160a50d7d49ff7043b19ac1be1c9bfb93298",
+        "1b68200286e96fdda3a9f9df478a5eea076dfbd690d8082ce252941d663af77b"),
+    "lift mono 6": (_lift(MONO, 6),
+        "9bc9314f8404e4178654c722a2e338d13ac84bc93b1ff3e0bc22fd9acf0d8e7e",
+        "683a63f54d4c5a762e04753621dbe7d53755911882d60e7641729abe98d63f69"),
+    "lift ori 4": (_lift(ORI, 4),
+        "d8e29c78b993875e06db75a9efb667aa9b4e54611c4be1445e2f806f8c888229",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+    "product row mono 4": (_product_row_mono4,
+        "34f522256397aa23f7a85cc9c01e817f19a6e0572b78a6cc9ab6e0c834cde7f5",
+        "1b68200286e96fdda3a9f9df478a5eea076dfbd690d8082ce252941d663af77b"),
+    "contraction row mono 4": (_contraction_row_mono4,
+        "2007b04b9a4276700af18f1f44a5556979bf968638f62361e42d0ef7e9c023ae",
+        "467a86bee83c6ff84b50f7525f2af2a098ac315dceadabc82e552dc314e13c09"),
+    "contraction row ori 6": (_contraction_row_ori6,
+        "0243b9b4ec7cd323990db9bc9d313812b2d94cf66dd132c85acebb99a093bbe5",
+        "50a2ab27c833f6055181d4458995dda14d4398f07f0e808137d64dac7366f718"),
+    "shifted contraction mono 6": (_shifted_contraction_mono6_lift,
+        "c441304d5ee747a772d4c12545b28bbe597232eca0937bd60e87356b3b98234e",
+        "683a63f54d4c5a762e04753621dbe7d53755911882d60e7641729abe98d63f69"),
+    "typing: bad contraction key": (partial(_corrupt_ori4, "bad contraction key"),
+        "9e0815a2406099f3ba87c484ffc8e957b2e097e0333afcc3c836fc9fe4e9257a",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+    "typing: contraction rows": (partial(_corrupt_ori4, "contraction rows"),
+        "ed01b94141a00c1ecc17037fd4d67e51bbad7ca5241c0d8b20eb80d69c8cbb9b",
+        "b88de641bb5a378944b90b3671049634b977912d11feda257174cbe1cfeaf010"),
+    "typing: epsilon": (partial(_corrupt_ori4, "epsilon"),
+        "00df5a1d9ce0b4d20ef80e86036c2067d875a993cd5211790e98cf8f9652cda7",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+    "typing: external unit": (partial(_corrupt_ori4, "external unit"),
+        "efd94ec5818d2aa72bb4abf157e3e65c5b25b28964eb026972b1f608b299ab8b",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+    "typing: not omega-dual": (partial(_corrupt_ori4, "not omega-dual"),
+        "ad995860a5966ce583f22631d452c0757ad73640b1ab87b3207586bab54a089f",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+    "typing: product value": (partial(_corrupt_ori4, "product value"),
+        "e6a07a9ce41dff8b6d89867eff5e4a92617f72d2477885a938237777bf47eab7",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+    "typing: rows miss the grid": (partial(_corrupt_ori4, "rows miss the grid"),
+        "c4ca1d0e1df7b34d3b57967d5e49d420b08d80e716906f0ae63f791b81d9aa1e",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+    "typing: unknown word": (partial(_corrupt_ori4, "unknown word"),
+        "37954ac6dff3b591d2d1ad82215f58eaa5cc7d9c8fc8b7b19427f7f287e44b29",
+        "b3a1ec81c1dcf9d79f9f1e999186ef97bdb15c3a741ce403d9eefc453c2b790e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_operad_reports_pinned(name):
+    build, *pins = REPORT_PINS[name]
+    S, C = build()
+    got = [hashlib.sha256(repr(report_outcome(check, S, C)).encode()).hexdigest()
+           for check in (validate_circuit_operad, check_modular_axioms)]
+    assert got == pins
+
+
+@pytest.mark.parametrize("build, message", [
+    (_contraction_row_mono4, "no contraction entry for ('c', 'c') at (0, 1)"),
+    (_contraction_row_ori6, "no contraction entry for ('+', '+', '-', '-') at (0, 2)"),
+])
+def test_modular_check_on_a_contraction_value_outside_its_table(build, message):
+    # no typing pass runs first: the stray value reaches a later
+    # contraction, which has no row for it
+    assert report_outcome(check_modular_axioms, *build()) == ("MissingActionEntry", message)
 
 
 def test_apply_ops_at_unsorted_words():
