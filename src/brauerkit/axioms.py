@@ -57,31 +57,37 @@ class Law:
     weight: int = 1
 
 
+def _violation(law, t, xs, lhs, rhs):
+    return law.kind, f"{t!r} on {xs!r}: {lhs!r} != {rhs!r}"
+
+
 def run_laws(laws, seed=0, budget=None, samples=300, notes=()) -> Report:
     """Check the laws in order.  Exhaustive when the weighted candidate
     count fits the budget or there is no budget.  Otherwise `samples`
     rounds from random.Random(seed): each round visits the laws in
     order, picks one random type per law, then one random element per
-    pool; a law without types draws nothing.  A type is prepared once."""
+    pool; a law without types draws nothing.  A type is prepared once.
+
+    `checked` counts each instance visited with its law's weight: the
+    exhaustive sweep adds weight x the product of the pool sizes once
+    per type, so it ends equal to `candidates`; a sampled round adds
+    weight per law that draws."""
     laws = [(law, [(t, pools) for t, pools in law.cases if all(pools)]) for law in laws]
     candidates = sum(law.weight * sum(prod(map(len, pools)) for _, pools in cases)
                      for law, cases in laws)
     violations = []
     checked = 0
 
-    def check(law, t, sides, xs):
-        lhs, rhs = sides(*xs)
-        if lhs != rhs:
-            violations.append((law.kind, f"{t!r} on {xs!r}: {lhs!r} != {rhs!r}"))
-
     if budget is None or candidates <= budget:
         mode = "exhaustive"
         for law, cases in laws:
             for t, pools in cases:
                 sides = law.sides(t)
+                checked += law.weight * prod(map(len, pools))
                 for xs in itertools.product(*pools):
-                    checked += law.weight
-                    check(law, t, sides, xs)
+                    lhs, rhs = sides(*xs)
+                    if lhs != rhs:
+                        violations.append(_violation(law, t, xs, lhs, rhs))
     else:
         mode = "sampled"
         rng = random.Random(seed)
@@ -90,8 +96,11 @@ def run_laws(laws, seed=0, budget=None, samples=300, notes=()) -> Report:
             for n, (law, cases) in enumerate(laws):
                 if cases:
                     t, pools = cases[rng.randrange(len(cases))]
+                    xs = tuple(p[rng.randrange(len(p))] for p in pools)
                     checked += law.weight
-                    check(law, t, prepared(n, t), tuple(p[rng.randrange(len(p))] for p in pools))
+                    lhs, rhs = prepared(n, t)(*xs)
+                    if lhs != rhs:
+                        violations.append(_violation(law, t, xs, lhs, rhs))
     violations.sort()
     return Report(not violations, mode, seed, candidates, checked, tuple(violations),
                   tuple(notes))

@@ -5,8 +5,10 @@ module: the closure of the listed actions into a whole group table, and
 the uncached sorting formulas of apply_product and apply_contraction.
 """
 
+import gc
 import itertools
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,44 @@ def test_plans_match_the_uncached_formulas(bound):
     for _ in range(2):  # a refused key is refused each time it is prepared
         with pytest.raises(ColourMismatch):
             apply_contraction(S, C, ("+", "+"), 0, 1, 0)
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+def test_table_ops_match_the_uncached_formulas(bound):
+    # the operations the laws read: each prepared once per key and check,
+    # as a table of the stored rows composed with their transports
+    S, C = species_from_circuit_algebra(pairing_algebra(ORI, bound))
+    ops, omega, groups = species._table_ops(S, C), ORI.omega, {}
+    contractions = products = 0
+    for n in range(bound + 1):
+        for w in itertools.product(ORI.colours, repeat=n):
+            names = S.elements(w)
+            for i, j in itertools.combinations(range(n), 2):
+                if w[i] != omega(w[j]):
+                    continue
+                zeta = ops.zeta(w, i, j)
+                for a in names:
+                    assert zeta(a) == ref_contraction(S, C, groups, w, i, j, a), (w, i, j, a)
+                    contractions += 1
+            for k in range(n + 1):
+                w1, w2 = w[:k], w[k:]
+                box = ops.box(w1, w2)
+                for a, b in itertools.product(S.elements(w1), S.elements(w2)):
+                    assert box(a, b) == ref_product(S, C, groups, w1, a, w2, b), (w1, w2, a, b)
+                    products += 1
+    assert contractions and products
+
+
+def test_prepared_tables_die_with_their_ops():
+    # no per-species plans: a prepared contraction's table is kept by the
+    # ops object of one check, and by nothing once that object is dropped
+    S, C = species_from_circuit_algebra(pairing_algebra(ORI, 4))
+    zeta = species._table_ops(S, C).zeta(("+", "-", "+", "-"), 0, 1)
+    table = weakref.ref(zeta.__self__)
+    assert zeta(S.elements(("+", "-", "+", "-"))[0]) in S.elements(("+", "-"))
+    del zeta
+    gc.collect()
+    assert table() is None
 
 
 def test_lift_builds_no_group_table_and_caches_stay_bounded():
