@@ -463,8 +463,8 @@ def make_operad_structure(boxtimes, contraction, epsilon, external_unit=None):
 # as long as the operation (no per-species plans).  A prepared ζ is the
 # table's own lookup, so a call runs no Python frame.
 class _Rows(dict):
-    def __init__(self, missing, rows):
-        super().__init__(rows)
+    def __init__(self, missing, rows, act):
+        super().__init__({key: act(value) for key, value in rows.items()})
         self.missing = missing
 
     def __missing__(self, key):
@@ -478,8 +478,7 @@ def _product(S, C, w1, w2):
     r1, r2 = S.rep(w1), S.rep(w2)
     rows = C.box_map.get((r1, r2), {})
     act = S._transporting(r1 + r2, _inv(_block(q1, q2))) if rows else None
-    table = _Rows(f"no product entry for {r1!r} x {r2!r}",
-                  {key: act(value) for key, value in rows.items()})
+    table = _Rows(f"no product entry for {r1!r} x {r2!r}", rows, act)
     return lambda n1, n2: table[n1, n2]
 
 
@@ -499,8 +498,7 @@ def _contraction(S, C, w, x, y):
     back = tuple(shifted(qinv[k], (i, j)) for k in range(m) if k not in (x, y))
     rows = C.zeta_map.get((r, i, j), {})
     act = S._transporting(drop(r, i, j), back) if rows else None
-    table = _Rows(f"no contraction entry for {r!r} at {(i, j)!r}",
-                  {key: act(value) for key, value in rows.items()})
+    table = _Rows(f"no contraction entry for {r!r} at {(i, j)!r}", rows, act)
     return table.__getitem__
 
 
