@@ -65,12 +65,16 @@ from brauerkit.wiring import (
     algebra_from_json,
     algebra_to_json,
     check_circuit_algebra,
+    enumerate_wirings,
     identity_wiring,
+    make_wiring,
+    pairing_algebra,
+    tabulate,
     wiring_from_json,
     wiring_to_json,
 )
 
-from genutil import assert_one_error_line, cli, renamed_pairing_table, write_doc
+from genutil import assert_one_error_line, cli, renamed, renamed_pairing_table, write_doc
 
 MONO = monochrome_palette()
 ORI = oriented_palette()
@@ -380,6 +384,103 @@ def test_a_repeated_diagram_is_read_by_its_own_values(tmp_path, capsys, edit, li
     code, out, err = cli(capsys, "ca", "check", "--algebra", path)
     assert_one_error_line(code, out, err)
     assert err == f"error: {line}\n"
+
+
+def _bubbly_table():
+    # a palette that swaps a and b and keeps c self-dual, over wirings of
+    # up to one bubble each
+    palette = make_palette(["a", "b", "c"], [("a", "b")])
+    A = pairing_algebra(palette, 2)
+    words = list(A.words())
+    return renamed(tabulate(A, enumerate_wirings(palette, words, words, 2, bubble_cap=1)))
+
+
+@pytest.mark.parametrize("table", [lambda: renamed_pairing_table(MONO, 4),
+                                   lambda: renamed_pairing_table(ORI, 2), _bubbly_table],
+                         ids=["mono-4", "ori-2", "swapped colours with bubbles"])
+def test_a_read_wiring_has_the_profile_make_wiring_cuts(table):
+    # block_types and output_word are left out of ==, so compare them here
+    T = table()
+    doc = json.loads(json.dumps(algebra_to_json(T)))
+    back = algebra_from_json(doc)
+    assert len(back.table) == len(doc["entries"]) == len(T.table)
+    if table is _bubbly_table:
+        assert any(wd.diagram.bubbles for wd in back.table)
+        # a source's colour is the omega-dual of its input letter
+        assert any(sum(wd.block_types, ()) != wd.diagram.colours[:wd.diagram.base.m]
+                   for wd in back.table)
+    for wd in back.table:
+        want = make_wiring(wd.diagram, wd.block_sizes)
+        assert ((wd.block_sizes, wd.block_types, wd.output_word)
+                == (want.block_sizes, want.block_types, want.output_word))
+
+
+# ---------------------------------------------------------------------------
+# each refusal of a table's contents, in-process and through `ca check`
+
+_CCCC = ("c",) * 4
+
+
+def _identities_doc():
+    """The identities of pairing_algebra(MONO, 4), renamed: the cccc
+    identity's rows are [[0, 0], [1, 1], [2, 2]]."""
+    A = pairing_algebra(MONO, 4)
+    return algebra_to_json(renamed(tabulate(A, [identity_wiring(MONO, w) for w in A.words()])))
+
+
+def _cccc_entry(doc):
+    entry = next(e for e in doc["entries"] if e["wd"]["m"] == 4)
+    assert entry["table"] == [[0, 0], [1, 1], [2, 2]]
+    return entry
+
+
+def _edit_cccc(edit):
+    def build():
+        doc = _identities_doc()
+        edit(_cccc_entry(doc))
+        return doc
+    return build
+
+
+def _without_cccc_carrier():
+    doc = _identities_doc()
+    del doc["carriers"][json.dumps(list(_CCCC))]
+    return doc
+
+
+def _cccc_identity():
+    return identity_wiring(MONO, _CCCC)
+
+
+# case -> (table document, class, message)
+TABLE_REFUSALS = {
+    "missing row": (_edit_cccc(lambda e: e["table"].pop()), MissingActionEntry,
+                    lambda: f"table for {_cccc_identity()} misses inputs (2,)"),
+    "spurious row": (_edit_cccc(lambda e: e["table"].append([5, 0])), MissingActionEntry,
+                     lambda: f"table for {_cccc_identity()} has spurious rows"),
+    "output outside its carrier": (_edit_cccc(lambda e: e["table"][2].__setitem__(1, 7)),
+                                   MissingActionEntry,
+                                   lambda: f"table output 7 outside carrier {_CCCC!r}"),
+    "word without a carrier": (_without_cccc_carrier, MissingActionEntry,
+                               lambda: f"no carrier for word {_CCCC!r}"),
+    "negative block size": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", [-1, 5])),
+                            BlockMismatch, lambda: "negative block size in (-1, 5)"),
+    "blocks off the inputs": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", [3])),
+                              BlockMismatch,
+                              lambda: "blocks (3,) sum to 3, diagram has 4 inputs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_REFUSALS))
+def test_a_table_refusal_is_pinned(tmp_path, capsys, case):
+    build, cls, msg = TABLE_REFUSALS[case]
+    doc, msg = build(), msg()
+    with pytest.raises(Exception) as info:
+        algebra_from_json(json.loads(json.dumps(doc)))
+    assert (type(info.value), str(info.value)) == (cls, msg)
+    code, out, err = cli(capsys, "ca", "check", "--algebra", write_doc(tmp_path, "alg.json", doc))
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {msg}\n"
 
 
 # ---------------------------------------------------------------------------
