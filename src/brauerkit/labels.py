@@ -4,7 +4,8 @@ Labels are opaque tokens: ints, strings, or (for internally generated
 bookkeeping names) tuples of labels.  Python refuses to order ints
 against strings, so every sort in the library goes through label_key,
 which totally orders the union by kind first (ints < strings < tuples),
-then by value.  whole_number reads the counts of a document.  Every
+then by value.  whole_number reads the counts of a document, and
+listed refuses a string or an object where a list is read.  Every
 document reader reads its fields with read_field, and a list of row
 objects with read_rows; an error names the kind of document, the field
 and the reason, and never echoes the document.  An error of a class
@@ -65,8 +66,17 @@ def whole_number(x) -> int:
     return int(x)
 
 
+def listed(items):
+    """items, which a reader iterates as a JSON list.  A string or an
+    object raises TypeError, where iterating would read its characters
+    or its keys."""
+    if isinstance(items, (str, dict)):
+        raise TypeError(f"{type(items).__name__!r} object is not a list")
+    return items
+
+
 def decode_labels(items):
-    return tuple(map(decode_label, items))
+    return tuple(map(decode_label, listed(items)))
 
 
 def decode_pairs(rows):
@@ -104,8 +114,8 @@ def read_rows(obj, name: str, fields, error, kind: str, default=None):
     """The row objects listed in obj[name], each as the tuple of its
     (field, read) fields, read with read_field under the kind
     "<kind> '<name>' row <index>", which names the list and the row."""
-    out = []
+    out, head = [], f"{kind} {name!r} row "
     for i, row in enumerate(read_field(obj, name, iter, error, kind, default)):
-        row_kind = f"{kind} {name!r} row {i}"
+        row_kind = head + str(i)
         out.append(tuple([read_field(row, field, read, error, row_kind) for field, read in fields]))
     return out

@@ -456,15 +456,15 @@ def make_operad_structure(boxtimes, contraction, epsilon, external_unit=None):
     return CircuitOperadStructure(box, zeta, tuple(epsilon.items()), external_unit)
 
 
-# The prepared operations of C on S.  Each reads a table that composes
-# every stored row with its transport once: a stored value names an
-# element at sorted words, and transport moves it to the words asked
-# for.  The table raises MissingActionEntry on a missing row, and lives
-# as long as the operation (no per-species plans).  A prepared ζ is the
-# table's own lookup, so a call runs no Python frame.
+# The prepared operations of C on S.  Each reads a copy of the stored rows
+# as they are: a stored value names an element at sorted words, and its
+# transport to the words asked for is the identity, since stable sorts keep
+# equal letters in order.  The table raises MissingActionEntry on a missing
+# row, and lives as long as the operation (no per-species plans).  A
+# prepared ζ is the table's own lookup, so a call runs no Python frame.
 class _Rows(dict):
-    def __init__(self, missing, rows, act):
-        super().__init__({key: act(value) for key, value in rows.items()})
+    def __init__(self, missing, rows):
+        super().__init__(rows)
         self.missing = missing
 
     def __missing__(self, key):
@@ -474,11 +474,8 @@ class _Rows(dict):
 def _product(S, C, w1, w2):
     if len(w1) + len(w2) > S.bound:
         raise ArityBoundExceeded(f"|{w1!r}| + |{w2!r}| exceeds bound {S.bound}")
-    q1, q2 = _sort_perm(w1), _sort_perm(w2)
     r1, r2 = S.rep(w1), S.rep(w2)
-    rows = C.box_map.get((r1, r2), {})
-    act = S._transporting(r1 + r2, _inv(_block(q1, q2))) if rows else None
-    table = _Rows(f"no product entry for {r1!r} x {r2!r}", rows, act)
+    table = _Rows(f"no product entry for {r1!r} x {r2!r}", C.box_map.get((r1, r2), {}))
     return lambda n1, n2: table[n1, n2]
 
 
@@ -494,23 +491,19 @@ def _contraction(S, C, w, x, y):
     r = _apply(w, q)
     qinv = _inv(q)
     i, j = sorted((qinv[x], qinv[y]))
-    # the letter at position k of w sits at qinv[k] of r
-    back = tuple(shifted(qinv[k], (i, j)) for k in range(m) if k not in (x, y))
-    rows = C.zeta_map.get((r, i, j), {})
-    act = S._transporting(drop(r, i, j), back) if rows else None
-    table = _Rows(f"no contraction entry for {r!r} at {(i, j)!r}", rows, act)
+    table = _Rows(f"no contraction entry for {r!r} at {(i, j)!r}", C.zeta_map.get((r, i, j), {}))
     return table.__getitem__
 
 
 def apply_product(S, C, w1, n1, w2, n2):
     """Name of the external product of elements named n1, n2 of S_w1, S_w2.
-    One call prepares the whole table of S_w1 x S_w2, transport included."""
+    One call prepares the whole table of S_w1 x S_w2."""
     return _product(S, C, tuple(w1), tuple(w2))(n1, n2)
 
 
 def apply_contraction(S, C, w, x, y, n):
     """Name of the contraction at positions x, y of the element named n of S_w.
-    One call prepares the whole table of that contraction, transport included."""
+    One call prepares the whole table of that contraction."""
     return _contraction(S, C, tuple(w), x, y)(n)
 
 

@@ -30,6 +30,12 @@ the generators.  Carrier enumeration for the free algebra is a
 truncation of enumerate_wirings: block count, source arity, and bubble
 count are capped, while the action itself stays exact.
 
+A table document is read in one pass over its entries: each distinct
+diagram is read once and kept with its input and output words, and each
+entry cuts the kept input word by its own blocks, through the same cut
+as make_wiring.  TableCircuitAlgebra then sweeps each entry's input
+domain once, and refuses a wiring or a row of inputs listed twice.
+
 Derived operations: block juxtaposition, contraction of two omega-dual
 boundary positions, and the cap unit.  check_circuit_algebra verifies
 the operad-algebra axioms (identity, block equivariance, composition
@@ -92,7 +98,7 @@ from .coloured import (
     tensor_coloured,
 )
 from .graph import InvalidParameter
-from .labels import (decode_label, decode_labels, encode_label, label_key, read_field,
+from .labels import (decode_label, decode_labels, encode_label, label_key, listed, read_field,
                      read_rows, whole_number)
 
 
@@ -144,18 +150,28 @@ class WiringDiagram:
 
 
 def make_wiring(diagram: ColouredBrauerDiagram, block_sizes) -> WiringDiagram:
-    sizes = tuple(int(b) for b in block_sizes)
-    if any(b < 0 for b in sizes):
+    return _cut(_profile(diagram), tuple(int(b) for b in block_sizes))
+
+
+def _profile(diagram: ColouredBrauerDiagram) -> tuple:
+    return diagram, input_type(diagram), output_type(diagram)
+
+
+def _cut(profile, sizes: tuple) -> WiringDiagram:
+    """The wiring of a profiled diagram, (diagram, input word, output
+    word), whose input word is cut into blocks of sizes, a tuple of ints."""
+    diagram, word, output = profile
+    if sizes and min(sizes) < 0:
         raise BlockMismatch(f"negative block size in {sizes!r}")
-    if sum(sizes) != diagram.base.m:
+    if sum(sizes) != len(word):
         raise BlockMismatch(
-            f"blocks {sizes!r} sum to {sum(sizes)}, diagram has {diagram.base.m} inputs"
+            f"blocks {sizes!r} sum to {sum(sizes)}, diagram has {len(word)} inputs"
         )
-    word, types, at = input_type(diagram), [], 0
+    types, at = [], 0
     for size in sizes:
         types.append(word[at:at + size])
         at += size
-    return WiringDiagram(diagram, sizes, tuple(types), output_type(diagram))
+    return WiringDiagram(diagram, sizes, tuple(types), output)
 
 
 def empty_coloured(palette: Palette) -> ColouredBrauerDiagram:
@@ -319,24 +335,30 @@ class TableCircuitAlgebra(CircuitAlgebra):
 
     def __init__(self, palette, bound, carriers, entries):
         super().__init__(palette, bound, carriers, self._lookup)
-        self.table = {}
+        self.table = table = {}
         self.profiles = set()
+        carriers = self.carriers
         for wd, rows in entries:
             rows = dict(rows)
-            for w in wd.block_types + (wd.output_word,):
-                if w not in self.carriers:
-                    raise MissingActionEntry(f"no carrier for word {w!r}")
-            domain = list(itertools.product(*(self.carriers[w] for w in wd.block_types)))
-            for combo in domain:
+            # a wiring listed twice would act by whichever copy came last
+            if table.setdefault(wd, rows) is not rows:
+                raise MissingActionEntry(f"table for {wd} is listed twice")
+            try:
+                pools = [carriers[w] for w in wd.block_types]
+                outputs = carriers[wd.output_word]
+            except KeyError as exc:
+                raise MissingActionEntry(f"no carrier for word {exc.args[0]!r}") from None
+            swept = 0
+            for combo in itertools.product(*pools):
                 if combo not in rows:
                     raise MissingActionEntry(f"table for {wd} misses inputs {combo!r}")
-                if rows[combo] not in self.carriers[wd.output_word]:
+                if rows[combo] not in outputs:
                     raise MissingActionEntry(
                         f"table output {rows[combo]!r} outside carrier {wd.output_word!r}"
                     )
-            if len(rows) != len(domain):
+                swept += 1
+            if len(rows) != swept:
                 raise MissingActionEntry(f"table for {wd} has spurious rows")
-            self.table[wd] = rows
             self.profiles.add((wd.block_types, wd.output_word))
 
     def listed_wirings(self):
@@ -592,9 +614,10 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     and g's output word, fails A.acts_on_type is passed over before it
     is composed: no wiring of that profile is acted on, so the pair
     would be skipped anyway.  The sampled square makes its draws first,
-    so the draws do not depend on the test.  The exhaustive branch sweeps
-    each wiring it uses once, through A.rows, and its three phases share
-    the sweep.  An inner value of the square outside g's swept domain is
+    so the draws do not depend on the test; its identity law builds one
+    identity wiring per inhabited word, not one per draw.  The exhaustive
+    branch sweeps each wiring it uses once, through A.rows, and its three
+    phases share the sweep.  An inner value of the square outside g's swept domain is
     checked by applying g to it, and an action that raises,
     MissingActionEntry included, propagates.
 
@@ -699,10 +722,11 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
         mode = "sampled"
         rng = random.Random(seed)
         inhabited = [w for w in words if sizes[w]]
+        identities = {w: identity_wiring(A.palette, w) for w in inhabited}
         for _ in range(samples if inhabited else 0):
             w = rng.choice(inhabited)
             x = rng.choice(A.elements(w))
-            idw = identity_wiring(A.palette, w)
+            idw = identities[w]
             if A.acts_on(idw):
                 record("identity", A.act(idw)((x,)), x, w)
         usable = [wd for wd, p in listed if domain[p]]
@@ -801,21 +825,21 @@ def wiring_to_json(wd: WiringDiagram) -> dict:
 
 
 def wiring_from_json(obj: dict) -> WiringDiagram:
-    return _read_wiring(coloured_from_json, obj)
+    return _read_wiring(lambda doc: _profile(coloured_from_json(doc)), obj)
 
 
-def _read_wiring(read_diagram, obj: dict) -> WiringDiagram:
+def _read_wiring(read_profile, obj: dict) -> WiringDiagram:
     # a wiring without blocks is named so before any error of its diagram,
     # whose reader names a document that is not an object
     if isinstance(obj, dict) and "blocks" not in obj:
         raise BlockMismatch("wiring diagram document lacks field 'blocks'")
-    diagram = read_diagram(obj)
-    return make_wiring(diagram, read_field(obj, "blocks", _read_blocks, BlockMismatch,
-                                           "wiring diagram"))
+    profile = read_profile(obj)
+    return _cut(profile, read_field(obj, "blocks", _read_blocks, BlockMismatch,
+                                    "wiring diagram"))
 
 
 def _read_blocks(sizes):
-    return list(map(whole_number, sizes))
+    return tuple(map(whole_number, listed(sizes)))
 
 
 def _document_key(doc) -> bytes:
@@ -826,16 +850,17 @@ def _document_key(doc) -> bytes:
     return marshal.dumps(doc, 2)
 
 
-def _diagram_reader(palette_doc, palette: Palette):
-    """read_diagram for the wiring documents of one table document.  It
+def _profile_reader(palette_doc, palette: Palette):
+    """read_profile for the wiring documents of one table document.  It
     reads each distinct diagram, a wiring document without its blocks,
-    once, keyed by _document_key: a key is the same only for documents
-    the readers cannot tell apart, so a diagram read once stands for
-    every document with its key.  A diagram whose palette document has
-    the table palette's key, or whose palette equals the table's, gets
-    the table's palette object, so palette comparisons are identity
-    checks."""
-    palette_key, diagrams = _document_key(palette_doc), {}
+    once, keyed by _document_key, and keeps it profiled with its input
+    and output words: a key is the same only for documents the readers
+    cannot tell apart, so a diagram read once stands for every document
+    with its key, and each entry only cuts the kept input word by its
+    blocks.  A diagram whose palette document has the table palette's
+    key, or whose palette equals the table's, gets the table's palette
+    object, so palette comparisons are identity checks."""
+    palette_key, profiles = _document_key(palette_doc), {}
 
     def read_palette(doc):
         if _document_key(doc) == palette_key:
@@ -843,15 +868,18 @@ def _diagram_reader(palette_doc, palette: Palette):
         other = palette_from_json(doc)
         return palette if other == palette else other
 
-    def read_diagram(doc):
+    def read_profile(doc):
         if not isinstance(doc, dict):
             return read_coloured(doc, read_palette)  # which names the document
-        key = _document_key({k: v for k, v in doc.items() if k != "blocks"})
-        if key not in diagrams:
-            diagrams[key] = read_coloured(doc, read_palette)
-        return diagrams[key]
+        key = doc.copy()
+        del key["blocks"]  # which _read_wiring has found
+        key = _document_key(key)
+        profile = profiles.get(key)
+        if profile is None:
+            profile = profiles[key] = _profile(read_coloured(doc, read_palette))
+        return profile
 
-    return read_diagram
+    return read_profile
 
 
 def _word_key(word) -> str:
@@ -885,11 +913,19 @@ def algebra_to_json(A: TableCircuitAlgebra) -> dict:
 
 def algebra_from_json(obj: dict) -> TableCircuitAlgebra:
     """Inverse of algebra_to_json; reads the same document shape.  The
-    table is validated complete at load time."""
+    table is validated complete at load time.
+
+    The reader reads each distinct diagram once, for all the entries
+    that list it under their blocks, and keeps it with its input and
+    output words; an entry then reads its blocks and table rows and
+    cuts the kept input word by its blocks, as make_wiring would (see
+    _profile_reader).  A wiring listed twice, and inputs listed twice in
+    one entry's rows, are refused: either would act by whichever copy
+    came last."""
     palette = read_field(obj, "palette", palette_from_json, MissingActionEntry, "circuit algebra")
     bound = read_field(obj, "bound", whole_number, MissingActionEntry, "circuit algebra")
     carriers = read_field(obj, "carriers", _read_carriers, MissingActionEntry, "circuit algebra")
-    read_wiring = partial(_read_wiring, _diagram_reader(obj["palette"], palette))
+    read_wiring = partial(_read_wiring, _profile_reader(obj["palette"], palette))
     entries = read_rows(obj, "entries", (("wd", read_wiring), ("table", _read_table)),
                         MissingActionEntry, "circuit algebra")
     return TableCircuitAlgebra(palette, bound, carriers, entries)
@@ -900,8 +936,13 @@ def _read_carriers(carriers):
 
 
 def _read_table(rows):
+    # a row lists one input per block, then the output; inputs listed twice
+    # would act by whichever row came last
     table = {}
     for row in rows:
-        *ins, out = row
-        table[decode_labels(ins)] = decode_label(out)
+        *inputs, out = map(decode_label, listed(row))
+        inputs = tuple(inputs)
+        if inputs in table:
+            raise ValueError(f"inputs {inputs!r} are listed twice")
+        table[inputs] = out
     return table

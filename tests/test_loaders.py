@@ -471,6 +471,43 @@ TABLE_REFUSALS = {
 }
 
 
+def _cccc_index():
+    return _identities_doc()["entries"].index(_cccc_entry(_identities_doc()))
+
+
+def _cccc_twice(at):
+    # the cccc identity listed again, with its first row corrupted
+    def build():
+        doc = _identities_doc()
+        entry = json.loads(json.dumps(_cccc_entry(doc)))
+        entry["table"][0] = [0, 1]
+        doc["entries"].insert(at if at >= 0 else len(doc["entries"]), entry)
+        return doc
+    return build
+
+
+def _table_field(reason):
+    return lambda: (f"malformed circuit algebra 'entries' row {_cccc_index()} field 'table': "
+                    f"{reason}")
+
+
+# refusals of what a table used to read by its last copy, or by iterating a
+# string as a list; case -> (table document, class, message)
+TABLE_REFUSALS.update({
+    "wiring listed again after": (_cccc_twice(-1), MissingActionEntry,
+                                  lambda: f"table for {_cccc_identity()} is listed twice"),
+    "wiring listed again before": (_cccc_twice(0), MissingActionEntry,
+                                   lambda: f"table for {_cccc_identity()} is listed twice"),
+    "inputs listed twice": (_edit_cccc(lambda e: e["table"].append([0, 1])), MissingActionEntry,
+                            _table_field("inputs (0,) are listed twice")),
+    "row a string": (_edit_cccc(lambda e: e["table"].__setitem__(0, "00")), MissingActionEntry,
+                     _table_field("'str' object is not a list")),
+    "blocks a string": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", "4")), BlockMismatch,
+                        lambda: "malformed wiring diagram field 'blocks': "
+                                "'str' object is not a list"),
+})
+
+
 @pytest.mark.parametrize("case", sorted(TABLE_REFUSALS))
 def test_a_table_refusal_is_pinned(tmp_path, capsys, case):
     build, cls, msg = TABLE_REFUSALS[case]
@@ -588,6 +625,10 @@ FIELD_ERRORS = [
     ("palette", "colours", None, PaletteMismatch, "palette document lacks field 'colours'"),
     ("palette", "colours", 7, PaletteMismatch,
      "malformed palette field 'colours': 'int' object is not iterable"),
+    ("palette", "colours", "+-", PaletteMismatch,
+     "malformed palette field 'colours': 'str' object is not a list"),
+    ("palette", "colours", {"+": 0, "-": 1}, PaletteMismatch,
+     "malformed palette field 'colours': 'dict' object is not a list"),
     ("palette", "omega", None, PaletteMismatch, "palette document lacks field 'omega'"),
     ("palette", "omega", [["+"]], PaletteMismatch,
      "malformed palette field 'omega': entry 0 is not an [a, b] pair"),
@@ -595,6 +636,8 @@ FIELD_ERRORS = [
      "wiring diagram document lacks field 'blocks'"),
     ("wiring diagram", "blocks", [0.5, 1.5], BlockMismatch,
      "malformed wiring diagram field 'blocks': not a whole number: 0.5"),
+    ("wiring diagram", "blocks", "11", BlockMismatch,
+     "malformed wiring diagram field 'blocks': 'str' object is not a list"),
     ("pairing", "carrier", None, PairingError, "pairing document lacks field 'carrier'"),
     ("pairing", "carrier", 7, PairingError,
      "malformed pairing field 'carrier': 'int' object is not iterable"),

@@ -259,14 +259,18 @@ def test_loader_refuses_bad_sigma_rows_with_value_error(sigma):
 
 @pytest.mark.parametrize("bound", [4, 6])
 def test_plans_match_the_uncached_formulas(bound):
-    # at bound 4 every contraction lands in a table of one element; bound 6
-    # contracts S(+++---) into S(++--), whose two elements the action swaps.
-    # Each operation is read one-shot, and through the operations object of
-    # the laws, which prepares it once per key and check.
+    # the reference formulas move each stored value by its transport θ
+    # through the action; the prepared tables read the stored rows as they
+    # are, since every such θ is the identity.  At bound 4 every contraction
+    # lands in a table of one element, on which any θ acts trivially; bound 6
+    # contracts into S(++--), whose two elements the action swaps, so a θ
+    # other than the identity would show there.  Each operation is read
+    # one-shot, and through the operations object of the laws, which
+    # prepares it once per key and check.
     S, C = species_from_circuit_algebra(pairing_algebra(ORI, bound))
     ops, omega, groups = species._table_ops(S, C), ORI.omega, {}
     contractions = products = 0
-    for _ in range(2):  # the second pass prepares each operation again, on cached transports
+    for _ in range(2):  # the second pass prepares each operation again
         for n in range(bound + 1):
             for w in itertools.product(ORI.colours, repeat=n):
                 names = S.elements(w)
