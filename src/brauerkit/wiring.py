@@ -614,8 +614,8 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     and g's output word, fails A.acts_on_type is passed over before it
     is composed: no wiring of that profile is acted on, so the pair
     would be skipped anyway.  The sampled square makes its draws first,
-    so the draws do not depend on the test; its identity law builds one
-    identity wiring per inhabited word, not one per draw.  The exhaustive
+    so the draws do not depend on the test; its identity law builds and
+    prepares one identity wiring per inhabited word, not one per draw.  The exhaustive
     branch sweeps each wiring it uses once, through A.rows, and its three
     phases share the sweep.  An inner value of the square outside g's swept domain is
     checked by applying g to it, and an action that raises,
@@ -722,13 +722,16 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
         mode = "sampled"
         rng = random.Random(seed)
         inhabited = [w for w in words if sizes[w]]
-        identities = {w: identity_wiring(A.palette, w) for w in inhabited}
+        identities = {}  # the identity action on each inhabited word, where A acts
+        for w in inhabited:
+            idw = identity_wiring(A.palette, w)
+            if A.acts_on(idw):
+                identities[w] = A.act(idw)
         for _ in range(samples if inhabited else 0):
             w = rng.choice(inhabited)
             x = rng.choice(A.elements(w))
-            idw = identities[w]
-            if A.acts_on(idw):
-                record("identity", A.act(idw)((x,)), x, w)
+            if w in identities:
+                record("identity", identities[w]((x,)), x, w)
         usable = [wd for wd, p in listed if domain[p]]
         for _ in range(samples if usable else 0):
             wd = rng.choice(usable)
