@@ -615,11 +615,11 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
     is composed: no wiring of that profile is acted on, so the pair
     would be skipped anyway.  The sampled square makes its draws first,
     so the draws do not depend on the test; its identity law builds and
-    prepares one identity wiring per inhabited word, not one per draw.  The exhaustive
-    branch sweeps each wiring it uses once, through A.rows, and its three
-    phases share the sweep.  An inner value of the square outside g's swept domain is
-    checked by applying g to it, and an action that raises,
-    MissingActionEntry included, propagates.
+    prepares one identity wiring per inhabited word, not one per draw.
+    The exhaustive branch sweeps each wiring it uses once, through
+    A.rows, and its three phases share the sweep.  An inner value of the
+    square outside g's swept domain is checked by applying g to it, and
+    an action that raises, MissingActionEntry included, propagates.
 
     The exhaustive square takes its pairs from _grouped_composites, which
     tensors each fs once for all the g with its block types, and only

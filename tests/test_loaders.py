@@ -452,27 +452,9 @@ def _cccc_identity():
     return identity_wiring(MONO, _CCCC)
 
 
-# case -> (table document, class, message)
-TABLE_REFUSALS = {
-    "missing row": (_edit_cccc(lambda e: e["table"].pop()), MissingActionEntry,
-                    lambda: f"table for {_cccc_identity()} misses inputs (2,)"),
-    "spurious row": (_edit_cccc(lambda e: e["table"].append([5, 0])), MissingActionEntry,
-                     lambda: f"table for {_cccc_identity()} has spurious rows"),
-    "output outside its carrier": (_edit_cccc(lambda e: e["table"][2].__setitem__(1, 7)),
-                                   MissingActionEntry,
-                                   lambda: f"table output 7 outside carrier {_CCCC!r}"),
-    "word without a carrier": (_without_cccc_carrier, MissingActionEntry,
-                               lambda: f"no carrier for word {_CCCC!r}"),
-    "negative block size": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", [-1, 5])),
-                            BlockMismatch, lambda: "negative block size in (-1, 5)"),
-    "blocks off the inputs": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", [3])),
-                              BlockMismatch,
-                              lambda: "blocks (3,) sum to 3, diagram has 4 inputs"),
-}
-
-
 def _cccc_index():
-    return _identities_doc()["entries"].index(_cccc_entry(_identities_doc()))
+    doc = _identities_doc()
+    return doc["entries"].index(_cccc_entry(doc))
 
 
 def _cccc_twice(at):
@@ -491,9 +473,23 @@ def _table_field(reason):
                     f"{reason}")
 
 
-# refusals of what a table used to read by its last copy, or by iterating a
-# string as a list; case -> (table document, class, message)
-TABLE_REFUSALS.update({
+# case -> (table document, class, message)
+TABLE_REFUSALS = {
+    "missing row": (_edit_cccc(lambda e: e["table"].pop()), MissingActionEntry,
+                    lambda: f"table for {_cccc_identity()} misses inputs (2,)"),
+    "spurious row": (_edit_cccc(lambda e: e["table"].append([5, 0])), MissingActionEntry,
+                     lambda: f"table for {_cccc_identity()} has spurious rows"),
+    "output outside its carrier": (_edit_cccc(lambda e: e["table"][2].__setitem__(1, 7)),
+                                   MissingActionEntry,
+                                   lambda: f"table output 7 outside carrier {_CCCC!r}"),
+    "word without a carrier": (_without_cccc_carrier, MissingActionEntry,
+                               lambda: f"no carrier for word {_CCCC!r}"),
+    "negative block size": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", [-1, 5])),
+                            BlockMismatch, lambda: "negative block size in (-1, 5)"),
+    "blocks off the inputs": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", [3])),
+                              BlockMismatch,
+                              lambda: "blocks (3,) sum to 3, diagram has 4 inputs"),
+    # what a table used to read by its last copy, or by iterating a string
     "wiring listed again after": (_cccc_twice(-1), MissingActionEntry,
                                   lambda: f"table for {_cccc_identity()} is listed twice"),
     "wiring listed again before": (_cccc_twice(0), MissingActionEntry,
@@ -505,7 +501,7 @@ TABLE_REFUSALS.update({
     "blocks a string": (_edit_cccc(lambda e: e["wd"].__setitem__("blocks", "4")), BlockMismatch,
                         lambda: "malformed wiring diagram field 'blocks': "
                                 "'str' object is not a list"),
-})
+}
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_REFUSALS))
