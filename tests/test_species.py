@@ -410,6 +410,14 @@ def test_lift_pinned(name):
     assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
 
 
+def test_lift_refuses_a_value_outside_the_carrier():
+    # every action gives "x": the first value the lift names is ∅ ⊠ ∅
+    A = pairing_algebra(MONO, 2)
+    outside = CircuitAlgebra(MONO, 2, A.carriers, lambda wd, inputs: "x")
+    with pytest.raises(ValueError, match=r"^'x' is not in the carrier at \(\)$"):
+        species_from_circuit_algebra(outside)
+
+
 WORD_TRIPLE_OPS = {
     "pairing ori 6": lambda: wiring._algebra_ops(pairing_algebra(ORI, 6)),
     "pairing mono 8": lambda: wiring._algebra_ops(pairing_algebra(MONO, 8)),
