@@ -27,6 +27,12 @@ the type t once and returns the function of the elements that gives
 the two sides of its equation.  run_laws checks every instance when the
 weighted candidate count fits the budget (or there is no budget), and
 otherwise samples; it returns one Report.
+
+The laws only apply the operations and compare what they give, so they
+may run on numbers that stand for the elements, as
+wiring.check_derived_axioms runs them: equal elements share a number.
+run_laws then takes the function that turns a violation's numbers back
+into elements, and the violation shows those elements.
 """
 
 from __future__ import annotations
@@ -57,11 +63,12 @@ class Law:
     weight: int = 1
 
 
-def _violation(law, t, xs, lhs, rhs):
-    return law.kind, f"{t!r} on {xs!r}: {lhs!r} != {rhs!r}"
+def _violation(law, t, xs, lhs, rhs, show):
+    return law.kind, f"{t!r} on {show(xs)!r}: {show(lhs)!r} != {show(rhs)!r}"
 
 
-def run_laws(laws, seed=0, budget=None, samples=300, notes=()) -> Report:
+def run_laws(laws, seed=0, budget=None, samples=300, notes=(),
+             show=lambda v: v) -> Report:
     """Check the laws in order.  Exhaustive when the weighted candidate
     count fits the budget or there is no budget.  Otherwise `samples`
     rounds from random.Random(seed): each round visits the laws in
@@ -71,7 +78,12 @@ def run_laws(laws, seed=0, budget=None, samples=300, notes=()) -> Report:
     `checked` counts each instance visited with its law's weight: the
     exhaustive sweep adds weight x the product of the pool sizes once
     per type, so it ends equal to `candidates`; a sampled round adds
-    weight per law that draws."""
+    weight per law that draws.
+
+    A violation shows its elements xs and its two sides as show(xs),
+    show(lhs) and show(rhs), by default as they are.  Laws run on numbers
+    pass the function that turns numbers back into elements, so the text
+    and the sort order are those of the laws run on the elements."""
     laws = [(law, [(t, pools) for t, pools in law.cases if all(pools)]) for law in laws]
     candidates = sum(law.weight * sum(prod(map(len, pools)) for _, pools in cases)
                      for law, cases in laws)
@@ -87,7 +99,7 @@ def run_laws(laws, seed=0, budget=None, samples=300, notes=()) -> Report:
                 for xs in itertools.product(*pools):
                     lhs, rhs = sides(*xs)
                     if lhs != rhs:
-                        violations.append(_violation(law, t, xs, lhs, rhs))
+                        violations.append(_violation(law, t, xs, lhs, rhs, show))
     else:
         mode = "sampled"
         rng = random.Random(seed)
@@ -100,7 +112,7 @@ def run_laws(laws, seed=0, budget=None, samples=300, notes=()) -> Report:
                     checked += law.weight
                     lhs, rhs = prepared(n, t)(*xs)
                     if lhs != rhs:
-                        violations.append(_violation(law, t, xs, lhs, rhs))
+                        violations.append(_violation(law, t, xs, lhs, rhs, show))
     violations.sort()
     return Report(not violations, mode, seed, candidates, checked, tuple(violations),
                   tuple(notes))

@@ -663,9 +663,10 @@ def species_from_circuit_algebra(A):
     index = {r: {x: i for i, x in reversed(list(enumerate(A.elements(r))))} for r in reps}
 
     def name(word, x):
-        if x not in index[word]:
+        i = index[word].get(x)
+        if i is None:
             raise ValueError(f"{x!r} is not in the carrier at {word!r}")
-        return index[word][x]
+        return i
 
     def sorted_names(word):
         # x at an unsorted word -> the name of x in the sorted table

@@ -46,11 +46,13 @@ refuses only profiles on none of whose wirings the algebra acts, so
 the square passes over a pair whose composite's profile it refuses
 before composing it.
 check_derived_axioms runs the circuit-operad laws of the axioms module
-on the derived operations, relabelling through perm_wiring.  The laws
-meet one (operation, arguments) pair many times, so each check keeps a
-memo of the ⊠, ζ and relabelling values it has worked out, and frees
-it when it returns; species_from_circuit_algebra applies each
-operation once per argument tuple and keeps none.  An algebra on
+on the derived operations, relabelling through perm_wiring.  Each check
+numbers the elements it meets once, and the laws compare those numbers;
+they meet one (operation, arguments) pair many times, so each ⊠, ζ and
+relabelling value is worked out once per check, memoised on numbers.
+The numbering and the memo are freed when the check returns;
+species_from_circuit_algebra applies each operation once per argument
+tuple and keeps no memo.  An algebra on
 downward diagrams alone has no cap unit, so there it leaves out the
 connected unit and its report carries the note "downward only: the
 connected unit is not in scope".  species.species_from_circuit_algebra tabulates the same
@@ -559,6 +561,13 @@ def perm_wiring(palette: Palette, word, sigma) -> WiringDiagram:
 # checkers
 
 
+def _refuse_empty_check(budget, samples):
+    if samples < 1:
+        raise InvalidParameter(f"samples must be at least 1, got {samples}")
+    if budget is not None and budget < 0:
+        raise InvalidParameter(f"budget must be non-negative, got {budget}")
+
+
 def _grouped_composites(universe, pools, palette, acts_on_type):
     """The pairs (g, fs) of the composition square, fs drawn from the
     pools of g's block types, whose composite's profile passes
@@ -638,10 +647,7 @@ def check_circuit_algebra(A: CircuitAlgebra, seed=0, budget=100_000, samples=400
 
     A check that could check nothing is refused: samples below 1 and a
     negative budget raise InvalidParameter."""
-    if samples < 1:
-        raise InvalidParameter(f"samples must be at least 1, got {samples}")
-    if budget < 0:
-        raise InvalidParameter(f"budget must be non-negative, got {budget}")
+    _refuse_empty_check(budget, samples)
     words = list(A.words())
     sizes = {w: len(A.elements(w)) for w in words}
     if universe is None:
@@ -773,8 +779,8 @@ def _relabelling(A: CircuitAlgebra, word, sigma):
 def _algebra_ops(A: CircuitAlgebra):
     # the operations A derives from wiring diagrams, as the laws of the axioms
     # module take them (0-based positions), each built once per key and ops object;
-    # check_derived_axioms memoises their values, the lift applies each once per
-    # argument tuple and so keeps no value memo
+    # check_derived_axioms runs them on numbered elements with a memo per check,
+    # the lift applies each once per argument tuple and so keeps no value memo
     prepared = cache(lambda make, *key: make(A, *key))
     return SimpleNamespace(
         words=[w for w in A.words() if A.elements(w)], elements=A.elements,
@@ -786,35 +792,63 @@ def _algebra_ops(A: CircuitAlgebra):
     )
 
 
-def _value_memo(op):
-    # op(*key) prepares one function of the elements per key; each gets a memo
-    return cache(lambda *key: cache(op(*key)))
-
-
 def check_derived_axioms(A: CircuitAlgebra, seed=0, budget=100_000,
                          samples=300) -> Report:
     """The circuit-operad laws on the derived product, contractions and
     units.  An algebra on downward diagrams alone has no cap to build
     ε_c from, so there the connected unit is left out and a note says so.
+    A check that could check nothing is refused: samples below 1 and a
+    negative budget raise InvalidParameter.
 
-    Each ⊠, ζ and relabelling value is worked out once per check: the
-    laws apply an operation to one argument tuple many times (on
-    pairing_algebra(ORI, 6), 16,448 action calls for 1,505 distinct
-    (wiring, inputs) pairs without the memo), so the prepared operations
-    are wrapped in a memo keyed by their element arguments, made here
-    and freed when the check returns.  The elements are hashed for it,
-    and equal elements share a value, as in check_circuit_algebra's
-    sweep.  species_from_circuit_algebra applies each operation once per
-    argument tuple, so a memo there would cost time and memory and save
-    nothing."""
+    The laws run on numbers.  Each distinct element (by ==) gets an int,
+    in the order first met: a carrier's elements when the laws first ask
+    for their word, an action's value when it is made.  A value outside
+    every carrier, from a faulty action, gets a number of its own, so
+    equal values share a number and unequal values never do.  Each ⊠, ζ
+    and relabelling is prepared once per key, decodes its numbers, acts
+    once and numbers its value, memoised on the numbers: each derived
+    value is worked out once per check (on pairing_algebra(ORI, 6), 1,505
+    action calls where the laws ask for 16,448), and each value is hashed
+    about once, when it is numbered.  A violation shows each number as
+    the element first met with it, so its text is that of the laws run
+    on the elements.  The numbering and the memo are made here and freed
+    when the check returns.  species_from_circuit_algebra
+    applies each operation once per argument tuple, so a memo there
+    would cost time and memory and save nothing."""
+    _refuse_empty_check(budget, samples)
     ops = _algebra_ops(A)
-    ops.box, ops.zeta, ops.relabel = map(_value_memo, (ops.box, ops.zeta, ops.relabel))
+    number, element = {}, []  # element -> int, and back
+
+    def numbered(x):
+        n = number.setdefault(x, len(element))
+        if n == len(element):
+            element.append(x)
+        return n
+
+    def on_numbers(op):
+        # op(*key) prepares one function of the elements per key
+        def prepare(*key):
+            act = op(*key)
+            return cache(lambda *ns: numbered(act(*[element[n] for n in ns])))
+        return cache(prepare)
+
+    def shown(v):
+        # the laws give numbers and tuples of them
+        return tuple(map(shown, v)) if isinstance(v, tuple) else element[v]
+
+    numbers = SimpleNamespace(
+        words=ops.words, bound=ops.bound, omega=ops.omega,
+        elements=cache(lambda w: tuple(map(numbered, ops.elements(w)))),
+        unit=None if ops.unit is None else numbered(ops.unit),
+        box=on_numbers(ops.box), zeta=on_numbers(ops.zeta), relabel=on_numbers(ops.relabel),
+        eps=cache(lambda c: numbered(ops.eps(c))),
+    )
     laws = CIRCUIT_LAWS
     notes = ()
     if A.downward_only:
         laws = [law for law in laws if law is not connected_unit]
         notes = ("downward only: the connected unit is not in scope",)
-    return run_laws([law(ops) for law in laws], seed, budget, samples, notes)
+    return run_laws([law(numbers) for law in laws], seed, budget, samples, notes, shown)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from brauerkit import wiring
 from brauerkit.axioms import CIRCUIT_LAWS, Report, connected_unit, run_laws
 from brauerkit.brauer import make_diagram
 from brauerkit.coloured import (
+    ColouredBrauerDiagram,
     PaletteMismatch,
     TypeMismatch,
     cap_coloured,
@@ -28,6 +29,7 @@ from brauerkit.coloured import (
     oriented_palette,
     output_type,
 )
+from brauerkit.graph import InvalidParameter
 from brauerkit.wiring import (
     ArityBoundExceeded,
     BlockMismatch,
@@ -784,9 +786,24 @@ def test_downward_check_leaves_out_the_connected_unit():
     assert check_derived_axioms(pairing_algebra(MONO, 4)).notes == ()
 
 
+@pytest.mark.parametrize("budget, samples, message", [
+    (0, 0, "samples must be at least 1, got 0"),
+    (-5, -3, "samples must be at least 1, got -3"),
+    (-1, 300, "budget must be non-negative, got -1"),
+])
+def test_derived_check_refuses_a_check_of_nothing(budget, samples, message):
+    # as check_circuit_algebra does; budget=0 still forces sampling
+    for check in (check_derived_axioms, check_circuit_algebra):
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            check(pairing_algebra(MONO, 4), budget=budget, samples=samples)
+    report = check_derived_axioms(pairing_algebra(MONO, 4), budget=0, samples=1)
+    assert report.mode == "sampled" and report.checked == 6
+
+
 def reference_derived_report(A, seed=0, budget=100_000, samples=300):
-    # check_derived_axioms without its value memo: the same laws and note
-    # on the operations of _algebra_ops, which build each value anew
+    # check_derived_axioms without its numbering and value memo: the same
+    # laws and note on the elements, through the operations of
+    # _algebra_ops, which build each value anew
     laws, notes = CIRCUIT_LAWS, ()
     if A.downward_only:
         laws = [law for law in laws if law is not connected_unit]
@@ -899,6 +916,34 @@ def test_each_derived_value_is_computed_once():
     A.action = counted
     assert check_derived_axioms(A).passed
     assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("palette, bound", [(ORI, 4), (MONO, 6)], ids=["ori 4", "mono 6"])
+def test_derived_check_hashes_each_element_about_once(palette, bound):
+    # the laws compare numbers, so a diagram is hashed when it is numbered:
+    # about once per carrier element and once per action call
+    A = pairing_algebra(palette, bound)
+    elements = sum(len(A.elements(w)) for w in A.words())
+    actions = hashes = 0
+    action, original = A.action, ColouredBrauerDiagram.__hash__
+
+    def counted_action(wd, inputs):
+        nonlocal actions
+        actions += 1
+        return action(wd, inputs)
+
+    def counted_hash(d):
+        nonlocal hashes
+        hashes += 1
+        return original(d)
+
+    A.action = counted_action
+    ColouredBrauerDiagram.__hash__ = counted_hash
+    try:
+        assert check_derived_axioms(A).passed
+    finally:
+        ColouredBrauerDiagram.__hash__ = original
+    assert hashes < 2 * (elements + actions)
 
 
 def test_value_memo_lasts_one_check():
