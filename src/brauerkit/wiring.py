@@ -562,6 +562,7 @@ def perm_wiring(palette: Palette, word, sigma) -> WiringDiagram:
 
 
 def _refuse_empty_check(budget, samples):
+    # run_laws reads a budget of None as no budget
     if samples < 1:
         raise InvalidParameter(f"samples must be at least 1, got {samples}")
     if budget is not None and budget < 0:
