@@ -14,17 +14,20 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brauerkit.labels import label_key, sort_labels
 from brauerkit.pairing import (
     DuplicateLabel,
     PairingError,
     SelfPair,
     SharedSetMismatch,
     UncoveredLabel,
+    Pairing,
     all_pairings,
     compose_pairings,
+    compose_pairings_detailed,
     make_pairing,
     orbits,
     pairing_from_json,
@@ -216,6 +219,112 @@ def test_associativity_exhaustive_tiny():
                 q23, k23 = compose_pairings(p2, p3, zs)
                 qb, kb = compose_pairings(p1, q23, ys)
                 assert qa == qb and k12 + ka == k23 + kb
+
+
+def _label_walk(p_xy, p_yz, shared):
+    """(composite, cycles) of the stack, traced on labels: each chain from
+    its least end in X, then in Z, each cycle from its least shared label
+    through p_xy first.  The composite's pairs are each in label order,
+    sorted by their first label, and the cycles are listed by least label."""
+    y = set(shared)
+    x, z = set(p_xy.carrier) - y, set(p_yz.carrier) - y
+    t1, t2 = p_xy.partner, p_yz.partner
+    seen, pairs = set(), []
+    for start in sort_labels(x) + sort_labels(z):
+        if start in seen:
+            continue
+        use_first = start in z
+        cur = t1[start] if start in x else t2[start]
+        while cur in y:
+            seen.add(cur)
+            cur = t1[cur] if use_first else t2[cur]
+            use_first = not use_first
+        seen.update((start, cur))
+        pairs.append(tuple(sort_labels((start, cur))))
+    cycles = []
+    for y0 in sort_labels(y):
+        if y0 in seen:
+            continue
+        cyc, cur, use_first = [y0], t1[y0], False
+        while cur != y0:
+            seen.add(cur)
+            cyc.append(cur)
+            cur = t1[cur] if use_first else t2[cur]
+            use_first = not use_first
+        cycles.append(tuple(cyc))
+    pairs.sort(key=lambda ab: label_key(ab[0]))
+    return Pairing(tuple(sort_labels(x | z)), tuple(pairs)), tuple(cycles)
+
+
+# ints, strings and tuples, which label_key orders by kind, then by value
+_MIXED_LABELS = st.one_of(st.integers(-3, 30), st.text("xyz", min_size=1, max_size=2),
+                          st.tuples(st.integers(0, 2), st.sampled_from("ab")))
+
+
+@st.composite
+def _mixed_stacks(draw):
+    """Two pairings stacked along a shared set, on mixed labels drawn in
+    no particular order, so X, Y and Z interleave in label order."""
+    nx, ny, nz = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    nx += (nx + ny) % 2
+    nz += (ny + nz) % 2
+    size = nx + ny + nz
+    labels = draw(st.lists(_MIXED_LABELS, unique=True, min_size=size, max_size=size))
+    xs, ys, zs = labels[:nx], labels[nx:nx + ny], labels[nx + ny:]
+
+    def pairing(carrier):
+        order = draw(st.permutations(carrier))
+        return make_pairing(carrier, zip(order[::2], order[1::2]))
+
+    return pairing(xs + ys), pairing(ys + zs), ys
+
+
+# X = {"z", 3}, Y = {(0, "a"), 7, "b", 2}, Z = {"a", (1, "b")}: an X label
+# sorts after a Z label and before another; the chains are 3-"z" inside
+# X and "a"-(1, "b") inside Z, and the one loop, listed from its least
+# label 2, is met from (0, "a") when Y is read in the order given
+_INTERLEAVED = (
+    make_pairing(["z", (0, "a"), 7, "b", 2, 3], [("z", 3), ((0, "a"), 7), ("b", 2)]),
+    make_pairing([(0, "a"), 7, "b", 2, "a", (1, "b")],
+                 [(7, "b"), (2, (0, "a")), ((1, "b"), "a")]),
+    [(0, "a"), 7, "b", 2],
+)
+# X = {"q", (0, "a")}, Z = {5, "p"}: both chains cross the seam, each
+# joining X to Z, with an X label at each end of Z's label order
+_CROSSING = (
+    make_pairing(["q", (0, "a"), 1, "m"], [("q", 1), ((0, "a"), "m")]),
+    make_pairing([1, "m", 5, "p"], [(1, "p"), ("m", 5)]),
+    [1, "m"],
+)
+
+
+def test_detailed_composer_on_interleaved_labels():
+    assert compose_pairings_detailed(*_INTERLEAVED) == (
+        Pairing((3, "a", "z", (1, "b")), ((3, "z"), ("a", (1, "b")))),
+        ((2, "b", 7, (0, "a")),))
+    assert compose_pairings_detailed(*_CROSSING) == (
+        Pairing((5, "p", "q", (0, "a")), ((5, (0, "a")), ("p", "q"))), ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_stacks())
+@example(_INTERLEAVED)
+@example(_CROSSING)
+def test_detailed_composer_matches_the_label_walk(stack):
+    # the carrier, each pair and its place, and each cycle and its place
+    assert compose_pairings_detailed(*stack) == _label_walk(*stack)
+
+
+@pytest.mark.parametrize("shared, message", [
+    (["q"], "shared set must lie in both carriers"),
+    (["y"], "outer boundaries overlap: ['a']"),
+])
+def test_shared_set_mismatch_messages(shared, message):
+    p1 = make_pairing(["a", "y"], [("a", "y")])
+    p2 = make_pairing(["y", "a"], [("y", "a")])
+    with pytest.raises(SharedSetMismatch) as err:
+        compose_pairings_detailed(p1, p2, shared)
+    assert str(err.value) == message
 
 
 def test_all_pairings_double_factorial():
