@@ -179,8 +179,12 @@ def all_pairings(labels):
 
     Recursive least-unmatched scheme: the least remaining label is
     paired with each other remaining label in turn.  The number of
-    results on 2k labels is (2k-1)!!.
+    results on 2k labels is (2k-1)!!.  A repeated label is refused as
+    make_pairing refuses it.
     """
+    labels = list(labels)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel(f"carrier repeats a label: {labels!r}")
     labels = sort_labels(labels)
     if len(labels) % 2:
         return

@@ -333,6 +333,17 @@ def test_all_pairings_double_factorial():
     assert list(all_pairings(range(3))) == []
 
 
+@pytest.mark.parametrize("labels", [["a", "a"], ["a", "a", "b", "c"], [2, "b", 2]])
+def test_all_pairings_refuses_a_repeated_label_as_make_pairing_does(labels):
+    # it used to yield a self-pair on ["a", "a"] and pairings that use "a" twice
+    pairs = all_pairings(labels)
+    with pytest.raises(DuplicateLabel) as err:
+        next(pairs)
+    with pytest.raises(DuplicateLabel) as want:
+        make_pairing(labels, [])
+    assert str(err.value) == str(want.value) == f"carrier repeats a label: {labels!r}"
+
+
 def test_json_round_trip():
     p = make_pairing(["b", "a", "d", "c"], [("d", "a"), ("c", "b")])
     blob = json.dumps(pairing_to_json(p), sort_keys=True)
