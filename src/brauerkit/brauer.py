@@ -14,11 +14,12 @@ boundary order.  `partner` is the flat tuple over positions 0..m+n-1
 whose entry p is the position joined to p.  Two diagrams are equal iff
 their arities, partner tuples and closed counts agree; BD(m, n) is a
 plain set of such data, no quotient involved.  Every operation below
-is arithmetic on positions.  Stacking is one strand walk over two
-partner tuples (_walk), which compose_detailed and the Br_delta
-product brauer_algebra.br_compose share: compose_detailed builds its
-diagram and lists its seam cycles from the walk, and br_compose reads
-the composite's partner tuple and counts its born loops.
+is arithmetic on positions.  Stacking is the strand walk over two
+partner tuples in pairing (_walk, _loops), which has three callers:
+compose_detailed builds its diagram and seam cycles from it, the Br_delta
+product brauer_algebra.br_compose reads the composite's partner tuple
+and counts its born loops, and pairing's label composer walks numbered
+labels.
 
 The boundary labels are the strings "s1".."sm" and "t1".."tn".  They
 appear only at the edges: make_diagram and the JSON reader turn each
@@ -47,7 +48,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .labels import read_field, whole_number
-from .pairing import DuplicateLabel, PairingError, SelfPair, UncoveredLabel, all_pairings
+from .pairing import (DuplicateLabel, PairingError, SelfPair, UncoveredLabel, _loops, _walk,
+                      all_pairings)
 
 
 class ArityMismatch(ValueError):
@@ -169,65 +171,6 @@ def cup() -> BrauerDiagram:
 
 def cap() -> BrauerDiagram:
     return BrauerDiagram(0, 2, (1, 0))
-
-
-def _walk(pf, pg, m: int, k: int, n: int):
-    """Trace the strands of f: m -> k stacked on g: k -> n, given their
-    partner tuples.  Returns the composite's partner list and, per seam
-    point i (0-based), whether a strand with boundary ends crossed it;
-    the seam points it did not meet lie on the closed loops born in the
-    stack."""
-    out = [-1] * (m + n)
-    seen = [False] * k
-    # seam point i is f's position m + i and g's position i; a strand
-    # crosses the seam until it ends at a source of f (q < m in f) or at
-    # a target of g (q >= k in g), which is the composite's m + q - k
-    for start in range(m + n):
-        if out[start] >= 0:
-            continue
-        if start < m:
-            q = pf[start]
-            while q >= m:  # in f at seam point q - m: cross into g
-                i = q - m
-                seen[i] = True
-                q = pg[i]
-                if q >= k:
-                    q += m - k
-                    break
-                seen[q] = True  # in g at seam point q: cross into f
-                q = pf[m + q]
-        else:
-            q = pg[k + start - m]
-            while q < k:  # in g at seam point q: cross into f
-                seen[q] = True
-                q = pf[m + q]
-                if q < m:
-                    break
-                i = q - m  # in f at seam point i: cross into g
-                seen[i] = True
-                q = pg[i]
-            else:
-                q += m - k
-        out[start], out[q] = q, start
-    return out, seen
-
-
-def _loops(pf, pg, m: int, seen) -> list:
-    """The closed loops at the seam that _walk left unmet, each as the
-    tuple of its 1-based seam indices in traversal order: from its least
-    index, through f first.  Marks the points it lists in seen."""
-    loops = []
-    for i in range(len(seen)):
-        if seen[i]:
-            continue
-        loop, j, in_f = [i + 1], pf[m + i] - m, False
-        while j != i:
-            seen[j] = True
-            loop.append(j + 1)
-            j = pf[m + j] - m if in_f else pg[j]
-            in_f = not in_f
-        loops.append(tuple(loop))
-    return loops
 
 
 def compose_detailed(f: BrauerDiagram, g: BrauerDiagram):

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .brauer import (ArityMismatch, BrauerDiagram, _loops, _walk, diagram_from_json,
-                     diagram_to_json, tensor)
+from .brauer import ArityMismatch, BrauerDiagram, diagram_from_json, diagram_to_json, tensor
 from .labels import read_field, read_rows, whole_number
+from .pairing import _loops, _walk
 
 
 class RingMismatch(ValueError):

@@ -23,6 +23,12 @@ Counting blocks gives the bookkeeping identity
 
 since a chain through k middle points uses k+1 blocks and contributes
 one orbit, while a cycle through k middle points uses exactly k blocks.
+
+One strand walk over integer positions (_walk, and _loops for the
+cycles) traces every stack in the package: brauer.compose_detailed and
+brauer_algebra.br_compose call it on partner tuples, and
+compose_pairings_detailed is an adapter that numbers X, Y and Z as
+positions and reads the walk's result back as labels.
 """
 
 from __future__ import annotations
@@ -110,13 +116,72 @@ def orbits(p: Pairing) -> list:
     return list(p.pairs)
 
 
+def _walk(pf, pg, m: int, k: int, n: int):
+    """Trace the strands of f: m -> k stacked on g: k -> n, given their
+    partner tuples.  Returns the composite's partner list and, per seam
+    point i (0-based), whether a strand with boundary ends crossed it;
+    the seam points it did not meet lie on the closed loops born in the
+    stack."""
+    out = [-1] * (m + n)
+    seen = [False] * k
+    # seam point i is f's position m + i and g's position i; a strand
+    # crosses the seam until it ends at a source of f (q < m in f) or at
+    # a target of g (q >= k in g), which is the composite's m + q - k
+    for start in range(m + n):
+        if out[start] >= 0:
+            continue
+        if start < m:
+            q = pf[start]
+            while q >= m:  # in f at seam point q - m: cross into g
+                i = q - m
+                seen[i] = True
+                q = pg[i]
+                if q >= k:
+                    q += m - k
+                    break
+                seen[q] = True  # in g at seam point q: cross into f
+                q = pf[m + q]
+        else:
+            q = pg[k + start - m]
+            while q < k:  # in g at seam point q: cross into f
+                seen[q] = True
+                q = pf[m + q]
+                if q < m:
+                    break
+                i = q - m  # in f at seam point i: cross into g
+                seen[i] = True
+                q = pg[i]
+            else:
+                q += m - k
+        out[start], out[q] = q, start
+    return out, seen
+
+
+def _loops(pf, pg, m: int, seen) -> list:
+    """The closed loops at the seam that _walk left unmet, each as the
+    tuple of its 1-based seam indices in traversal order: from its least
+    index, through f first.  Marks the points it lists in seen."""
+    loops = []
+    for i in range(len(seen)):
+        if seen[i]:
+            continue
+        loop, j, in_f = [i + 1], pf[m + i] - m, False
+        while j != i:
+            seen[j] = True
+            loop.append(j + 1)
+            j = pf[m + j] - m if in_f else pg[j]
+            in_f = not in_f
+        loops.append(tuple(loop))
+    return loops
+
+
 def compose_pairings_detailed(p_xy: Pairing, p_yz: Pairing, shared):
     """Stack two pairings along the shared set.
 
     Returns (composite pairing on X ⊔ Z, cycles) where cycles is a
     tuple of tuples listing, for each closed component, its shared
     labels in traversal order starting from the least label (first
-    step through p_xy).
+    step through p_xy); the cycles are listed by least label.
     """
     y = frozenset(shared)
     c1 = set(p_xy.carrier)
@@ -128,45 +193,26 @@ def compose_pairings_detailed(p_xy: Pairing, p_yz: Pairing, shared):
     if x & z:
         raise SharedSetMismatch(f"outer boundaries overlap: {sort_labels(x & z)!r}")
 
-    t1 = p_xy.partner
-    t2 = p_yz.partner
-    seen = set()
-    new_pairs = []
-    for start in sort_labels(x) + sort_labels(z):
-        if start in seen:
-            continue
-        seen.add(start)
-        in_first = start in x
-        cur = t1[start] if in_first else t2[start]
-        use_first = not in_first
-        while cur in y:
-            seen.add(cur)
-            cur = t1[cur] if use_first else t2[cur]
-            use_first = not use_first
-        seen.add(cur)
-        a, b = start, cur
-        if label_key(a) > label_key(b):
-            a, b = b, a
-        new_pairs.append((a, b))
+    # X, Y and Z, each in label order, are the positions of a stack
+    # xs -> ys onto ys -> zs, so a loop's least seam index is its least label
+    xs, ys, zs = sort_labels(x), sort_labels(y), sort_labels(z)
+    m = len(xs)
+    pf, pg = _positions(p_xy, xs + ys), _positions(p_yz, ys + zs)
+    out, seen = _walk(pf, pg, m, len(ys), len(zs))
+    loops = () if all(seen) else _loops(pf, pg, m, seen)
+    xz = xs + zs
+    order = sorted(range(len(xz)), key=lambda p: label_key(xz[p]))
+    rank = {p: r for r, p in enumerate(order)}
+    # each pair from its lesser label, so the pairs are listed by first label
+    pairs = tuple((xz[p], xz[out[p]]) for p in order if rank[p] < rank[out[p]])
+    cycles = tuple(tuple(ys[i - 1] for i in loop) for loop in loops)
+    return Pairing(tuple(xz[p] for p in order), pairs), cycles
 
-    cycles = []
-    for y0 in sort_labels(y):
-        if y0 in seen:
-            continue
-        cyc = [y0]
-        seen.add(y0)
-        cur = t1[y0]
-        use_first = False
-        while cur != y0:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = t1[cur] if use_first else t2[cur]
-            use_first = not use_first
-        cycles.append(tuple(cyc))
 
-    new_pairs.sort(key=lambda ab: label_key(ab[0]))
-    result = Pairing(tuple(sort_labels(x | z)), tuple(new_pairs))
-    return result, tuple(cycles)
+def _positions(p: Pairing, carrier) -> list:
+    """p's partner list over the positions of carrier, listed in order."""
+    at = {a: i for i, a in enumerate(carrier)}
+    return [at[p.partner[a]] for a in carrier]
 
 
 def compose_pairings(p_xy: Pairing, p_yz: Pairing, shared):
