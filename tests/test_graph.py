@@ -578,7 +578,10 @@ def test_iso_agrees_with_vf2(seed, kind):
     size = {"max_vertices": nv, "max_orbits": rng.randint(nv, 8)}
     g = make(rng, **size)
     h = {"copy": g, "rewired": _rewired(g, rng), "other": make(rng, **size)}[kind]
-    h = _scramble(h, rng)
+    _assert_iso_agrees_with_vf2(g, _scramble(h, rng), rng)
+
+
+def _assert_iso_agrees_with_vf2(g, h, rng):
     want = _vf2(g, h)
     f = iso(g, h)
     assert (f is not None) == want
@@ -587,6 +590,19 @@ def test_iso_agrees_with_vf2(seed, kind):
     assert (canonical_form(g) == canonical_form(h)) == want
     assert (x_certificate(make_xgraph(g, None)) == x_certificate(make_xgraph(h, None))) == want
     assert canonical_form(_scramble(g, rng)) == canonical_form(g)
+
+
+def test_iso_agrees_with_vf2_when_only_valencies_differ():
+    # the same edge, vertex, half-edge and port counts, but valencies
+    # [2, 2] against [1, 3], which iso refuses before any search
+    g = wheel(2)
+    h = make_graph([1, 2, 3, 4], [(1, 2), (3, 4)],
+                   [(1, "a"), (2, "a"), (3, "a"), (4, "b")], ["a", "b"])
+    counts = [(len(x.edges), len(x.vertices), len(x.half_edges), len(x.ports)) for x in (g, h)]
+    assert counts == [(4, 2, 4, 0)] * 2
+    assert sorted(map(h.valency, h.vertices)) == [1, 3]
+    assert iso(g, h) is None and iso(h, g) is None
+    _assert_iso_agrees_with_vf2(g, h, random.Random(0))
 
 
 @settings(max_examples=200, deadline=None)

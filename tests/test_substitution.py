@@ -135,6 +135,18 @@ def test_empty_assignment_drops_isolated_vertex():
     assert bk.vertex_pairs == ()
 
 
+def test_inner_edge_named_after_a_taken_base_label_gets_a_suffix():
+    # the base's own edge ("sub", 1, 3) is the name inner edge 3 of vertex 1
+    # would take, so that edge is named ("sub", 1, 3, 2)
+    taken = ("sub", 1, 3)
+    base = make_graph([taken, "p"], [(taken, "p")], [(taken, 1)], [1])
+    inner = make_graph([1, 2, 3, 4], [(1, 2), (3, 4)], [(2, "w"), (3, "w"), (4, "w")], ["w"])
+    colim, bk = colimit(make_gog(base, {1: make_xgraph(inner, {1: taken})}))
+    assert set(colim.edges) == {taken, "p", ("sub", 1, 3, 2), ("sub", 1, 4)}
+    assert bk.edge_origin_map[("sub", 1, 3, 2)] == ("inner", 1, 3)
+    assert colim.tau(("sub", 1, 3, 2)) == ("sub", 1, 4)
+
+
 def test_colimit_rejects_stick_assignment():
     base = corolla(2)
     bad = disjoint_union(stick(), wheel(1))
@@ -184,6 +196,23 @@ def test_delete_isolated_vertex():
     rec = delete_vertices(isolated_vertex(), ["v"])
     assert rec.special_case == "isolated_z"
     assert iso(rec.target, stick()) is not None
+
+
+def test_fresh_stick_beside_a_taken_name_gets_a_suffix():
+    # the loop's fresh stick would be ("kappa", 1, 1), the name of the
+    # stick beside it, so it takes ("kappa", 1, 1, 2) and ("kappa", 1, 2)
+    beside = (("kappa", 1, 1), ("z",))
+    g = make_graph([1, 2, *beside], [(1, 2), beside], [(1, 1), (2, 1)], [1])
+    rec = delete_vertices(g, [1])
+    assert rec.special_case == "generic" and rec.deleted == (1,)
+    assert rec.target.edges == (("kappa", 1, 1), ("kappa", 1, 1, 2), ("kappa", 1, 2), ("z",))
+    assert rec.target.tau(("kappa", 1, 1, 2)) == ("kappa", 1, 2)
+
+
+def test_a_repeated_vertex_is_deleted_once():
+    rec = delete_vertices(line(2), [1, 1])
+    assert rec.deleted == (1,)
+    assert rec.target == delete_vertices(line(2), [1]).target
 
 
 def test_delete_rejects_wrong_valency():
