@@ -164,6 +164,9 @@ def test_bd_input_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, _, err = cli(capsys, "bd", "dual", "--diagram", missing)
     assert code == 2
+    for word, message in (("id id", "trailing input at 'id'"),
+                          ("sigma_3", "only sigma_2 is a generator")):
+        assert cli(capsys, "bd", "dual", "--diagram", word) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +509,14 @@ def test_graph_build_builtin_and_stdin(capsys, monkeypatch):
     assert code == 0 and out2 == out
 
 
+@pytest.mark.parametrize("builtin, message", [
+    ("stick:2", "stick takes no parameter"),
+    ("wheel", "wheel needs a size, e.g. wheel:2"),
+])
+def test_graph_builtin_parameter_errors_exit_2(capsys, builtin, message):
+    assert cli(capsys, "graph", "build", "--graph", builtin) == (2, "", f"error: {message}\n")
+
+
 def test_graph_glue_then_iso_pipeline(tmp_path):
     c2 = write_doc(tmp_path, "corolla2.json", graph_to_json(corolla(2)))
     w1 = write_doc(tmp_path, "wheel1.json", graph_to_json(wheel(1)))
@@ -825,6 +836,15 @@ def test_species_segal_incomplete_cone_exits_2(tmp_path, capsys):
                          write_doc(tmp_path, "nerve.json", doc))
     assert code == 2 and out == ""
     assert err.startswith("error: no cone leg") and len(err.splitlines()) == 1
+
+
+def test_species_segal_shape_without_values_exits_2(tmp_path, capsys):
+    doc = presheaf_to_json(nerve_presheaf(terminal_species(ORI, 2), [("g", line(1))]))
+    shape = {"tuple": ["shape", 0]}
+    doc["values"] = [row for row in doc["values"] if row["id"] != shape]
+    code, out, err = cli(capsys, "species", "segal", "--presheaf",
+                         write_doc(tmp_path, "nerve.json", doc), "--graph", "g")
+    assert (code, out, err) == (2, "", "error: shape ('shape', 0) has no value set\n")
 
 
 def _rotated(row):
