@@ -145,9 +145,9 @@ def test_shared_set_mismatch():
     p1 = make_pairing(["a", "y"], [("a", "y")])
     p2 = make_pairing(["y", "a"], [("y", "a")])
     # outer boundaries both contain "a"
-    with pytest.raises(SharedSetMismatch):
+    with pytest.raises(SharedSetMismatch, match=r"^outer boundaries overlap: \['a'\]$"):
         compose_pairings(p1, p2, ["y"])
-    with pytest.raises(SharedSetMismatch):
+    with pytest.raises(SharedSetMismatch, match="^shared set must lie in both carriers$"):
         compose_pairings(p1, p2, ["q"])
 
 
@@ -313,18 +313,6 @@ def test_detailed_composer_on_interleaved_labels():
 def test_detailed_composer_matches_the_label_walk(stack):
     # the carrier, each pair and its place, and each cycle and its place
     assert compose_pairings_detailed(*stack) == _label_walk(*stack)
-
-
-@pytest.mark.parametrize("shared, message", [
-    (["q"], "shared set must lie in both carriers"),
-    (["y"], "outer boundaries overlap: ['a']"),
-])
-def test_shared_set_mismatch_messages(shared, message):
-    p1 = make_pairing(["a", "y"], [("a", "y")])
-    p2 = make_pairing(["y", "a"], [("y", "a")])
-    with pytest.raises(SharedSetMismatch) as err:
-        compose_pairings_detailed(p1, p2, shared)
-    assert str(err.value) == message
 
 
 def test_all_pairings_double_factorial():
