@@ -258,17 +258,9 @@ def cap_n(n: int) -> BrauerDiagram:
     return coev(identity(n))
 
 
-def is_open(f: BrauerDiagram) -> bool:
-    return f.closed == 0
-
-
 def is_downward(f: BrauerDiagram) -> bool:
     # no pair joins two targets
     return not f.closed and all(q < f.m for q in f.partner[f.m:])
-
-
-def is_upward(f: BrauerDiagram) -> bool:
-    return is_downward(dual(f))
 
 
 def boundary_cospan(f: BrauerDiagram):

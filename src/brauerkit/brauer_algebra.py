@@ -25,7 +25,6 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .brauer import ArityMismatch, BrauerDiagram, diagram_from_json, diagram_to_json, tensor
 from .labels import read_field, read_rows, whole_number
@@ -325,12 +324,6 @@ def _check_rings(a: BrElement, b: BrElement):
 def bd_to_br_t(f: BrauerDiagram) -> BrElement:
     """(tau, k) |-> t^k tau over Z[t]; functorial for delta = t."""
     return element_of(ZPOLY, f, ZPOLY.power(ZPOLY.t(), f.closed))
-
-
-def algebra_dimension(n: int) -> int:
-    if n < 0:
-        raise ArityMismatch(f"negative arity: {n}")
-    return prod(range(1, 2 * n, 2)) if n else 1
 
 
 def is_walled(f: BrauerDiagram, wall) -> bool:

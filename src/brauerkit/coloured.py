@@ -287,23 +287,6 @@ def cap_coloured(palette: Palette, word) -> ColouredBrauerDiagram:
     return coev_coloured(coloured_identity(palette, word))
 
 
-def pushforward(d: ColouredBrauerDiagram, target: Palette, colour_map) -> ColouredBrauerDiagram:
-    """Recolour along an involution-preserving map of palettes."""
-    phi = dict(colour_map)
-    for c in d.palette.colours:
-        if c not in phi:
-            raise PaletteMismatch(f"colour {c!r} has no image")
-        if phi[c] not in target._omega:
-            raise PaletteMismatch(f"image {phi[c]!r} not in target palette")
-    for c in d.palette.colours:
-        if phi[d.palette.omega(c)] != target.omega(phi[c]):
-            raise PaletteMismatch(f"map does not intertwine the involutions at {c!r}")
-    # phi intertwines the involutions, so pairs stay omega-swapped
-    colours = tuple(phi[c] for c in d.colours)
-    bubbles = tuple(target.orbit(phi[orb[0]]) for orb in d.bubbles)
-    return ColouredBrauerDiagram(target, d.base, colours, _sorted_bubbles(bubbles))
-
-
 def _stable_sign_order(word):
     # positions of the word, all "+" before "-", stable within each sign
     return sorted(range(len(word)), key=lambda i: (0 if word[i] == "+" else 1, i))

@@ -277,10 +277,6 @@ def make_morphism(source, target, edge_map, vertex_map):
     )
 
 
-def identity_morphism(g):
-    return make_morphism(g, g, {e: e for e in g.edges}, {v: v for v in g.vertices})
-
-
 def compose_morphisms(g, f):
     """g after f: source of g must be the target of f."""
     if f.target != g.source:
@@ -338,13 +334,9 @@ def validate_embedding(f):
     img_core = {em[e] for e in src.edges if e not in stick_edges}
     if img_core & set(img_stick):
         return False
+    # no half-edge test: equal images force one vertex, whose fibre is injective
     vs = [vm[v] for v in src.vertices]
-    if len(set(vs)) != len(vs):
-        return False
-    hs = [em[e] for e, _ in src.half_edges]
-    if len(set(hs)) != len(hs):
-        return False
-    return True
+    return len(set(vs)) == len(vs)
 
 
 def ch(g, e):

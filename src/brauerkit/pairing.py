@@ -78,12 +78,6 @@ class Pairing:
         except KeyError:
             raise UncoveredLabel(f"label {x!r} not in carrier") from None
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
 
 def make_pairing(carrier, pairs) -> Pairing:
     carrier = list(carrier)
@@ -145,14 +139,11 @@ def _walk(pf, pg, m: int, k: int, n: int):
             q = pg[k + start - m]
             while q < k:  # in g at seam point q: cross into f
                 seen[q] = True
-                q = pf[m + q]
-                if q < m:
-                    break
-                i = q - m  # in f at seam point i: cross into g
+                # never a source of f: that strand was walked from its source
+                i = pf[m + q] - m  # in f at seam point i: cross into g
                 seen[i] = True
                 q = pg[i]
-            else:
-                q += m - k
+            q += m - k
         out[start], out[q] = q, start
     return out, seen
 

@@ -37,10 +37,9 @@ from brauerkit.brauer import (
     factor_generators,
     format_word,
     from_permutation,
+    generator_diagram,
     identity,
     is_downward,
-    is_open,
-    is_upward,
     make_diagram,
     open_diagrams,
     parse_word,
@@ -173,14 +172,15 @@ def test_ev_coev_match_compositional_definitions():
 
 
 def test_downward_upward_predicates():
-    assert not is_downward(cap()) and is_upward(cap())
-    assert is_downward(cup()) and not is_upward(cup())
+    # upward is downward after dual
+    assert not is_downward(cap()) and is_downward(dual(cap()))
+    assert is_downward(cup()) and not is_downward(dual(cup()))
     for sigma in [(1, 2), (2, 1)]:
         d = from_permutation(sigma)
-        assert is_downward(d) and is_upward(d)
+        assert is_downward(d) and is_downward(dual(d))
     bubble = make_diagram(0, 0, [], closed=1)
-    assert not is_open(bubble)
-    assert not is_downward(bubble) and not is_upward(bubble)
+    assert bubble.closed
+    assert not is_downward(bubble) and not is_downward(dual(bubble))
 
 
 def test_downward_closed_under_composition():
@@ -275,6 +275,17 @@ def test_word_parse_format():
     with pytest.raises(WordSyntaxError):
         parse_word("frob")
     assert evaluate_word(parse_word("cap ; cup")) == make_diagram(0, 0, [], 1)
+
+
+def test_word_evaluation_refuses_empty_words_and_unknown_generators():
+    # parse_word refuses these first, so the CLI never reaches them
+    for word, message in (([], "empty word"), ([[]], "empty slice")):
+        with pytest.raises(WordSyntaxError) as info:
+            evaluate_word(word)
+        assert str(info.value) == message
+    with pytest.raises(WordSyntaxError) as info:
+        generator_diagram("foo")
+    assert str(info.value) == "unknown generator: 'foo'"
 
 
 def test_boundary_cospan():

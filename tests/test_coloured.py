@@ -31,7 +31,6 @@ from brauerkit.coloured import (
     output_type,
     palette_from_json,
     palette_to_json,
-    pushforward,
     reversed_omega,
     tensor_coloured,
     to_walled_normal_form,
@@ -62,6 +61,7 @@ def random_coloured(rng, palette, max_len=3, max_closed=1):
 
 def test_palette_basics():
     assert ORI.omega("+") == "-" and ORI.omega("-") == "+"
+    assert monochrome_palette() != "c"  # not a palette: __eq__ defers
     assert ORI.orbits == (("+", "-"),)
     assert MONO.orbits == (("c",),)
     assert FIXED.orbits == (("a",), ("b",))
@@ -302,19 +302,6 @@ def test_walled_normal_form_functorial():
         assert core_fg == compose_coloured(core_f, core_g)
         assert is_walled(core_fg.base, wall)
         done += 1
-
-
-def test_pushforward():
-    collapse = {"+": "c", "-": "c"}
-    trace = compose_coloured(cap_coloured(ORI, ("+",)), cup_coloured(ORI, ("-",)))
-    pushed = pushforward(trace, MONO, collapse)
-    assert pushed.bubbles == (("c",),)
-    f = coloured_identity(ORI, ("+", "-"))
-    assert pushforward(f, MONO, collapse) == coloured_identity(MONO, ("c", "c"))
-    with pytest.raises(PaletteMismatch):
-        pushforward(f, SWAP, {"+": "a", "-": "a"})
-    with pytest.raises(PaletteMismatch):
-        pushforward(f, MONO, {"+": "c"})
 
 
 def test_incoherent_cycle_defensive():

@@ -35,7 +35,6 @@ from brauerkit.graph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    identity_morphism,
     is_connected,
     is_morphism,
     iso,
@@ -217,6 +216,23 @@ def test_etale_fibre_failures():
         {"v": "v"})
     assert is_morphism(collapsing)
     assert not validate_etale(collapsing)
+
+
+def test_morphism_and_embedding_oracles_say_false():
+    # both ends of the stick onto one end: tau is not kept
+    assert not is_morphism(make_morphism(stick(), stick(), {1: 1, 2: 1}, {}))
+    w = wheel(2)
+    broken = make_morphism(w, w, {e: e for e in w.edges}, {1: 2, 2: 1})
+    assert not validate_embedding(broken)  # not a morphism
+    thin = make_morphism(corolla(1), corolla(2), {1: 1, ("dag", 1): ("dag", 1)}, {"v": "v"})
+    assert not validate_embedding(thin)  # not etale
+    # the stick lands on the loop of the wheel it sits beside
+    core = wheel(1)
+    overlap = make_morphism(
+        disjoint_union(core, stick()), core,
+        {("l", 1): 1, ("l", 2): 2, ("r", 1): 1, ("r", 2): 2}, {("l", 1): 1})
+    assert validate_etale(overlap)
+    assert not validate_embedding(overlap)
 
 
 def test_loop_neighbourhood_embeds_without_edge_injectivity():
@@ -673,4 +689,5 @@ def test_dot_output():
 
 def test_identity_morphism_is_embedding():
     for g in (wheel(2), line(2), corolla(3)):
-        assert validate_embedding(identity_morphism(g))
+        identity = make_morphism(g, g, {e: e for e in g.edges}, {v: v for v in g.vertices})
+        assert validate_embedding(identity)

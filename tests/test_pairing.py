@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brauerkit.labels import label_key, sort_labels
+from brauerkit.labels import encode_label, label_key, sort_labels
 from brauerkit.pairing import (
     DuplicateLabel,
     PairingError,
@@ -313,6 +313,13 @@ def test_detailed_composer_on_interleaved_labels():
 def test_detailed_composer_matches_the_label_walk(stack):
     # the carrier, each pair and its place, and each cycle and its place
     assert compose_pairings_detailed(*stack) == _label_walk(*stack)
+
+
+@pytest.mark.parametrize("read", [label_key, encode_label])
+def test_labels_refuse_an_unsupported_type(read):
+    with pytest.raises(TypeError) as info:
+        read(1.5)
+    assert str(info.value) == "unsupported label: 1.5"
 
 
 def test_all_pairings_double_factorial():
