@@ -25,10 +25,10 @@ The boundary labels are the strings "s1".."sm" and "t1".."tn".  They
 appear only at the edges: make_diagram and the JSON reader turn each
 label into its position through boundary_key and validate the pairs on
 a partner list over positions, open_diagrams enumerates through
-pairing.all_pairings, `pairs`, boundary_cospan and the JSON writer
-print the labels, and error messages name them.  `pairs` lists each
-pair once, in boundary order, which orders by row then by numeric
-index (so "s10" comes after "s2").
+pairing.all_pairings, `pairs` and the JSON writer print the labels,
+and error messages name them.  `pairs` lists each pair once, in
+boundary order, which orders by row then by numeric index (so "s10"
+comes after "s2").
 
 The compact closed structure moves boundary points:
 
@@ -165,14 +165,6 @@ def sigma_2() -> BrauerDiagram:
     return from_permutation((2, 1))
 
 
-def cup() -> BrauerDiagram:
-    return BrauerDiagram(2, 0, (1, 0))
-
-
-def cap() -> BrauerDiagram:
-    return BrauerDiagram(0, 2, (1, 0))
-
-
 def compose_detailed(f: BrauerDiagram, g: BrauerDiagram):
     """Stack g below f.  Returns (diagram, seam cycles).
 
@@ -261,10 +253,6 @@ def cap_n(n: int) -> BrauerDiagram:
 def is_downward(f: BrauerDiagram) -> bool:
     # no pair joins two targets
     return not f.closed and all(q < f.m for q in f.partner[f.m:])
-
-
-def boundary_cospan(f: BrauerDiagram):
-    return labels(f.m, 0), labels(0, f.n), list(f.pairs), f.closed
 
 
 def open_diagrams(m: int, n: int):

@@ -801,10 +801,6 @@ class XGraph:
             return ()
         return tuple(sort_labels(self.rho_map.values()))
 
-    @property
-    def admissible(self):
-        return self.rho is not None and not self.graph.stick_components
-
 
 def make_xgraph(graph, rho):
     if rho is None:

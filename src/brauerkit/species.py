@@ -15,8 +15,8 @@ the identity map or a swap s_k of two equal neighbouring letters, each
 s_k with one map; make_species refuses any other entry and checks the
 listed maps against the Coxeter relations.  A permutation acts by
 bubble-sorting it into swaps, and one that needs an unlisted swap is
-refused.  Each species keeps two bounded caches (CACHE_CAP entries
-each): the actions it has composed and the relabellings it has prepared.
+refused.  Each species keeps one bounded cache (CACHE_CAP entries):
+the relabellings it has prepared.
 
 The circuit-operad checks run the laws of the axioms module on the
 tables through the product and contractions, prepared once per key and
@@ -214,25 +214,11 @@ class GraphicalSpecies:
             )
         return self.table_map.get(self.rep(word), ())
 
-    # the caches below live as long as the species and hold at most
-    # CACHE_CAP entries each
-
-    @cached_property
-    def _acts(self):
-        # (sorted word, theta) -> S(theta) as a function of the names
-        return {}
-
     @cached_property
     def _transport_plans(self):
-        # (word, sigma) -> S(sigma) as a function of the names: see transport
+        # (word, sigma) -> S(sigma) as a function of the names: see transport;
+        # lives as long as the species and holds at most CACHE_CAP entries
         return {}
-
-    def _acting(self, rep_word, theta):
-        key = (rep_word, theta)
-        return self._acts.get(key) or _remember(self._acts, key, self._action(rep_word, theta))
-
-    def act_name(self, rep_word, theta, name):
-        return self._acting(rep_word, theta)(name)
 
     def _action(self, word, theta):
         if sorted(theta) != list(range(len(word))) or _apply(word, theta) != word:
@@ -259,7 +245,7 @@ class GraphicalSpecies:
             word, sigma = key
             p = _sort_perm(word)
             theta = _comp(_inv(p), _comp(sigma, _sort_perm(_apply(word, sigma))))
-            act = _remember(self._transport_plans, key, self._acting(_apply(word, p), theta))
+            act = _remember(self._transport_plans, key, self._action(_apply(word, p), theta))
         return act
 
     def transport(self, word, sigma, name):
@@ -907,10 +893,6 @@ class PresheafTable:
     arrows: tuple        # ((id, half_edge, source_id, target_id, mapping), ...)
 
     @cached_property
-    def graph_map(self):
-        return dict(self.graphs)
-
-    @cached_property
     def value_map(self):
         return {gid: tuple(es) for gid, es in self.values}
 
@@ -919,20 +901,11 @@ class PresheafTable:
         return {(gid, kind, anchor): (sid, dict(mapping))
                 for gid, kind, anchor, sid, mapping in self.restrictions}
 
-    @cached_property
-    def arrow_map(self):
-        return {(gid, he): (src, tgt, dict(mapping))
-                for gid, he, src, tgt, mapping in self.arrows}
-
 
 @dataclass(frozen=True)
 class SegalReport:
     passed: bool
     results: tuple  # (graph_id, ok, detail)
-
-    @property
-    def failures(self):
-        return tuple(gid for gid, ok, _ in self.results if not ok)
 
 
 def nerve_presheaf(S, named_graphs):

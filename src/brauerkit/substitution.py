@@ -75,10 +75,6 @@ class GraphOfGraphs:
     def assignment_map(self):
         return dict(self.assignment)
 
-    @property
-    def non_degenerate(self):
-        return all(not xg.graph.stick_components for _, xg in self.assignment)
-
 
 @dataclass(frozen=True)
 class ColimitBookkeeping:
@@ -94,10 +90,6 @@ class ColimitBookkeeping:
     edge_origin: tuple
     vertex_pairs: tuple
     embeddings: tuple
-
-    @cached_property
-    def edge_origin_map(self):
-        return dict(self.edge_origin)
 
     @cached_property
     def vertex_map(self):

@@ -340,11 +340,13 @@ class TableCircuitAlgebra(CircuitAlgebra):
         self.table = table = {}
         self.profiles = set()
         carriers = self.carriers
-        for wd, rows in entries:
+        for i, (wd, rows) in enumerate(entries):
             rows = dict(rows)
-            # a wiring listed twice would act by whichever copy came last
+            # a wiring listed twice would act by whichever copy came last;
+            # no wiring repeats before row i, so table lists them in row order
             if table.setdefault(wd, rows) is not rows:
-                raise MissingActionEntry(f"table for {wd} is listed twice")
+                raise MissingActionEntry(
+                    f"entries row {i} lists the wiring of row {list(table).index(wd)} again")
             try:
                 pools = [carriers[w] for w in wd.block_types]
                 outputs = carriers[wd.output_word]
@@ -353,14 +355,14 @@ class TableCircuitAlgebra(CircuitAlgebra):
             swept = 0
             for combo in itertools.product(*pools):
                 if combo not in rows:
-                    raise MissingActionEntry(f"table for {wd} misses inputs {combo!r}")
+                    raise MissingActionEntry(f"entries row {i} misses inputs {combo!r}")
                 if rows[combo] not in outputs:
                     raise MissingActionEntry(
                         f"table output {rows[combo]!r} outside carrier {wd.output_word!r}"
                     )
                 swept += 1
             if len(rows) != swept:
-                raise MissingActionEntry(f"table for {wd} has spurious rows")
+                raise MissingActionEntry(f"entries row {i} has spurious rows")
             self.profiles.add((wd.block_types, wd.output_word))
 
     def listed_wirings(self):

@@ -20,14 +20,11 @@ from brauerkit.brauer import (
     WordSyntaxError,
     _loops,
     _walk,
-    boundary_cospan,
     boundary_key,
-    cap,
     cap_n,
     compose,
     compose_detailed,
     coev,
-    cup,
     cup_n,
     diagram_from_json,
     diagram_to_json,
@@ -78,7 +75,7 @@ def test_from_permutation_frozen():
 
 
 def test_trace_is_one_bubble():
-    trace = compose(cap(), cup())
+    trace = compose(cap_n(1), cup_n(1))
     assert trace == make_diagram(0, 0, [], closed=1)
 
 
@@ -107,7 +104,7 @@ def test_tensor_frozen():
     unit = make_diagram(0, 0, [])
     f = _random_diagram(random.Random(9), 2, 2)
     assert tensor(f, unit) == f and tensor(unit, f) == f
-    double_cap = tensor(cap(), cap())
+    double_cap = tensor(cap_n(1), cap_n(1))
     assert double_cap.pairs == (("t1", "t2"), ("t3", "t4"))
     b1 = make_diagram(0, 0, [], closed=1)
     b2 = make_diagram(0, 0, [], closed=2)
@@ -115,7 +112,8 @@ def test_tensor_frozen():
 
 
 def test_cup_cap_frozen():
-    assert cup_n(1) == cup() and cap_n(1) == cap()
+    assert cup_n(1) == make_diagram(2, 0, [("s1", "s2")])
+    assert cap_n(1) == make_diagram(0, 2, [("t1", "t2")])
     assert cup_n(2).pairs == (("s1", "s4"), ("s2", "s3"))
     assert cap_n(2).pairs == (("t1", "t4"), ("t2", "t3"))
     assert cap_n(0) == make_diagram(0, 0, [])
@@ -136,8 +134,8 @@ def test_triangle_identities():
 def test_dual_frozen():
     for n in range(4):
         assert dual(identity(n)) == identity(n)
-    assert dual(cup()) == cap()
-    assert dual(cap()) == cup()
+    assert dual(cup_n(1)) == cap_n(1)
+    assert dual(cap_n(1)) == cup_n(1)
 
 
 def test_dual_involution_and_contravariance():
@@ -173,8 +171,8 @@ def test_ev_coev_match_compositional_definitions():
 
 def test_downward_upward_predicates():
     # upward is downward after dual
-    assert not is_downward(cap()) and is_downward(dual(cap()))
-    assert is_downward(cup()) and not is_downward(dual(cup()))
+    assert not is_downward(cap_n(1)) and is_downward(dual(cap_n(1)))
+    assert is_downward(cup_n(1)) and not is_downward(dual(cup_n(1)))
     for sigma in [(1, 2), (2, 1)]:
         d = from_permutation(sigma)
         assert is_downward(d) and is_downward(dual(d))
@@ -288,22 +286,12 @@ def test_word_evaluation_refuses_empty_words_and_unknown_generators():
     assert str(info.value) == "unknown generator: 'foo'"
 
 
-def test_boundary_cospan():
-    sources, targets, comps, closed = boundary_cospan(identity(2))
-    assert sources == ["s1", "s2"] and targets == ["t1", "t2"]
-    assert len(comps) == 2 and closed == 0
-    _, _, comps, closed = boundary_cospan(make_diagram(0, 0, [], 3))
-    assert comps == [] and closed == 3
-    _, _, comps, _ = boundary_cospan(cup_n(2))
-    assert len(comps) == 2
-
-
 def test_json_round_trip():
     rng = random.Random(3)
     for _ in range(20):
         f = _random_diagram(rng, 3, 3)
         assert diagram_from_json(diagram_to_json(f)) == f
-    blob = diagram_to_json(compose(cap(), cup()))
+    blob = diagram_to_json(compose(cap_n(1), cup_n(1)))
     assert blob == {"m": 0, "n": 0, "pairs": [], "closed": 1}
 
 
@@ -411,8 +399,8 @@ def _walked(f, g):
 @settings(max_examples=300, deadline=None)
 @given(_stackable(max_strands=8))
 @example((identity(0), identity(0), None))
-@example((cup(), cap(), None))       # k = 0
-@example((cap(), cup(), None))       # m = n = 0, one loop
+@example((cup_n(1), cap_n(1), None))       # k = 0
+@example((cap_n(1), cup_n(1), None))       # m = n = 0, one loop
 @example((cap_n(3), cup_n(3), None))  # three loops and nothing else
 def test_walk_gives_the_detailed_composite(stack):
     f, g, _ = stack

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from brauerkit.brauer import (
     BrauerDiagram,
-    cap,
+    cap_n,
     compose,
     compose_detailed,
-    cup,
+    cup_n,
     identity,
     make_diagram,
     open_diagrams,
@@ -82,15 +82,15 @@ def test_ring_axioms_spot_checks():
 
 
 def test_loop_scales_by_delta():
-    lhs = element_of(ZZ, cap())
-    rhs = element_of(ZZ, cup())
+    lhs = element_of(ZZ, cap_n(1))
+    rhs = element_of(ZZ, cup_n(1))
     prod = br_compose(lhs, rhs, 5)
     empty = make_diagram(0, 0, [])
     assert prod.terms == ((empty, 5),)
 
 
 def test_delta_zero_kills_loops():
-    prod = br_compose(element_of(ZZ, cap()), element_of(ZZ, cup()), 0)
+    prod = br_compose(element_of(ZZ, cap_n(1)), element_of(ZZ, cup_n(1)), 0)
     assert prod == br_zero(ZZ, 0, 0)
 
 
@@ -127,7 +127,7 @@ def test_composition_bilinear():
 
 def test_rational_delta_exact():
     delta = Fraction(5, 3)
-    prod = br_compose(element_of(QQ, cap()), element_of(QQ, cup()), delta)
+    prod = br_compose(element_of(QQ, cap_n(1)), element_of(QQ, cup_n(1)), delta)
     empty = make_diagram(0, 0, [])
     assert prod.coefficient(empty) == Fraction(5, 3)
 
@@ -209,12 +209,12 @@ def test_algebra_dimension_matches_enumeration():
 
 
 def test_is_walled_frozen():
-    assert is_walled(cup(), (1, 1, 0, 0))
-    assert not is_walled(cup(), (2, 0, 0, 0))
+    assert is_walled(cup_n(1), (1, 1, 0, 0))
+    assert not is_walled(cup_n(1), (2, 0, 0, 0))
     assert is_walled(identity(2), (1, 1, 1, 1))
-    assert is_walled(cap(), (0, 0, 1, 1))
+    assert is_walled(cap_n(1), (0, 0, 1, 1))
     with pytest.raises(ArityMismatch):
-        is_walled(cup(), (1, 1, 1, 1))
+        is_walled(cup_n(1), (1, 1, 1, 1))
 
 
 def _random_walled(rng, m1, n1, m2, n2):
@@ -507,7 +507,7 @@ def test_product_matches_the_pairwise_loop(data):
 def test_product_drops_coefficients_that_cancel():
     # the swap stacked on a cup is the cup again, so (id - swap) cup = 0
     a = br_add(element_of(ZZ, identity(2)), element_of(ZZ, sigma_2(), -1))
-    assert br_compose(a, element_of(ZZ, cup()), 3) == br_zero(ZZ, 2, 0)
+    assert br_compose(a, element_of(ZZ, cup_n(1)), 3) == br_zero(ZZ, 2, 0)
 
 
 def _random_poly(rng):

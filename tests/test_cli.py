@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerkit.brauer import (
-    cap,
-    cup,
+    cap_n,
+    cup_n,
     diagram_from_json,
     diagram_to_json,
     evaluate_word,
@@ -98,8 +98,8 @@ def corruptible_table_algebra():
 
 
 def test_bd_compose_cap_cup(tmp_path, capsys):
-    lhs = write_doc(tmp_path, "cap.json", diagram_to_json(cap()))
-    rhs = write_doc(tmp_path, "cup.json", diagram_to_json(cup()))
+    lhs = write_doc(tmp_path, "cap.json", diagram_to_json(cap_n(1)))
+    rhs = write_doc(tmp_path, "cup.json", diagram_to_json(cup_n(1)))
     code, out, _ = cli(capsys, "bd", "compose", "--lhs", lhs, "--rhs", rhs)
     assert code == 0
     assert out.strip() == '{"m":0,"n":0,"pairs":[],"closed":1}'
@@ -120,7 +120,7 @@ def test_bd_tensor_and_dual(capsys):
     assert code == 0 and json.loads(out)["m"] == 3
     code, out, _ = cli(capsys, "bd", "dual", "--diagram", "cup")
     assert code == 0
-    assert diagram_from_json(json.loads(out)) == cap()
+    assert diagram_from_json(json.loads(out)) == cap_n(1)
 
 
 def test_bd_factor_reconstructs(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from brauerkit import brauer
-from brauerkit.brauer import cap, identity, make_diagram, src, tgt
+from brauerkit.brauer import cap_n, identity, make_diagram, src, tgt
 from brauerkit.brauer_algebra import is_walled
 from brauerkit.coloured import (
     ColouredBrauerDiagram,
@@ -82,7 +82,7 @@ def test_typed_boundary_frozen():
                       {"s1": "c", "s2": "c", "t1": "c", "t2": "c"})
     assert typed_boundary(f) == (("c", "c"), ("c", "c"))
 
-    oriented_cap = make_coloured(ORI, cap(), {"t1": "+", "t2": "-"})
+    oriented_cap = make_coloured(ORI, cap_n(1), {"t1": "+", "t2": "-"})
     assert typed_boundary(oriented_cap) == ((), ("+", "-"))
 
     one = make_coloured(SWAP, identity(1), {"s1": "b", "t1": "a"})
@@ -155,8 +155,8 @@ def test_oriented_trace_bubble():
 
 
 def test_tensor_frozen():
-    capa = make_coloured(ORI, cap(), {"t1": "+", "t2": "-"})
-    capb = make_coloured(ORI, cap(), {"t1": "-", "t2": "+"})
+    capa = make_coloured(ORI, cap_n(1), {"t1": "+", "t2": "-"})
+    capb = make_coloured(ORI, cap_n(1), {"t1": "-", "t2": "+"})
     both = tensor_coloured(capa, capb)
     assert output_type(both) == ("+", "-", "-", "+")
     # unit for tensor
@@ -307,7 +307,7 @@ def test_walled_normal_form_functorial():
 def test_incoherent_cycle_defensive():
     palette = make_palette(["a", "b", "c"], [("a", "b")])
     # raw construction: colours by position, t1 t2 and s1 s2
-    raw_cap = ColouredBrauerDiagram(palette, cap(), ("a", "c"), ())
+    raw_cap = ColouredBrauerDiagram(palette, cap_n(1), ("a", "c"), ())
     raw_cup = ColouredBrauerDiagram(
         palette, make_diagram(2, 0, [("s1", "s2")]), ("b", "c"), ())
     assert output_type(raw_cap) == input_type(raw_cup)

@@ -478,9 +478,9 @@ def test_xgraph_validation():
         make_xgraph(line(1), {1: 1})
     with pytest.raises(InvalidParameter):
         make_xgraph(line(1), {1: 1, 4: 1})
-    assert make_xgraph(wheel(2), {}).admissible
-    assert not make_xgraph(stick(), {1: 1, 2: 2}).admissible
-    assert not make_xgraph(wheel(1), None).admissible
+    assert make_xgraph(wheel(2), {}).graph.stick_components == ()
+    assert make_xgraph(stick(), {1: 1, 2: 2}).graph.stick_components == ((1, 2),)
+    assert make_xgraph(wheel(1), None).rho is None
 
 
 # ---------------------------------------------------------------------------

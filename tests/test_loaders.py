@@ -9,7 +9,9 @@ exit 2 with one `error:` line.  make_diagram is checked against the
 label-string validator of the pairing module on random pair lists.
 The error a nested reader or a constructor raises inside a table,
 element, graph, graph-of-graphs, species or presheaf document is
-pinned to pass through its reader, and the CLI, as it is.
+pinned to pass through its reader, and the CLI, as it is.  The
+constructor refusals that no document test reaches are pinned on
+direct calls.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerkit import coloured, pairing
+from brauerkit import brauer_algebra, coloured, graph, pairing, wiring
 from brauerkit.brauer import ArityMismatch, diagram_from_json, identity, labels, make_diagram
 from brauerkit.brauer_algebra import ZZ, element_from_json, element_of, element_to_json
 from brauerkit.coloured import (
@@ -448,10 +450,6 @@ def _without_cccc_carrier():
     return doc
 
 
-def _cccc_identity():
-    return identity_wiring(MONO, _CCCC)
-
-
 def _cccc_index():
     doc = _identities_doc()
     return doc["entries"].index(_cccc_entry(doc))
@@ -476,9 +474,9 @@ def _table_field(reason):
 # case -> (table document, class, message)
 TABLE_REFUSALS = {
     "missing row": (_edit_cccc(lambda e: e["table"].pop()), MissingActionEntry,
-                    lambda: f"table for {_cccc_identity()} misses inputs (2,)"),
+                    lambda: "entries row 4 misses inputs (2,)"),
     "spurious row": (_edit_cccc(lambda e: e["table"].append([5, 0])), MissingActionEntry,
-                     lambda: f"table for {_cccc_identity()} has spurious rows"),
+                     lambda: "entries row 4 has spurious rows"),
     "output outside its carrier": (_edit_cccc(lambda e: e["table"][2].__setitem__(1, 7)),
                                    MissingActionEntry,
                                    lambda: f"table output 7 outside carrier {_CCCC!r}"),
@@ -491,9 +489,9 @@ TABLE_REFUSALS = {
                               lambda: "blocks (3,) sum to 3, diagram has 4 inputs"),
     # what a table used to read by its last copy, or by iterating a string
     "wiring listed again after": (_cccc_twice(-1), MissingActionEntry,
-                                  lambda: f"table for {_cccc_identity()} is listed twice"),
+                                  lambda: "entries row 5 lists the wiring of row 4 again"),
     "wiring listed again before": (_cccc_twice(0), MissingActionEntry,
-                                   lambda: f"table for {_cccc_identity()} is listed twice"),
+                                   lambda: "entries row 5 lists the wiring of row 0 again"),
     "inputs listed twice": (_edit_cccc(lambda e: e["table"].append([0, 1])), MissingActionEntry,
                             _table_field("inputs (0,) are listed twice")),
     "row a string": (_edit_cccc(lambda e: e["table"].__setitem__(0, "00")), MissingActionEntry,
@@ -850,6 +848,14 @@ PASS_THROUGH = {
                       "bound must be a non-negative integer, got '2'", _SPECIES_EVAL),
     "graph": (lambda t: _edge_twice(graph_to_json(line(1))), graph_from_json,
               *_DUPLICATE_EDGES, ["graph", "build", "--graph", "{doc}"]),
+    "graph vertex twice": (lambda t: {"edges": [1, 2], "tau": [[1, 2]], "half_edges": [],
+                                      "vertices": [1, 1]}, graph_from_json,
+                           InvalidParameter, "duplicate vertex labels",
+                           ["graph", "build", "--graph", "{doc}"]),
+    "graph tau edge twice": (lambda t: {"edges": [1, 2, 3, 4], "tau": [[1, 2], [2, 3], [3, 4]],
+                                        "half_edges": [], "vertices": []}, graph_from_json,
+                             InvalidParameter, "edge repeated in tau pairs near (2, 3)",
+                             ["graph", "build", "--graph", "{doc}"]),
     "port-labelled graph": (lambda t: {"graph": _edge_twice(graph_to_json(line(1))),
                                        "rho": {"1": "a", "4": "b"}},
                             xgraph_from_json, *_DUPLICATE_EDGES,
@@ -881,3 +887,78 @@ def test_nested_errors_pass_through_the_readers(ori_table_doc, tmp_path, capsys,
     code, out, err = cli(capsys, *[path if a == "{doc}" else a for a in argv])
     assert_one_error_line(code, out, err)
     assert err == f"error: {msg}\n"
+
+
+# ---------------------------------------------------------------------------
+# constructor refusals reached by direct calls
+
+
+def _stick_identity():
+    s = graph.stick()
+    return graph.make_morphism(s, s, {1: 1, 2: 2}, {})
+
+
+def _corolla_map(vertex_map):
+    c = graph.corolla(1)
+    return lambda: graph.make_morphism(c, c, {e: e for e in c.edges}, vertex_map)
+
+
+_CC = ("c", "c")
+
+# case -> (call, class, message)
+REFUSALS = {
+    "make_graph duplicate vertex": (lambda: graph.make_graph([1, 2], [(1, 2)], [], [1, 1]),
+                                    InvalidParameter, "duplicate vertex labels"),
+    "make_graph repeated tau edge": (
+        lambda: graph.make_graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)], [], []),
+        InvalidParameter, "edge repeated in tau pairs near (2, 3)"),
+    "make_morphism edge domain": (lambda: graph.make_morphism(graph.stick(), graph.stick(),
+                                                              {1: 1}, {}),
+                                  InvalidParameter, "edge map domain is not the source edge set"),
+    "make_morphism vertex domain": (_corolla_map({}), InvalidParameter,
+                                    "vertex map domain is not the source vertex set"),
+    "make_morphism edge target": (lambda: graph.make_morphism(graph.stick(), graph.stick(),
+                                                              {1: 1, 2: 3}, {}),
+                                  InvalidParameter, "edge 2 maps outside the target"),
+    "make_morphism vertex target": (_corolla_map({"v": "x"}), InvalidParameter,
+                                    "vertex 'v' maps outside the target"),
+    "compose_morphisms middle": (lambda: graph.compose_morphisms(_corolla_map({"v": "v"})(),
+                                                                 _stick_identity()),
+                                 InvalidParameter, "middle graphs disagree"),
+    "ch unknown edge": (lambda: graph.ch(graph.stick(), 7), InvalidParameter,
+                        "unknown edge 7"),
+    "Pairing.apply uncovered": (lambda: make_pairing(["a", "b"], [("a", "b")]).apply("c"),
+                                UncoveredLabel, "label 'c' not in carrier"),
+    "make_diagram negative arity": (lambda: make_diagram(-1, 1, []), ArityMismatch,
+                                    "negative arity or closed count: (-1, 1, 0)"),
+    "br_add arities": (lambda: brauer_algebra.br_add(element_of(ZZ, identity(1)),
+                                                     element_of(ZZ, identity(2))),
+                       ArityMismatch, "cannot add (1, 1) and (2, 2)"),
+    "coloured_permutation word": (
+        lambda: coloured.coloured_permutation(MONO, (2, 1), ("c",)),
+        ColouringError, "word ('c',) does not fit a permutation of 2"),
+    "operad_gamma palettes": (
+        lambda: wiring.operad_gamma(identity_wiring(MONO, _CC),
+                                    [identity_wiring(ORI, ("+", "-"))]),
+        PaletteMismatch, "substituting across palettes"),
+    "carrier word past the bound": (
+        lambda: wiring.CircuitAlgebra(MONO, 1, {_CC: ()}, None),
+        wiring.ArityBoundExceeded, "carrier word ('c', 'c') longer than bound"),
+    "generator word past the bound": (
+        lambda: wiring.FreeCircuitAlgebra(MONO, 1, {_CC: ("g",)}),
+        wiring.ArityBoundExceeded, "generator word ('c', 'c') longer than bound"),
+    "free_element generator count": (
+        lambda: wiring.free_element(identity_wiring(MONO, _CC), []),
+        BlockMismatch, "1 blocks, 0 generators"),
+    "pairing_algebra block count": (
+        lambda: pairing_algebra(MONO, 2).action(identity_wiring(MONO, _CC), []),
+        BlockMismatch, "1 blocks, 0 inputs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_constructor_refusal_is_pinned(case):
+    call, cls, msg = REFUSALS[case]
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (cls, msg)

@@ -134,13 +134,15 @@ def test_repeated_value_is_refused():
 def product_segal(P, ids):
     """segal_check as it was before the join: list the product of every
     leg's value set, keep the families every arrow map equalizes."""
+    graphs = dict(P.graphs)
+    arrow_maps = {(gid, he): dict(mapping) for gid, he, _, _, mapping in P.arrows}
     results = []
     for gid in ids:
-        if gid not in P.graph_map:
+        if gid not in graphs:
             raise InvalidParameter(f"unknown graph id {gid!r}")
         if gid not in P.value_map:
             raise MissingRestriction(f"graph {gid!r} has no value set")
-        g = P.graph_map[gid]
+        g = graphs[gid]
         legs = []
         for el in elements(g):
             key = (gid, el.kind, el.anchor)
@@ -153,10 +155,9 @@ def product_segal(P, ids):
         arrow_rows = []
         for ar in element_arrows(g):
             key = (gid, ar.half_edge)
-            if key not in P.arrow_map:
+            if key not in arrow_maps:
                 raise MissingRestriction(f"no arrow map for {key!r}")
-            _, _, mapping = P.arrow_map[key]
-            arrow_rows.append((ar.stick_index, ar.corolla_index, mapping))
+            arrow_rows.append((ar.stick_index, ar.corolla_index, arrow_maps[key]))
 
         limit = []
         for family in itertools.product(*(P.value_map[sid] for sid, _ in legs)):
@@ -332,14 +333,15 @@ def test_nerve_entries_are_pull_backs(seed, name):
     while any(g.valency(v) > S.bound for v in g.vertices):
         g = random_connected_graph(rng)
     P = nerve_presheaf(S, [("g", g)])
+    graphs = dict(P.graphs)
     els = elements(g)
     assert len(P.restrictions) == len(els)
     for (gid, kind, anchor, sid, mapping), el in zip(P.restrictions, els):
-        assert (gid, kind, anchor, P.graph_map[sid]) == ("g", el.kind, el.anchor, el.shape)
+        assert (gid, kind, anchor, graphs[sid]) == ("g", el.kind, el.anchor, el.shape)
         assert mapping == tuple((s, pull_back(S, s, el.into)) for s in P.value_map["g"])
     ars = element_arrows(g)
     assert len(P.arrows) == len(ars)
     for (gid, he, src, tgt, mapping), ar in zip(P.arrows, ars):
-        assert (gid, he, P.graph_map[src], P.graph_map[tgt]) == \
+        assert (gid, he, graphs[src], graphs[tgt]) == \
             ("g", ar.half_edge, ar.map.target, ar.map.source)
         assert mapping == tuple((s, pull_back(S, s, ar.map)) for s in P.value_map[src])

@@ -145,16 +145,16 @@ def test_factored_actions_equal_the_closure(name):
         for theta in stabilizer(word):
             for e in elems:
                 want = table[theta][e] if word in listed else e
-                assert S.act_name(word, theta, e) == want, (word, theta, e)
+                assert S.transport(word, theta, e) == want, (word, theta, e)
 
 
 def test_factored_action_refuses_a_non_permutation():
     S = species_from_circuit_algebra(pairing_algebra(MONO, 4))[0]
     w = ("c",) * 4
     with pytest.raises(InvalidParameter):
-        S.act_name(w, (0, 0, 1, 2), 0)
+        S.transport(w, (0, 0, 1, 2), 0)
     with pytest.raises(InvalidParameter):
-        S.act_name(w, (1, 0), 0)  # too short to stabilize the word
+        S.transport(w, (1, 0), 0)  # too short to stabilize the word
 
 
 @pytest.mark.parametrize("s1", [
@@ -195,10 +195,10 @@ def test_partial_listing_acts_on_its_parabolic_subgroup():
     assert len(table) == 4
     for theta in stabilizer(w):
         if theta in table:
-            assert [S.act_name(w, theta, e) for e in range(4)] == [table[theta][e] for e in range(4)]
+            assert [S.transport(w, theta, e) for e in range(4)] == [table[theta][e] for e in range(4)]
         else:
             with pytest.raises(InvalidParameter):
-                S.act_name(w, theta, 0)
+                S.transport(w, theta, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_loader_refuses_bad_sigma_rows_with_value_error(sigma):
     for word, _ in S.tables:
         for theta in stabilizer(word):
             try:
-                images = sorted(S.act_name(word, theta, e) for e in range(3))
+                images = sorted(S.transport(word, theta, e) for e in range(3))
             except InvalidParameter:
                 continue
             assert images == [0, 1, 2]
@@ -312,8 +312,7 @@ def test_lift_builds_no_group_table_and_caches_stay_bounded():
     assert {len(w) for w in S._swap_maps} == {4, 6, 8}
     assert validate_circuit_operad(S, C).checked == 53_278
     assert check_modular_axioms(S, C).checked == 28_530
-    caches = (S._acts, S._transport_plans)
-    assert all(0 < len(c) <= CACHE_CAP for c in caches)
+    assert 0 < len(S._transport_plans) <= CACHE_CAP
 
 
 def test_caches_stop_at_the_cap(monkeypatch):
@@ -321,5 +320,4 @@ def test_caches_stop_at_the_cap(monkeypatch):
     S, C = species_from_circuit_algebra(pairing_algebra(ORI, 4))
     report = validate_circuit_operad(S, C)
     assert report.passed and report.checked == 76
-    caches = (S._acts, S._transport_plans)
-    assert all(len(c) == 3 for c in caches)
+    assert len(S._transport_plans) == 3
